@@ -215,10 +215,8 @@ class Algebra:
         """{x : e_i x = 0 for every basis vector}, as a kernel of stacked adjoints."""
         acc = EchelonAccumulator(self.field, self.dim)
         for i in range(self.dim):
-            ad = self.adjoint(self.basis_vector(i))
-            for row in ad.data:
-                if any(row):
-                    acc.add_row(row)
+            for row in self.adjoint(self.basis_vector(i)).data:
+                acc.add_row(row)
         return acc.kernel()
 
     def centre(self) -> Subspace:
@@ -227,19 +225,12 @@ class Algebra:
         ads = [self.adjoint(self.basis_vector(i)) for i in range(self.dim)]
         for i in range(self.dim):
             for j in range(self.dim):
+                block = ads[i].matmul(ads[j]).data
                 prod = self.basis_product(i, j)
-                block = ads[i].matmul(ads[j])
                 if prod is not None:
-                    ad_prod = self.adjoint(prod)
-                    block_rows = [
-                        [block.data[r][c] - ad_prod.data[r][c] for c in range(self.dim)]
-                        for r in range(self.dim)
-                    ]
-                else:
-                    block_rows = [list(row) for row in block.data]
-                for row in block_rows:
-                    if any(row):
-                        acc.add_row(row)
+                    block = [vsub(r, s) for r, s in zip(block, self.adjoint(prod).data)]
+                for row in block:
+                    acc.add_row(row)
         return acc.kernel()
 
     def restrict(

@@ -17,10 +17,6 @@ class DimensionError(AxialError):
     """Shapes or ambient dimensions do not match."""
 
 
-class NoSolutionError(AxialError):
-    """A linear system turned out to be inconsistent where a solution was required."""
-
-
 class DegenerateParameters(AxialError):
     """Fusion-law or constructor parameters collide (eta in {0,1}, alpha = beta, ...)."""
 

@@ -88,14 +88,16 @@ class Fp:
         return Fp(-self.v, self.p)
 
     def __eq__(self, other):
+        # An int is equal only to its own residue (Fp(1, 5) != 6), so that
+        # equal values hash equally.
         if isinstance(other, Fp):
             return self.p == other.p and self.v == other.v
         if isinstance(other, int):
-            return self.v == other % self.p
+            return self.v == other
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.v, self.p))
+        return hash(self.v)
 
     def __bool__(self):
         return self.v != 0
@@ -176,6 +178,8 @@ class FieldSpec:
 
     def parse(self, text: str):
         """Parse "p/q" (or "r mod p" for prime fields); exact, never floats."""
+        if not isinstance(text, str):
+            raise InvalidField(f"scalar literal must be a string, not {text!r}")
         s = text.strip()
         if self.kind == "prime":
             m = _MOD_RE.match(s)

@@ -18,36 +18,30 @@ from .linalg import (
 )
 
 
-def _flat_index(n: int, m: int, l: int) -> int:
-    return m * n + l
-
-
 def frobenius_solution_space(alg: Algebra) -> Subspace:
     """All bilinear forms with (u, vw) = (uv, w), as flat n^2 vectors.
 
     Only associativity is imposed; symmetry of the solutions is a theorem,
-    not a constraint, and is checked downstream.
+    not a constraint, and is checked downstream.  Equation (i, j, l) reads
+    sum_m c_jl^m X[i, m] - c_ij^m X[m, l] = 0 and is built as a sparse row.
     """
     n = alg.dim
+    sparse = {ij: [(m, c) for m, c in enumerate(v) if c] for ij, v in alg.products.items()}
+
+    def prod(i, j):
+        return sparse.get((i, j) if i <= j else (j, i), ())
+
     acc = EchelonAccumulator(alg.field, n * n)
-    zero = alg.field.zero()
     for i in range(n):
         for j in range(n):
+            left = prod(i, j)
             for l in range(n):
-                row = [zero] * (n * n)
-                right = alg.basis_product(j, l)
-                if right is not None:
-                    for m, c in enumerate(right):
-                        if c:
-                            row[_flat_index(n, i, m)] = row[_flat_index(n, i, m)] + c
-                left = alg.basis_product(i, j)
-                if left is not None:
-                    for m, c in enumerate(left):
-                        if c:
-                            idx = _flat_index(n, m, l)
-                            row[idx] = row[idx] - c
-                if any(row):
-                    acc.add_row(row)
+                row = {i * n + m: c for m, c in prod(j, l)}
+                for m, c in left:
+                    k = m * n + l
+                    t = row.get(k)
+                    row[k] = -c if t is None else t - c
+                acc.add_row(row)
     return acc.kernel()
 
 
@@ -217,14 +211,3 @@ def projection_graph(alg: Algebra, axet: Axet) -> ProjectionGraph:
             if val:
                 edges.append((ia, ib))
     return ProjectionGraph(vertices=tuple(range(axet.size)), edges=tuple(edges))
-
-
-def orbit_projection_graph(alg: Algebra, axet: Axet) -> ProjectionGraph:
-    """Projection graph collapsed along Miyamoto orbits."""
-    full = projection_graph(alg, axet)
-    orbit_of = {}
-    for oi, orbit in enumerate(axet.orbits):
-        for v in orbit:
-            orbit_of[v] = oi
-    edges = sorted({(orbit_of[a], orbit_of[b]) for a, b in full.edges})
-    return ProjectionGraph(vertices=tuple(range(len(axet.orbits))), edges=tuple(edges))

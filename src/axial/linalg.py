@@ -1,9 +1,14 @@
-"""Exact dense linear algebra: RREF, kernels, canonical subspaces, linear solves.
+"""Exact linear algebra on one sparse elimination core: RREF, kernels,
+determinants, inverses, linear solves and canonical subspaces.
 
-Elimination uses leftmost-nonzero pivoting with no size heuristics, so every
-result is deterministic.  Subspaces store their basis in reduced row-echelon
-form with zero rows stripped; two equal subspaces therefore have identical
-stored bases, and equality is plain tuple comparison.
+Every routine feeds its rows to `EchelonAccumulator`, which keeps a fully
+reduced row-echelon basis of sparse rows ({column: nonzero}, pivot
+normalised to 1) and reduces each new row in one pass over the pivot columns
+it touches.  Zero entries are never visited.  The reduced row-echelon form of
+a row space is unique, so every result is deterministic and independent of
+row order.  Subspaces store that form as dense tuples with zero rows
+stripped; two equal subspaces therefore have identical stored bases, and
+equality is plain tuple comparison.
 """
 
 from typing import Iterable, Optional, Sequence
@@ -26,10 +31,6 @@ def vsub(u, v):
 
 def vscale(c, u):
     return tuple(c * a for a in u)
-
-
-def vneg(u):
-    return tuple(-a for a in u)
 
 
 def vdot(u, v):
@@ -74,11 +75,6 @@ class Matrix:
     def identity(cls, field: FieldSpec, n: int) -> "Matrix":
         one, zero = field.one(), field.zero()
         return cls(field, [[one if i == j else zero for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zero(cls, field: FieldSpec, nrows: int, ncols: int) -> "Matrix":
-        z = field.zero()
-        return cls(field, [[z] * ncols for _ in range(nrows)])
 
     @classmethod
     def from_columns(cls, field: FieldSpec, cols: Sequence[Sequence]) -> "Matrix":
@@ -132,89 +128,163 @@ class Matrix:
         return f"Matrix({self.nrows}x{self.ncols} over {self.field.kind})"
 
 
-def _rref_rows(field: FieldSpec, rows):
-    """In-place Gauss-Jordan on a list of lists; returns pivot column list."""
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        k = next((i for i in range(r, nrows) if rows[i][c]), None)
-        if k is None:
-            continue
-        rows[r], rows[k] = rows[k], rows[r]
-        pv = rows[r][c]
-        if pv != field.one():
-            inv = field.one() / pv
-            rows[r] = [inv * x for x in rows[r]]
-        prow = rows[r]
-        for i in range(nrows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], prow)]
-        pivots.append(c)
-        r += 1
-    return pivots
+def _eliminate(v, rows):
+    """Reduce the sparse row v in place against a fully reduced basis.
+
+    `rows` maps each pivot column to that row's tail: its entries off the
+    pivot, whose own entry is 1.  Tails are zero on every pivot column, so
+    one pass over the pivot columns v touches clears them all.
+    """
+    hits = [c for c in v if c in rows] if len(v) <= len(rows) else [p for p in rows if p in v]
+    for p in hits:
+        f = -v.pop(p)
+        for c, x in rows[p].items():
+            t = v.get(c)
+            if t is None:
+                v[c] = f * x
+            else:
+                t = t + f * x
+                if t:
+                    v[c] = t
+                else:
+                    del v[c]
+
+
+class EchelonAccumulator:
+    """Fully reduced row-echelon basis of sparse rows, grown one row at a time.
+
+    `rows` maps each pivot column to its row's tail (see `_eliminate`);
+    `order` lists the pivots in the order their rows arrived.  After any
+    sequence of rows the basis is the reduced row-echelon form of their span.
+    """
+
+    __slots__ = ("field", "ncols", "rows", "order")
+
+    def __init__(self, field: FieldSpec, ncols: int, rows=None):
+        self.field = field
+        self.ncols = ncols
+        self.rows = {} if rows is None else rows
+        self.order = list(self.rows)
+
+    @classmethod
+    def of(cls, field: FieldSpec, ncols: int, rows) -> "EchelonAccumulator":
+        acc = cls(field, ncols)
+        for row in rows:
+            acc.add_row(row)
+        return acc
+
+    def add_row(self, row):
+        """Reduce a row (a sequence, or a {column: value} mapping) into the basis.
+
+        Returns its pivot value before normalisation, or None when the row
+        depends on the basis.
+        """
+        items = row.items() if isinstance(row, dict) else enumerate(row)
+        v = {c: x for c, x in items if x}
+        rows = self.rows
+        _eliminate(v, rows)
+        if not v:
+            return None
+        lead = min(v)
+        pv = v.pop(lead)
+        one = self.field.one()
+        if pv != one:
+            inv = one / pv
+            v = {c: inv * x for c, x in v.items()}
+        single = {lead: v}
+        for tail in rows.values():
+            if lead in tail:
+                _eliminate(tail, single)
+        rows[lead] = v
+        self.order.append(lead)
+        return pv
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+    @property
+    def pivots(self):
+        return sorted(self.rows)
+
+    def row(self, p: int, start: int = 0):
+        """The basis row with pivot p as a dense tuple over columns start.."""
+        out = [self.field.zero()] * (self.ncols - start)
+        if p >= start:
+            out[p - start] = self.field.one()
+        for c, x in self.rows[p].items():
+            out[c - start] = x
+        return tuple(out)
+
+    def subspace(self, start: int = 0) -> "Subspace":
+        """Span of the basis rows with pivot at or after `start`, on columns start.."""
+        pivots = tuple(p for p in self.pivots if p >= start)
+        basis = tuple(self.row(p, start) for p in pivots)
+        return Subspace(self.field, self.ncols - start, basis, tuple(p - start for p in pivots))
+
+    def kernel(self, width: Optional[int] = None) -> "Subspace":
+        """Null space of the first `width` columns (all of them by default)."""
+        width = self.ncols if width is None else width
+        neg = {}
+        for p, tail in self.rows.items():
+            for c, x in tail.items():
+                if c < width:
+                    neg.setdefault(c, {})[p] = -x
+        ker = EchelonAccumulator(self.field, width)
+        one = self.field.one()
+        for f in range(width):
+            if f not in self.rows:
+                v = neg.get(f, {})
+                v[f] = one
+                ker.add_row(v)
+        return ker.subspace()
 
 
 def rref(m: Matrix) -> Matrix:
-    rows = [list(row) for row in m.data]
-    _rref_rows(m.field, rows)
+    acc = EchelonAccumulator.of(m.field, m.ncols, m.data)
+    rows = [acc.row(p) for p in acc.pivots]
+    rows += [(m.field.zero(),) * m.ncols] * (m.nrows - len(rows))
     return Matrix(m.field, rows)
 
 
 def det(m: Matrix):
-    """Determinant by forward elimination with exact division."""
+    """Product of the pivots as the rows arrive, signed by the row -> pivot
+    permutation."""
     if m.nrows != m.ncols:
         raise DimensionError("determinant of a non-square matrix")
-    n = m.nrows
-    if n == 0:
-        return m.field.one()
-    rows = [list(row) for row in m.data]
+    acc = EchelonAccumulator(m.field, m.ncols)
     result = m.field.one()
-    for c in range(n):
-        k = next((i for i in range(c, n) if rows[i][c]), None)
-        if k is None:
+    for row in m.data:
+        pv = acc.add_row(row)
+        if pv is None:
             return m.field.zero()
-        if k != c:
-            rows[c], rows[k] = rows[k], rows[c]
-            result = -result
-        pv = rows[c][c]
         result = result * pv
-        for i in range(c + 1, n):
-            if rows[i][c]:
-                f = rows[i][c] / pv
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
-    return result
+    order = acc.order
+    inversions = sum(a > b for i, a in enumerate(order) for b in order[i + 1 :])
+    return -result if inversions % 2 else result
 
 
 class Subspace:
     """Subspace of F^n held as a canonical RREF basis (zero rows stripped)."""
 
-    __slots__ = ("field", "ambient", "basis", "pivots")
+    __slots__ = ("field", "ambient", "basis", "pivots", "_rows")
 
     def __init__(self, field: FieldSpec, ambient: int, basis, pivots):
         self.field = field
         self.ambient = ambient
         self.basis = basis
         self.pivots = pivots
+        self._rows = None
 
     @classmethod
     def from_vectors(cls, field: FieldSpec, ambient: int, vectors) -> "Subspace":
-        rows = []
+        acc = EchelonAccumulator(field, ambient)
         for v in vectors:
             v = [field.coerce(x) for x in v]
             if len(v) != ambient:
                 raise DimensionError(f"vector length {len(v)} in ambient {ambient}")
-            rows.append(v)
-        if rows:
-            pivots = _rref_rows(field, rows)
-            basis = tuple(tuple(r) for r in rows[: len(pivots)])
-        else:
-            pivots, basis = [], ()
-        return cls(field, ambient, basis, tuple(pivots))
+            acc.add_row(v)
+        return acc.subspace()
 
     @classmethod
     def zero(cls, field: FieldSpec, ambient: int) -> "Subspace":
@@ -233,19 +303,31 @@ class Subspace:
         if self.ambient != other.ambient or self.field != other.field:
             raise DimensionError("subspaces live in different ambient spaces")
 
-    def reduce(self, v):
-        """Residue of v after subtracting its projection onto the basis rows."""
-        v = list(v)
+    def _tails(self):
+        """Sparse tails of the basis rows by pivot (see `_eliminate`), built once."""
+        if self._rows is None:
+            self._rows = {
+                p: {c: x for c, x in enumerate(row) if x and c != p}
+                for p, row in zip(self.pivots, self.basis)
+            }
+        return self._rows
+
+    def _residue(self, v):
+        v = tuple(v)
         if len(v) != self.ambient:
             raise DimensionError(f"vector length {len(v)} in ambient {self.ambient}")
-        for row, p in zip(self.basis, self.pivots):
-            f = v[p]
-            if f:
-                v = [a - f * b for a, b in zip(v, row)]
-        return tuple(v)
+        w = {c: x for c, x in enumerate(v) if x}
+        _eliminate(w, self._tails())
+        return w
+
+    def reduce(self, v):
+        """Residue of v after subtracting its projection onto the basis rows."""
+        w = self._residue(v)
+        zero = self.field.zero()
+        return tuple(w.get(c, zero) for c in range(self.ambient))
 
     def contains(self, v) -> bool:
-        return is_zero_vec(self.reduce(v))
+        return not self._residue(v)
 
     def coords(self, v):
         """Coefficients of v on the stored basis, or None if v is outside."""
@@ -255,20 +337,21 @@ class Subspace:
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)
-        return Subspace.from_vectors(self.field, self.ambient, self.basis + other.basis)
+        rows = {p: dict(tail) for p, tail in self._tails().items()}
+        acc = EchelonAccumulator(self.field, self.ambient, rows)
+        for b in other.basis:
+            acc.add_row(b)
+        return acc.subspace()
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        """Zassenhaus: rref [[u|u],[v|0]]; rows with zero left half span the meet."""
+        """Zassenhaus: echelon [[u|u],[v|0]]; rows pivoting in the right half span the meet."""
         self._check_ambient(other)
-        z = self.field.zero()
-        rows = [list(b) + list(b) for b in self.basis]
-        rows += [list(b) + [z] * self.ambient for b in other.basis]
-        if not rows:
-            return Subspace.zero(self.field, self.ambient)
-        _rref_rows(self.field, rows)
-        n = self.ambient
-        out = [r[n:] for r in rows if not any(r[:n]) and any(r[n:])]
-        return Subspace.from_vectors(self.field, self.ambient, out)
+        acc = EchelonAccumulator(self.field, 2 * self.ambient)
+        for b in self.basis:
+            acc.add_row(b + b)
+        for b in other.basis:
+            acc.add_row(b)
+        return acc.subspace(self.ambient)
 
     def is_subspace_of(self, other: "Subspace") -> bool:
         self._check_ambient(other)
@@ -294,100 +377,38 @@ class Subspace:
 
 def kernel(m: Matrix) -> Subspace:
     """Exact null space {v : m v = 0}."""
-    if m.nrows == 0 or m.ncols == 0:
-        return Subspace.full(m.field, m.ncols)
-    rows = [list(row) for row in m.data]
-    pivots = _rref_rows(m.field, rows)
-    pivot_set = set(pivots)
-    free = [c for c in range(m.ncols) if c not in pivot_set]
-    zero, one = m.field.zero(), m.field.one()
-    basis = []
-    for f in free:
-        v = [zero] * m.ncols
-        v[f] = one
-        for r, p in enumerate(pivots):
-            v[p] = -rows[r][f]
-        basis.append(v)
-    return Subspace.from_vectors(m.field, m.ncols, basis)
+    return EchelonAccumulator.of(m.field, m.ncols, m.data).kernel()
 
 
 def solve_linear(m: Matrix, b):
-    """Solve m x = b.  Returns (particular | None, kernel(m))."""
+    """Solve m x = b.  Returns (particular | None, kernel(m)), from one
+    echelon of the augmented rows [m | b]."""
     if len(b) != m.nrows:
         raise DimensionError(f"rhs length {len(b)} for {m.nrows} rows")
-    b = [m.field.coerce(x) for x in b]
-    rows = [list(row) + [bv] for row, bv in zip(m.data, b)]
-    ker = kernel(m)
-    if not rows:
-        return vzero(m.field, m.ncols), ker
-    pivots = _rref_rows(m.field, rows)
-    if m.ncols in pivots:
+    n = m.ncols
+    aug = (row + (m.field.coerce(x),) for row, x in zip(m.data, b))
+    acc = EchelonAccumulator.of(m.field, n + 1, aug)
+    ker = acc.kernel(n)
+    if n in acc.rows:
         return None, ker
-    x = [m.field.zero()] * m.ncols
-    for r, p in enumerate(pivots):
-        x[p] = rows[r][m.ncols]
+    zero = m.field.zero()
+    x = [zero] * n
+    for p, tail in acc.rows.items():
+        x[p] = tail.get(n, zero)
     return tuple(x), ker
 
 
 def invert(m: Matrix) -> Matrix:
+    """Echelon of [m | I]; m is invertible iff every left column pivots."""
     if m.nrows != m.ncols:
         raise DimensionError("inverse of a non-square matrix")
     n = m.nrows
-    eye = Matrix.identity(m.field, n)
-    rows = [list(row) + list(eye_row) for row, eye_row in zip(m.data, eye.data)]
-    pivots = _rref_rows(m.field, rows)
-    # pivots escaping into the augmented half mean the left half was singular
-    if pivots != list(range(n)):
+    one = m.field.one()
+    acc = EchelonAccumulator(m.field, 2 * n)
+    for i, row in enumerate(m.data):
+        v = {c: x for c, x in enumerate(row) if x}
+        v[n + i] = one
+        acc.add_row(v)
+    if any(p not in acc.rows for p in range(n)):
         raise DimensionError("matrix is singular")
-    return Matrix(m.field, [r[n:] for r in rows])
-
-
-class EchelonAccumulator:
-    """Incrementally maintained RREF basis; used to build large kernels cheaply.
-
-    Rows are fed one at a time; each is reduced against the current basis and
-    inserted if independent.  The final state matches rref() of the stacked rows.
-    """
-
-    def __init__(self, field: FieldSpec, ncols: int):
-        self.field = field
-        self.ncols = ncols
-        self.rows = []   # kept in pivot order
-        self.pivots = []
-
-    def add_row(self, row) -> bool:
-        v = list(row)
-        for r, p in zip(self.rows, self.pivots):
-            f = v[p]
-            if f:
-                v = [a - f * b for a, b in zip(v, r)]
-        lead = next((c for c in range(self.ncols) if v[c]), None)
-        if lead is None:
-            return False
-        inv = self.field.one() / v[lead]
-        v = [inv * x for x in v]
-        for i, (r, p) in enumerate(zip(self.rows, self.pivots)):
-            f = r[lead]
-            if f:
-                self.rows[i] = [a - f * b for a, b in zip(r, v)]
-        at = next((i for i, p in enumerate(self.pivots) if p > lead), len(self.pivots))
-        self.rows.insert(at, v)
-        self.pivots.insert(at, lead)
-        return True
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
-    def kernel(self) -> Subspace:
-        pivot_set = set(self.pivots)
-        free = [c for c in range(self.ncols) if c not in pivot_set]
-        zero, one = self.field.zero(), self.field.one()
-        basis = []
-        for f in free:
-            v = [zero] * self.ncols
-            v[f] = one
-            for r, p in zip(self.rows, self.pivots):
-                v[p] = -r[f]
-            basis.append(v)
-        return Subspace.from_vectors(self.field, self.ncols, basis)
+    return Matrix(m.field, [acc.row(p, n) for p in range(n)])

@@ -15,7 +15,6 @@ exact notation; nothing here ever goes through floating point.
 """
 
 import json
-from typing import Optional
 
 from .algebra import Algebra
 from .errors import InvalidField, MalformedInput
@@ -28,6 +27,8 @@ def vec_to_obj(field: FieldSpec, v) -> dict:
 
 
 def vec_from_obj(field: FieldSpec, obj, dim: int):
+    if not isinstance(obj, dict):
+        raise MalformedInput(f"vector must be an object of index: scalar, not {obj!r}")
     vec = [field.zero()] * dim
     for k, lit in obj.items():
         k = int(k)
@@ -110,6 +111,3 @@ def load_gram(text: str, field: FieldSpec):
                      for x in row])
     return rows
 
-
-def scalar_or_none(field: FieldSpec, x) -> Optional[str]:
-    return None if x is None else field.fmt(x)

@@ -1,10 +1,15 @@
 """Command line surface: pipelines, exit codes, machine-readable reports."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import axial
 from axial.cli import main
 
 
@@ -90,6 +95,22 @@ class TestVerify:
         doc = build(runner, "ns:2A")
         result = runner.invoke(main, ["verify", "-", "--law", "Q:7"], input=doc)
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize(
+        "key, vec", [("products", ["1", "0", "0"]), ("axes", ["1", "0", "0"]), ("axes", {"0": 5})]
+    )
+    def test_malformed_vector_exit_2(self, runner, key, vec):
+        # a real process, so that an uncaught error would print its traceback
+        doc = json.loads(build(runner, "ns:2A"))
+        doc[key][0]["v"] = vec
+        src = str(Path(axial.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", "from axial.cli import main; main()", "verify", "-"],
+            input=json.dumps(doc), capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stdout + proc.stderr
 
 
 class TestMiyamoto:

@@ -92,6 +92,21 @@ class TestPrimeField:
         with pytest.raises(InvalidField):
             Fp(1, 5) + Fp(1, 7)
 
+    def test_int_equality_is_exact_residue(self):
+        assert Fp(1, 5) == 1
+        assert Fp(1, 5) != 6
+        assert Fp(4, 5) != -1
+        assert 1 in {Fp(1, 5)}
+        assert Fp(1, 5) in {1}
+
+    @given(st.integers(min_value=-22, max_value=22), st.integers(min_value=-22, max_value=22))
+    def test_equal_values_hash_equally(self, a, b):
+        p = 11
+        for x in (a, Fp(a, p)):
+            for y in (b, Fp(b, p)):
+                if x == y:
+                    assert hash(x) == hash(y)
+
 
 class TestFieldSpec:
     def test_json_roundtrip(self):
