@@ -16,7 +16,7 @@ from .errors import (
     Unsupported,
 )
 from .fusion import FusionLaw, Grading, is_symmetric, unique_adequate_grading
-from .linalg import Matrix, Subspace, invert, kernel, solve_linear
+from .linalg import Matrix, Subspace, invert, kernel, vdot
 from .perms import Perm, dimino, orbits_of
 
 DEFAULT_AXIS_CAP = 10_000
@@ -176,6 +176,36 @@ def is_axial(alg: Algebra, law: Optional[FusionLaw] = None) -> AxialVerdict:
     )
 
 
+def _eigenbasis(alg: Algebra, spaces):
+    """Change of basis to the stacked eigenbases of a semisimple decomposition.
+
+    Returns the eigenbasis vectors in law order, the eigenspace index of
+    each, and the inverse change of basis: row r of it reads off a vector's
+    coordinate on vector r.
+    """
+    cols = [b for s in spaces for b in s.basis]
+    owner = [t for t, s in enumerate(spaces) for _ in s.basis]
+    return cols, owner, invert(Matrix.from_columns(alg.field, cols))
+
+
+def projection_functional(alg: Algebra, a, law: Optional[FusionLaw] = None) -> Tuple:
+    """Row vector w with phi_a(v) = w . v for all v."""
+    law = law if law is not None else alg.law
+    if law is None:
+        raise Unsupported("projection functional needs a fusion law")
+    a = alg.coerce_vector(a)
+    dims, spaces = eigen_decomposition(alg, a, law)
+    if sum(dims) != alg.dim:
+        raise NotSemisimple("adjoint eigenspaces do not span the algebra")
+    if dims[law.one_index] != 1:
+        raise NotPrimitive("1-eigenspace is not one-dimensional")
+    _, owner, inv = _eigenbasis(alg, spaces)
+    b1 = spaces[law.one_index].basis[0]
+    k = next(i for i, ai in enumerate(a) if ai)
+    scale = b1[k] / a[k]
+    return tuple(scale * x for x in inv.data[owner.index(law.one_index)])
+
+
 def projection(alg: Algebra, a, v, law: Optional[FusionLaw] = None):
     """Scalar phi with the A_1(a)-component of v equal to phi * a."""
     law = law if law is not None else alg.law
@@ -185,24 +215,7 @@ def projection(alg: Algebra, a, v, law: Optional[FusionLaw] = None):
     v = alg.coerce_vector(v)
     if alg.mul(a, a) != a:
         raise NotAnAxis("projection base vector is not idempotent")
-    dims, spaces = eigen_decomposition(alg, a, law)
-    if sum(dims) != alg.dim:
-        raise NotSemisimple("adjoint eigenspaces do not span the algebra")
-    if dims[law.one_index] != 1:
-        raise NotPrimitive("1-eigenspace is not one-dimensional")
-    cols: List[Sequence] = []
-    offset_one = 0
-    for t, s in enumerate(spaces):
-        if t == law.one_index:
-            offset_one = len(cols)
-        cols.extend(s.basis)
-    basis_mat = Matrix.from_columns(alg.field, [list(c) for c in cols])
-    x, _ = solve_linear(basis_mat, v)
-    if x is None:
-        raise NotSemisimple("eigenbasis failed to express the vector")
-    b1 = spaces[law.one_index].basis[0]
-    k = next(i for i, ai in enumerate(a) if ai)
-    return x[offset_one] * b1[k] / a[k]
+    return vdot(projection_functional(alg, a, law), v)
 
 
 @dataclass(frozen=True)
@@ -248,25 +261,24 @@ def miyamoto(
     if not report.passed:
         raise NotAnAxis(report.describe())
     grading = resolve_grading(law, grading)
-
-    cols: List[Sequence] = []
-    signs: List[int] = []
-    for t, s in enumerate(report.eigenspaces):
-        for b in s.basis:
-            cols.append(list(b))
-            signs.append(grading.signs[t])
-    basis_mat = Matrix.from_columns(alg.field, cols)
-    diag = Matrix(
-        alg.field,
-        [
-            [alg.field.from_int(s) if r == c else alg.field.zero() for c, s in enumerate(signs)]
-            for r in range(len(signs))
-        ],
+    return MiyamotoMap(
+        matrix=_tau_from_report(alg, report, grading),
+        axis=report.axis,
+        law=law,
+        grading=grading,
     )
-    tau = basis_mat.matmul(diag).matmul(invert(basis_mat))
 
-    ident = Matrix.identity(alg.field, alg.dim)
-    if tau.matmul(tau) != ident:
+
+def _tau_from_report(alg: Algebra, report: AxisReport, grading: Grading) -> Matrix:
+    """The map +-1 on the eigenspaces of a passed report, built from scratch
+    and checked to be an involutive automorphism."""
+    if alg.field.characteristic == 2:
+        raise Unsupported("no nontrivial C2 character in characteristic 2")
+    cols, owner, inv = _eigenbasis(alg, report.eigenspaces)
+    signed = [c if grading.signs[t] > 0 else tuple(-x for x in c) for c, t in zip(cols, owner)]
+    tau = Matrix.from_columns(alg.field, signed).matmul(inv)
+
+    if tau.matmul(tau) != Matrix.identity(alg.field, alg.dim):
         raise ConsistencyFailure("Miyamoto map does not square to the identity")
     tau_cols = [tau.column(j) for j in range(alg.dim)]
     for i in range(alg.dim):
@@ -275,7 +287,19 @@ def miyamoto(
             lhs = tau.mul_vec(p) if p is not None else alg.zero_vector()
             if lhs != alg.mul(tau_cols[i], tau_cols[j]):
                 raise ConsistencyFailure("Miyamoto map is not an algebra automorphism")
-    return MiyamotoMap(matrix=tau, axis=report.axis, law=law, grading=grading)
+    return tau
+
+
+def _conjugate_tau(report: AxisReport, grading: Grading, tau_c: Matrix, tau_a: Matrix) -> Matrix:
+    """tau_b = tau_c tau_a tau_c for the axis b = tau_c(a), a product of
+    verified automorphisms, certified on b's eigenbasis: tau_b u = +-u as the
+    grading signs u's eigenspace.  That basis fixes the map uniquely."""
+    tau = tau_c.matmul(tau_a).matmul(tau_c)
+    for sign, space in zip(grading.signs, report.eigenspaces):
+        for u in space.basis:
+            if tau.mul_vec(u) != (u if sign > 0 else tuple(-x for x in u)):
+                raise ConsistencyFailure("conjugated Miyamoto map is not +-1 on the eigenspaces")
+    return tau
 
 
 @dataclass(frozen=True)
@@ -307,8 +331,16 @@ def close_axes(
 ) -> Axet:
     """Close an axis set under all of its Miyamoto maps.
 
-    Sweeps every map over every known axis until nothing new appears; each new
-    image is re-verified as an axis before being admitted.
+    Every admitted axis, seed or image, passes `check_axis` exactly once.  An
+    axis b equal to tau_c(a) for axes a, c already admitted gets tau_b =
+    tau_c tau_a tau_c, a product of verified automorphisms, certified exactly
+    on b's own eigenbasis (+-1 as the grading says), which fixes it uniquely.
+    Any other axis gets its map built from scratch and checked to be an
+    involutive automorphism, as `miyamoto` does.  Each (map, axis) image is
+    computed once, as soon as both are admitted, and kept as an axis index.
+    New images are admitted round by round in order of their first (map
+    index, axis index) pair, as a sweep of every map over every axis would
+    find them.
     """
     law = law if law is not None else alg.law
     if law is None:
@@ -321,6 +353,17 @@ def close_axes(
     name_list: List[str] = []
     reports: List[AxisReport] = []
     mats: List[Matrix] = []
+    # images[c][a] is the index of tau_c(axis a); an image not yet admitted
+    # waits in `pending` with every (c, a) pair that produced it.
+    images: List[List[Optional[int]]] = []
+    pending: Dict[Tuple, List[Tuple[int, int]]] = {}
+
+    def image(c: int, a: int) -> Optional[int]:
+        img = mats[c].mul_vec(vecs[a])
+        j = index.get(img)
+        if j is None:
+            pending.setdefault(img, []).append((c, a))
+        return j
 
     def admit(v, name, seed: bool):
         rep = check_axis(alg, v, law)
@@ -330,12 +373,22 @@ def close_axes(
             raise ConsistencyFailure(
                 f"Miyamoto image {name} failed axis verification: {rep.describe()}"
             )
-        tau = miyamoto(alg, v, law, grading)
-        index[v] = len(vecs)
+        pairs = pending.pop(v, [])
+        if pairs:
+            c, a = min(pairs)
+            mats.append(_conjugate_tau(rep, grading, mats[c], mats[a]))
+        else:
+            mats.append(_tau_from_report(alg, rep, grading))
+        k = len(vecs)
+        index[v] = k
         vecs.append(v)
         name_list.append(name)
         reports.append(rep)
-        mats.append(tau.matrix)
+        for c, a in pairs:
+            images[c][a] = k
+        for c in range(k):
+            images[c].append(image(c, k))
+        images.append([image(k, a) for a in range(k + 1)])
 
     seed_list = [alg.coerce_vector(v) for v in axes]
     if names is not None and len(names) != len(seed_list):
@@ -345,30 +398,15 @@ def close_axes(
             continue
         admit(v, names[k] if names is not None else f"x{len(vecs)}", seed=True)
 
-    while True:
-        new: List[Tuple] = []
-        for mat in mats:
-            for v in vecs:
-                img = mat.mul_vec(v)
-                if img not in index and img not in new:
-                    new.append(img)
-        if not new:
-            break
-        for img in new:
+    while pending:
+        for img in sorted(pending, key=lambda v: min(pending[v])):
             if len(vecs) >= limit:
                 raise ClosureCapExceeded(f"axis closure exceeded cap {limit}")
             admit(img, f"x{len(vecs)}", seed=False)
 
-    perms: List[Perm] = []
-    for i, mat in enumerate(mats):
-        images = []
-        for v in vecs:
-            img = mat.mul_vec(v)
-            j = index.get(img)
-            if j is None:
-                raise ConsistencyFailure("closed set is not permuted by a Miyamoto map")
-            images.append(j)
-        perms.append(tuple(images))
+    perms: List[Perm] = [tuple(row) for row in images]
+    if any(len(set(p)) != len(vecs) for p in perms):
+        raise ConsistencyFailure("closed set is not permuted by a Miyamoto map")
     # the matrix group acts faithfully on a closed axis set
     seen: Dict[Perm, Matrix] = {}
     for p, m in zip(perms, mats):

@@ -5,17 +5,10 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .algebra import Algebra, form_value
-from .axes import Axet, AxisReport, eigen_decomposition
-from .errors import ConsistencyFailure, NotPrimitive, NotSemisimple, Unsupported
+from .axes import Axet, eigen_decomposition, projection_functional
+from .errors import ConsistencyFailure, Unsupported
 from .fusion import FusionLaw
-from .linalg import (
-    EchelonAccumulator,
-    Matrix,
-    Subspace,
-    invert,
-    kernel,
-    solve_linear,
-)
+from .linalg import EchelonAccumulator, Matrix, Subspace, kernel, solve_linear, vdot
 
 
 def frobenius_solution_space(alg: Algebra) -> Subspace:
@@ -157,31 +150,6 @@ def eigenspace_orthogonality_violations(
     return bad
 
 
-def projection_functional(alg: Algebra, a, law: Optional[FusionLaw] = None) -> Tuple:
-    """Row vector w with phi_a(v) = w . v for all v."""
-    law = law if law is not None else alg.law
-    if law is None:
-        raise Unsupported("projection functional needs a fusion law")
-    a = alg.coerce_vector(a)
-    dims, spaces = eigen_decomposition(alg, a, law)
-    if sum(dims) != alg.dim:
-        raise NotSemisimple("adjoint eigenspaces do not span the algebra")
-    if dims[law.one_index] != 1:
-        raise NotPrimitive("1-eigenspace is not one-dimensional")
-    cols: List = []
-    offset_one = 0
-    for t, s in enumerate(spaces):
-        if t == law.one_index:
-            offset_one = len(cols)
-        cols.extend(list(b) for b in s.basis)
-    basis_mat = Matrix.from_columns(alg.field, cols)
-    inv = invert(basis_mat)
-    b1 = spaces[law.one_index].basis[0]
-    k = next(i for i, ai in enumerate(a) if ai)
-    scale = b1[k] / a[k]
-    return tuple(scale * x for x in inv.data[offset_one])
-
-
 @dataclass(frozen=True)
 class ProjectionGraph:
     vertices: Tuple[int, ...]
@@ -204,10 +172,6 @@ def projection_graph(alg: Algebra, axet: Axet) -> ProjectionGraph:
         for ib, v in enumerate(axet.axes):
             if ia == ib:
                 continue
-            val = None
-            for wc, vc in zip(w, v):
-                t = wc * vc
-                val = t if val is None else val + t
-            if val:
+            if vdot(w, v):
                 edges.append((ia, ib))
     return ProjectionGraph(vertices=tuple(range(axet.size)), edges=tuple(edges))

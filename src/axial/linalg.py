@@ -87,19 +87,39 @@ class Matrix:
         return tuple(row[j] for row in self.data)
 
     def mul_vec(self, v):
+        """self v, visiting only the non-zero entries of v and of each row."""
         if len(v) != self.ncols:
             raise DimensionError(f"matrix is {self.nrows}x{self.ncols}, vector has {len(v)}")
-        if self.ncols == 0:
-            return (self.field.zero(),) * self.nrows
-        return tuple(vdot(row, v) for row in self.data)
+        nz = [(j, x) for j, x in enumerate(v) if x]
+        zero = self.field.zero()
+        out = []
+        for row in self.data:
+            total = zero
+            for j, x in nz:
+                a = row[j]
+                if a:
+                    total = total + a * x
+            out.append(total)
+        return tuple(out)
 
     def matmul(self, other: "Matrix") -> "Matrix":
+        """Row by row: each non-zero self[i][l] adds its multiple of the
+        non-zero part of other's row l."""
         if self.field != other.field:
             raise InvalidField("mixed fields in matmul")
         if self.ncols != other.nrows:
             raise DimensionError(f"{self.nrows}x{self.ncols} @ {other.nrows}x{other.ncols}")
-        cols = [other.column(j) for j in range(other.ncols)]
-        return Matrix(self.field, [[vdot(row, c) for c in cols] for row in self.data])
+        sparse = [[(j, x) for j, x in enumerate(row) if x] for row in other.data]
+        zero = self.field.zero()
+        out = []
+        for row in self.data:
+            acc = [zero] * other.ncols
+            for l, a in enumerate(row):
+                if a:
+                    for j, x in sparse[l]:
+                        acc[j] = acc[j] + a * x
+            out.append(acc)
+        return Matrix(self.field, out)
 
     def transpose(self) -> "Matrix":
         return Matrix(self.field, [self.column(j) for j in range(self.ncols)])

@@ -1,16 +1,20 @@
 """Axis verification, Miyamoto maps, closures and axet classification."""
 
+from dataclasses import fields
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from axial import (
+    GF,
     QQ,
     check_axis,
     classify_2gen_axet,
     close_axes,
     eigen_decomposition,
     eigenspace,
+    hw_periodic_quotient,
     is_axial,
     law_A,
     law_J,
@@ -20,10 +24,11 @@ from axial import (
     norton_sakuma,
     rational,
 )
-from axial.axes import resolve_grading
+from axial.axes import _conjugate_tau, resolve_grading
 from axial.catalog import ThreeTranspositionGroup
 from axial.errors import (
     ClosureCapExceeded,
+    ConsistencyFailure,
     GroupCapExceeded,
     InvalidGrading,
     NotAnAxis,
@@ -120,6 +125,34 @@ class TestMiyamoto:
             resolve_grading(law, Grading(signs=(1, -1, 1)))
 
 
+def _algebra(spec):
+    kind, _, arg = spec.partition(":")
+    if kind == "ns":
+        return norton_sakuma(arg)
+    if kind == "hw":
+        return hw_periodic_quotient(int(arg))
+    n, p = map(int, arg.split(":"))
+    field = GF(p) if p else QQ
+    return matsuo(ThreeTranspositionGroup.symmetric(n), field.parse("1/4"), field)
+
+
+def _seeds(alg, which):
+    vs = alg.axis_vectors()
+    return {"all": vs, "reversed": vs[::-1], "two": vs[:2]}[which]
+
+
+CLOSURE_CASES = (
+    [(f"ns:{name}", "two") for name in ("3A", "3C", "4A", "4B", "5A", "6A")]
+    + [
+        (f"matsuo:{n}:{p}", which)
+        for n in (4, 5)
+        for p in (0, 10007)
+        for which in ("all", "reversed", "two")
+    ]
+    + [("hw:6", "all")]
+)
+
+
 class TestClosure:
     def test_six_axes_from_two(self):
         alg = norton_sakuma("6A")
@@ -136,6 +169,12 @@ class TestClosure:
         alg = norton_sakuma("5A")
         with pytest.raises(ClosureCapExceeded):
             close_axes(alg, [alg.axes[0][1], alg.axes[1][1]], cap=2)
+        # the cap is the largest closed size allowed
+        alg = norton_sakuma("6A")
+        seeds = _seeds(alg, "two")
+        with pytest.raises(ClosureCapExceeded):
+            close_axes(alg, seeds, cap=5)
+        assert close_axes(alg, seeds, cap=6).size == 6
 
     def test_group_order_and_cap(self):
         alg = norton_sakuma("5A")
@@ -151,6 +190,92 @@ class TestClosure:
         axet = close_axes(alg, [alg.axes[0][1], alg.axes[1][1]])
         again = close_axes(alg, axet.axes)
         assert again.size == axet.size
+
+
+class TestClosureDifferential:
+    """The closure derives most maps by conjugation; each must equal the map
+    built from scratch, and each report the one a fresh check gives."""
+
+    @pytest.mark.parametrize("spec,which", CLOSURE_CASES)
+    def test_maps_and_reports_match_fresh_builds(self, spec, which):
+        alg = _algebra(spec)
+        axet = close_axes(alg, _seeds(alg, which))
+        for k, v in enumerate(axet.axes):
+            assert axet.tau_mats[k] == miyamoto(alg, v).matrix, axet.names[k]
+            fresh = check_axis(alg, v, alg.law)
+            for f in fields(fresh):
+                assert getattr(axet.reports[k], f.name) == getattr(fresh, f.name), f.name
+            assert [axet.axes[j] for j in axet.tau_perms[k]] == [
+                axet.tau_mats[k].mul_vec(u) for u in axet.axes
+            ]
+
+    def test_ns_6a_pinned(self):
+        alg = norton_sakuma("6A")
+        axet = close_axes(alg, _seeds(alg, "two"))
+        assert axet.names == ("x0", "x1", "x2", "x3", "x4", "x5")
+        assert axet.tau_perms == (
+            (0, 2, 1, 4, 3, 5),
+            (3, 1, 5, 0, 4, 2),
+            (4, 5, 2, 3, 0, 1),
+            (4, 5, 2, 3, 0, 1),
+            (3, 1, 5, 0, 4, 2),
+            (0, 2, 1, 4, 3, 5),
+        )
+        assert axet.orbits == ((0, 3, 4), (1, 2, 5))
+
+    def test_hw_8_pinned(self):
+        # images found from several (map, axis) pairs: admission order follows the least pair
+        alg = hw_periodic_quotient(8)
+        axet = close_axes(alg, _seeds(alg, "two"))
+        assert axet.names == tuple(f"x{k}" for k in range(8))
+        assert axet.tau_perms == (
+            (0, 2, 1, 4, 3, 6, 5, 7),
+            (3, 1, 5, 0, 7, 2, 6, 4),
+            (4, 6, 2, 7, 0, 5, 1, 3),
+            (7, 5, 6, 3, 4, 1, 2, 0),
+            (7, 5, 6, 3, 4, 1, 2, 0),
+            (4, 6, 2, 7, 0, 5, 1, 3),
+            (3, 1, 5, 0, 7, 2, 6, 4),
+            (0, 2, 1, 4, 3, 6, 5, 7),
+        )
+        assert axet.orbits == ((0, 3, 4, 7), (1, 2, 5, 6))
+
+    def test_conjugated_map_is_certified(self):
+        alg = norton_sakuma("3A")
+        a, c = alg.axes[0][1], alg.axes[1][1]
+        tau_a, tau_c = miyamoto(alg, a), miyamoto(alg, c)
+        b = tau_c.apply(a)
+        report = check_axis(alg, b, alg.law)
+        good = _conjugate_tau(report, tau_a.grading, tau_c.matrix, tau_a.matrix)
+        assert good == miyamoto(alg, b).matrix
+        with pytest.raises(ConsistencyFailure):
+            # tau_c tau_c tau_c = tau_c, which is not tau_b
+            _conjugate_tau(report, tau_a.grading, tau_c.matrix, tau_c.matrix)
+
+    def test_matsuo_s4_pinned(self):
+        m = matsuo(ThreeTranspositionGroup.symmetric(4), QQ.parse("1/4"))
+        axet = close_axes(m, m.axis_vectors(), names=[n for n, _ in m.axes])
+        assert axet.names == ("(1 2)", "(1 3)", "(1 4)", "(2 3)", "(2 4)", "(3 4)")
+        assert axet.tau_perms == (
+            (0, 3, 4, 1, 2, 5),
+            (3, 1, 5, 0, 4, 2),
+            (4, 5, 2, 3, 0, 1),
+            (1, 0, 2, 3, 5, 4),
+            (2, 1, 0, 5, 4, 3),
+            (0, 2, 1, 4, 3, 5),
+        )
+        assert axet.orbits == ((0, 1, 2, 3, 4, 5),)
+        rev = close_axes(m, _seeds(m, "reversed"))
+        assert rev.names == ("x0", "x1", "x2", "x3", "x4", "x5")
+        assert rev.tau_perms == (
+            (0, 2, 1, 4, 3, 5),
+            (2, 1, 0, 5, 4, 3),
+            (1, 0, 2, 3, 5, 4),
+            (4, 5, 2, 3, 0, 1),
+            (3, 1, 5, 0, 4, 2),
+            (0, 3, 4, 1, 2, 5),
+        )
+        assert rev.orbits == ((0, 1, 2, 3, 4, 5),)
 
 
 class TestClassification:

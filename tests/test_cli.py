@@ -134,6 +134,14 @@ class TestMiyamoto:
         doc["axes"] = doc["axes"][:2]
         result = runner.invoke(main, ["miyamoto", "-", "--cap", "2"], input=json.dumps(doc))
         assert result.exit_code == 3
+        # ns:6A designates all six axes; from two of them the closure needs a cap of 6
+        doc = json.loads(build(runner, "ns:6A"))
+        doc["axes"] = doc["axes"][:2]
+        args = ["miyamoto", "-", "--json", "--cap"]
+        assert runner.invoke(main, args + ["5"], input=json.dumps(doc)).exit_code == 3
+        result = runner.invoke(main, args + ["6"], input=json.dumps(doc))
+        assert result.exit_code == 0
+        assert len(json.loads(result.output)["axes"]) == 6
 
 
 class TestFrobenius:

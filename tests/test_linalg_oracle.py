@@ -52,10 +52,7 @@ def oracle_rref(field, dm):
 
 
 @st.composite
-def matrices(draw, square=False):
-    field = draw(st.sampled_from(FIELDS))
-    nrows = draw(st.integers(0, 5))
-    ncols = nrows if square else draw(st.integers(0, 5))
+def entry_rows(draw, field, nrows, ncols):
     density = draw(st.sampled_from((0.0, 0.3, 0.7, 1.0)))
     rows = []
     for _ in range(nrows):
@@ -68,10 +65,29 @@ def matrices(draw, square=False):
             else:
                 row.append(field.zero())
         rows.append(row)
+    return rows
+
+
+@st.composite
+def matrices(draw, square=False):
+    field = draw(st.sampled_from(FIELDS))
+    nrows = draw(st.integers(0, 5))
+    ncols = nrows if square else draw(st.integers(0, 5))
+    rows = draw(entry_rows(field, nrows, ncols))
     if nrows >= 2 and draw(st.booleans()):
         # a repeated combination keeps rank-deficient matrices common
         rows[-1] = [a + b for a, b in zip(rows[0], rows[1])]
     return Matrix(field, rows)
+
+
+@st.composite
+def products(draw):
+    """(a, b, v) with a @ b and a v defined; a matrix without rows has no
+    columns either, so the inner size follows a."""
+    a = draw(matrices())
+    b = Matrix(a.field, draw(entry_rows(a.field, a.ncols, draw(st.integers(0, 5)))))
+    v = tuple(draw(entry_rows(a.field, 1, a.ncols))[0])
+    return a, b, v
 
 
 @given(matrices())
@@ -132,6 +148,22 @@ def test_solve_linear(m, data):
     for r, p in enumerate(pivots):
         want[p] = red[r][m.ncols]
     assert sol == tuple(want)
+
+
+@given(products())
+def test_matmul(abv):
+    a, b, _ = abv
+    want = to_oracle(a.field, a.data, a.ncols) * to_oracle(a.field, b.data, b.ncols)
+    got = a.matmul(b)
+    assert (got.nrows, got.ncols) == (a.nrows, b.ncols)
+    assert got.data == oracle_rows(a.field, want)
+
+
+@given(products())
+def test_mul_vec(abv):
+    a, _, v = abv
+    want = to_oracle(a.field, a.data, a.ncols) * to_oracle(a.field, [[x] for x in v], 1)
+    assert a.mul_vec(v) == tuple(r[0] for r in oracle_rows(a.field, want))
 
 
 def associativity_system(alg):
