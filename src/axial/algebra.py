@@ -14,6 +14,7 @@ from .linalg import (
     EchelonAccumulator,
     Matrix,
     Subspace,
+    close_span,
     is_zero_vec,
     vsub,
     vzero,
@@ -133,33 +134,14 @@ class Algebra:
 
     def subalgebra_gen(self, gens: Iterable) -> Subspace:
         """Smallest multiplication-closed subspace containing the generators."""
-        span = Subspace.from_vectors(self.field, self.dim, [self.coerce_vector(g) for g in gens])
-        while True:
-            fresh = []
-            rows = span.basis
-            for i in range(len(rows)):
-                for j in range(i, len(rows)):
-                    p = self.mul(rows[i], rows[j])
-                    if not span.contains(p):
-                        fresh.append(p)
-            if not fresh:
-                return span
-            span = span.sum(Subspace.from_vectors(self.field, self.dim, fresh))
+        seeds = [self.coerce_vector(g) for g in gens]
+        return close_span(self.field, self.dim, seeds, lambda v, done: (self.mul(v, u) for u in done))
 
     def ideal_gen(self, gens: Iterable) -> Subspace:
         """Smallest subspace containing the generators with A I <= I."""
-        span = Subspace.from_vectors(self.field, self.dim, [self.coerce_vector(g) for g in gens])
-        while True:
-            fresh = []
-            for i in range(self.dim):
-                e = self.basis_vector(i)
-                for row in span.basis:
-                    p = self.mul(e, row)
-                    if not span.contains(p):
-                        fresh.append(p)
-            if not fresh:
-                return span
-            span = span.sum(Subspace.from_vectors(self.field, self.dim, fresh))
+        seeds = [self.coerce_vector(g) for g in gens]
+        basis = [self.basis_vector(i) for i in range(self.dim)]
+        return close_span(self.field, self.dim, seeds, lambda v, _: (self.mul(e, v) for e in basis))
 
     def is_ideal(self, sub: Subspace) -> bool:
         if sub.ambient != self.dim:
@@ -267,7 +249,7 @@ class Algebra:
         if self.form is not None:
             restricted_form = Matrix(
                 self.field,
-                [[_apply_form(self.form, u, v) for v in rows] for u in rows],
+                [[form_value(self.form, u, v) for v in rows] for u in rows],
             )
         alg = Algebra(self.field, names, products, axes=sub_axes, law=law, form=restricted_form)
         embed = Matrix.from_columns(self.field, [list(r) for r in rows])
@@ -297,24 +279,15 @@ class Algebra:
         return f"Algebra(dim {self.dim} over {self.field.kind}, {len(self.axes)} axes)"
 
 
-def _apply_form(gram: Matrix, u, v):
-    total = None
-    for i, ui in enumerate(u):
-        if not ui:
-            continue
-        row = gram.data[i]
-        for j, vj in enumerate(v):
-            if not vj:
-                continue
-            t = ui * row[j] * vj
-            total = t if total is None else total + t
-    if total is None:
-        return gram.field.zero()
-    return total
-
-
 def form_value(gram: Matrix, u, v):
     """Evaluate the bilinear form with Gram matrix `gram` on a vector pair."""
     if gram.nrows != gram.ncols or gram.nrows != len(u) or len(u) != len(v):
         raise DimensionError("gram/vector size mismatch")
-    return _apply_form(gram, u, v)
+    total = gram.field.zero()
+    for i, ui in enumerate(u):
+        if ui:
+            row = gram.data[i]
+            for j, vj in enumerate(v):
+                if vj:
+                    total = total + ui * row[j] * vj
+    return total

@@ -407,12 +407,16 @@ def close_axes(
     perms: List[Perm] = [tuple(row) for row in images]
     if any(len(set(p)) != len(vecs) for p in perms):
         raise ConsistencyFailure("closed set is not permuted by a Miyamoto map")
-    # the matrix group acts faithfully on a closed axis set
+    # maps inducing one permutation agree on the subalgebra the axes generate
+    # (not always off it); that subalgebra is built only when two collide
     seen: Dict[Perm, Matrix] = {}
+    generated = None
     for p, m in zip(perms, mats):
-        if p in seen and seen[p] != m:
-            raise ConsistencyFailure("distinct Miyamoto maps induce the same permutation")
-        seen.setdefault(p, m)
+        first = seen.setdefault(p, m)
+        if first != m:
+            generated = generated or alg.subalgebra_gen(vecs).basis
+            if any(first.mul_vec(u) != m.mul_vec(u) for u in generated):
+                raise ConsistencyFailure("distinct Miyamoto maps induce the same permutation")
 
     return Axet(
         algebra=alg,

@@ -5,7 +5,7 @@ axes and flip subalgebras."""
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .algebra import Algebra
+from .algebra import Algebra, form_value
 from .errors import (
     AxialError,
     ConsistencyFailure,
@@ -20,7 +20,7 @@ from .errors import (
 )
 from .fields import QQ, FieldSpec
 from .fusion import FusionLaw, law_J, law_M
-from .linalg import Matrix, Subspace, is_zero_vec, vadd
+from .linalg import Matrix, is_zero_vec, vadd
 from .perms import (
     Perm,
     conjugate,
@@ -139,22 +139,11 @@ class SpinFactor:
         m = self.gram.nrows
         if len(u) != m:
             raise AxialError("vector length does not match the quadratic space")
-        norm = _sym_apply(self.gram, u, u)
+        norm = form_value(self.gram, u, u)
         if norm != self.field.from_int(2):
             raise NotAnAxisCandidate("spin axis needs b(u,u) = 2")
         half = self.field.one() / self.field.from_int(2)
         return (half,) + tuple(half * x for x in u)
-
-
-def _sym_apply(gram: Matrix, u, v):
-    total = gram.field.zero()
-    for i, ui in enumerate(u):
-        if not ui:
-            continue
-        for j, vj in enumerate(v):
-            if vj:
-                total = total + ui * gram.data[i][j] * vj
-    return total
 
 
 def _check_gram(field: FieldSpec, gram) -> Matrix:
@@ -188,7 +177,7 @@ def spin_factor(gram, field: FieldSpec = QQ) -> SpinFactor:
     two = field.from_int(2)
     for k in range(m):
         unit = tuple(field.one() if t == k else field.zero() for t in range(m))
-        if _sym_apply(g, unit, unit) == two:
+        if form_value(g, unit, unit) == two:
             axes.append((f"x+{k + 1}", sf.axis(unit)))
             axes.append((f"x-{k + 1}", sf.axis(tuple(-x for x in unit))))
     alg = alg.with_axes(axes)
@@ -210,7 +199,7 @@ class SplitSpinFactor:
         e = tuple(self.field.coerce(x) for x in e)
         if len(e) != self.gram.nrows:
             raise AxialError("vector length does not match the quadratic space")
-        if _sym_apply(self.gram, e, e) != self.field.one():
+        if form_value(self.gram, e, e) != self.field.one():
             raise NotAnAxisCandidate("idempotent families need b(e,e) = 1")
         return e
 
@@ -267,7 +256,7 @@ def split_spin_factor(gram, alpha, field: FieldSpec = QQ) -> SplitSpinFactor:
     axes: List[Tuple[str, Tuple]] = [("z1", z1)]
     for k in range(m):
         unit = tuple(one if t == k else zero for t in range(m))
-        if _sym_apply(g, unit, unit) == one:
+        if form_value(g, unit, unit) == one:
             a = ssf.fam_a(unit)
             if alg.mul(a, a) != a:
                 raise ConsistencyFailure("family (a) vector is not idempotent")

@@ -12,7 +12,6 @@ the human report for a machine one.  Output is deterministic for fixed input.
 
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import click
 
@@ -190,9 +189,8 @@ def _violation_obj(field, viol):
 @click.option("--law", "law_text", default=None,
               help="Fusion law A, J:<eta> or M:<alpha>,<beta> (default: the document's).")
 @click.option("--json", "as_json", is_flag=True, help="Machine-readable report.")
-@click.option("--parallel", is_flag=True, help="Check axes concurrently.")
 @_guard
-def verify(file, law_text, as_json, parallel):
+def verify(file, law_text, as_json):
     """Run the axis checks on every designated axis; exit 1 on any failure."""
     alg = _read_algebra(file)
     law = _parse_law(alg.field, law_text) if law_text else alg.law
@@ -200,11 +198,7 @@ def verify(file, law_text, as_json, parallel):
         raise MalformedInput("the document carries no fusion law; pass --law")
     if not alg.axes:
         raise MalformedInput("the document designates no axes")
-    if parallel:
-        with ThreadPoolExecutor() as pool:
-            reports = list(pool.map(lambda av: check_axis(alg, av[1], law), alg.axes))
-    else:
-        reports = [check_axis(alg, v, law) for _, v in alg.axes]
+    reports = [check_axis(alg, v, law) for _, v in alg.axes]
     named = list(zip((name for name, _ in alg.axes), reports))
     all_passed = all(r.passed for _, r in named)
     if as_json:

@@ -16,7 +16,7 @@ from .algebra import Algebra
 from .errors import ConsistencyFailure, DegenerateParameters, InvalidField, Unsupported
 from .fields import QQ, FieldSpec, rational
 from .fusion import law_M
-from .linalg import Matrix, Subspace
+from .linalg import EchelonAccumulator, Matrix
 
 
 class HighwaterElement:
@@ -333,25 +333,23 @@ def hw_ideal_window_contains(
     if v.s:
         w = max(w, (max(v.s) + 1) // 2)
     m = 2 * w + 1 + 2 * w  # a_{-w}..a_w then s_1..s_{2w}
-
-    span = Subspace.zero(field, m)
+    target = _window_coords(v, w, m)
+    acc = EchelonAccumulator(field, m)
     frontier: List[HighwaterElement] = []
 
     def offer(x: HighwaterElement):
-        nonlocal span
         vec = _window_coords(x, w, m)
-        if vec is None or span.contains(vec):
-            return
-        span = span.sum(Subspace.from_vectors(field, m, [vec]))
-        frontier.append(x)
+        if vec is not None and acc.add_row(vec) is not None:
+            frontier.append(x)
+
+    def reached() -> bool:
+        return target is not None and acc.subspace().contains(target)
 
     gen = HighwaterElement(field, {i: vals[i] for i in range(D + 1)})
     for shift in range(-w, w + 1):
         offer(HighwaterElement(field, {i + shift: c for i, c in gen.a.items()}))
-
-    target = _window_coords(v, w, m)
     for _ in range(max(0, rounds)):
-        if target is not None and span.contains(target):
+        if reached():
             break
         batch, frontier = frontier, []
         if not batch:
@@ -361,6 +359,4 @@ def hw_ideal_window_contains(
                 offer(hw_mul(x, hw_a(k, field)))
             for c2 in range(-2 * w, 2 * w + 1):
                 offer(hw_reflect(x, rational(c2, 2)))
-    if target is not None and span.contains(target):
-        return "yes"
-    return "unknown"
+    return "yes" if reached() else "unknown"

@@ -260,6 +260,34 @@ class EchelonAccumulator:
         return ker.subspace()
 
 
+def close_span(field: FieldSpec, ambient: int, seeds, images) -> "Subspace":
+    """Smallest subspace containing `seeds` and closed under `images`.
+
+    `images(v, accepted)` gives the vectors the span must hold once it holds
+    v; `accepted` lists the vectors accepted so far, v last.  Semi-naive:
+    each accepted vector is expanded once, in acceptance order, so pairing v
+    with `accepted` forms every product of two accepted vectors exactly once.
+    A vector is queued as its echelon row at the moment it is accepted, not
+    as the raw image: that row is zero on every earlier pivot, hence sparser,
+    and the queued rows form a basis of the span, which is all that closure
+    under (bi)linear images needs.
+    """
+    acc = EchelonAccumulator(field, ambient)
+    accepted = []
+
+    def offer(vectors):
+        for v in vectors:
+            if acc.add_row(v) is not None:
+                accepted.append(acc.row(acc.order[-1]))
+
+    offer(seeds)
+    done = 0
+    while done < len(accepted):
+        done += 1
+        offer(images(accepted[done - 1], accepted[:done]))
+    return acc.subspace()
+
+
 def rref(m: Matrix) -> Matrix:
     acc = EchelonAccumulator.of(m.field, m.ncols, m.data)
     rows = [acc.row(p) for p in acc.pivots]

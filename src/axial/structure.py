@@ -8,7 +8,7 @@ from .algebra import Algebra
 from .axes import Axet, eigenspace
 from .errors import Unsupported
 from .fusion import FusionLaw, is_seress
-from .linalg import Subspace, is_zero_vec
+from .linalg import Subspace, close_span, is_zero_vec, vdot
 
 
 def _axis_list(alg: Algebra, axes: Union[Axet, Iterable]) -> Tuple[Tuple, ...]:
@@ -115,17 +115,7 @@ def sum_decomposition(alg: Algebra, axes: Union[Axet, Iterable]) -> SumDecomposi
 def spine(alg: Algebra, axes: Union[Axet, Iterable]) -> Subspace:
     """Smallest subspace containing the axes with a Q <= Q for each axis a."""
     vecs = _axis_list(alg, axes)
-    span = Subspace.from_vectors(alg.field, alg.dim, list(vecs))
-    while True:
-        fresh = []
-        for a in vecs:
-            for row in span.basis:
-                p = alg.mul(a, row)
-                if not span.contains(p):
-                    fresh.append(p)
-        if not fresh:
-            return span
-        span = span.sum(Subspace.from_vectors(alg.field, alg.dim, fresh))
+    return close_span(alg.field, alg.dim, vecs, lambda v, _: (alg.mul(a, v) for a in vecs))
 
 
 def is_slender(alg: Algebra, axes: Union[Axet, Iterable]) -> bool:
@@ -137,18 +127,11 @@ def baric_map_check(alg: Algebra, weights, require_nonzero: bool = True) -> bool
     w = alg.coerce_vector(weights)
     if require_nonzero and not any(w):
         return False
-
-    def lam(v):
-        total = alg.field.zero()
-        for vk, wk in zip(v, w):
-            if vk and wk:
-                total = total + vk * wk
-        return total
-
+    zero = alg.field.zero()
     for i in range(alg.dim):
         for j in range(i, alg.dim):
             p = alg.basis_product(i, j)
-            lhs = lam(p) if p is not None else alg.field.zero()
+            lhs = vdot(p, w) if p is not None else zero
             if lhs != w[i] * w[j]:
                 return False
     return True

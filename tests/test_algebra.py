@@ -7,17 +7,19 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from axial import (
+    GF,
     QQ,
     Algebra,
     dump_algebra,
+    form_value,
     load_algebra,
     matsuo,
     norton_sakuma,
     rational,
 )
 from axial.catalog import ThreeTranspositionGroup
-from axial.errors import MalformedInput, NotAnIdeal
-from axial.linalg import Subspace, is_zero_vec, vadd, vscale
+from axial.errors import DimensionError, MalformedInput, NotAnIdeal
+from axial.linalg import Matrix, Subspace, is_zero_vec, vadd, vscale
 
 coeffs = st.integers(min_value=-7, max_value=7).map(rational)
 
@@ -125,6 +127,32 @@ class TestSubstructures:
         assert bare.products == three_a.products
         relabeled = three_a.with_axes([("x", three_a.axes[0][1])])
         assert relabeled.axes[0][0] == "x"
+
+
+class TestFormValue:
+    @pytest.mark.parametrize("field", [QQ, GF(10007)], ids=["QQ", "GF"])
+    @given(data=st.data())
+    def test_matches_double_sum(self, field, data):
+        n = data.draw(st.integers(min_value=1, max_value=4))
+        ints = st.lists(st.integers(min_value=-9, max_value=9), min_size=n, max_size=n)
+        gram = Matrix(field, [data.draw(ints) for _ in range(n)])
+        u = tuple(field.coerce(x) for x in data.draw(ints))
+        v = tuple(field.coerce(x) for x in data.draw(ints))
+        want = field.zero()
+        for i in range(n):
+            for j in range(n):
+                want = want + u[i] * gram.data[i][j] * v[j]
+        assert form_value(gram, u, v) == want
+        zero = (field.zero(),) * n
+        for got in (form_value(gram, zero, v), form_value(gram, u, zero)):
+            assert got == field.zero() and type(got) is type(field.zero())
+
+    def test_size_mismatch(self):
+        gram = Matrix(QQ, [[1, 0], [0, 1]])
+        with pytest.raises(DimensionError):
+            form_value(gram, (1, 0), (1, 0, 0))
+        with pytest.raises(DimensionError):
+            form_value(gram, (1,), (1,))
 
 
 class TestSerialization:

@@ -191,6 +191,17 @@ class TestClosure:
         again = close_axes(alg, axet.axes)
         assert again.size == axet.size
 
+    def test_equal_perms_need_only_agree_on_generated_subalgebra(self):
+        # (1 2) and (3 4) commute and fix each other, so both maps fix both
+        # axes; they differ off the subalgebra the two axes generate.
+        alg = matsuo(ThreeTranspositionGroup.symmetric(4), rational(1, 4))
+        named = dict(alg.axes)
+        axet = close_axes(alg, [named["(1 2)"], named["(3 4)"]])
+        assert axet.size == 2
+        assert axet.tau_perms == ((0, 1), (0, 1))
+        assert axet.tau_mats[0] != axet.tau_mats[1]
+        assert miyamoto_group(axet).order == 1
+
 
 class TestClosureDifferential:
     """The closure derives most maps by conjugation; each must equal the map

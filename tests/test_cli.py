@@ -80,13 +80,6 @@ class TestVerify:
         result = runner.invoke(main, ["verify", "-", "--law", "J:1/4"], input=doc)
         assert result.exit_code == 1
 
-    def test_parallel_matches_serial(self, runner):
-        doc = build(runner, "ns:5A")
-        serial = runner.invoke(main, ["verify", "-"], input=doc)
-        parallel = runner.invoke(main, ["verify", "-", "--parallel"], input=doc)
-        assert serial.exit_code == parallel.exit_code == 0
-        assert serial.output == parallel.output
-
     def test_malformed_json_exit_2(self, runner):
         result = runner.invoke(main, ["verify", "-"], input="{not json")
         assert result.exit_code == 2
@@ -142,6 +135,14 @@ class TestMiyamoto:
         result = runner.invoke(main, args + ["6"], input=json.dumps(doc))
         assert result.exit_code == 0
         assert len(json.loads(result.output)["axes"]) == 6
+
+    def test_commuting_axes_give_trivial_group(self, runner):
+        doc = json.loads(build(runner, "matsuo:Sn:4:1/4"))
+        doc["axes"] = [a for a in doc["axes"] if a["name"] in ("(1 2)", "(3 4)")]
+        result = runner.invoke(main, ["miyamoto", "-"], input=json.dumps(doc))
+        assert result.exit_code == 0, result.output
+        assert "closed axes: 2" in result.output
+        assert "group order: 1" in result.output
 
 
 class TestFrobenius:

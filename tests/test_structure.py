@@ -1,8 +1,12 @@
 """Structure probes: Seress identity, annihilation graph, spine, baric maps."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from axial import (
+    GF,
+    NORTON_SAKUMA_NAMES,
     QQ,
     baric_map_check,
     hw_periodic_quotient,
@@ -10,7 +14,10 @@ from axial import (
     matsuo,
     non_annihilating_graph,
     norton_sakuma,
+    radical,
+    rational,
     seress_lemma_check,
+    spin_factor,
     spine,
     split_spin_factor,
     sum_decomposition,
@@ -18,6 +25,7 @@ from axial import (
 from axial.catalog import ThreeTranspositionGroup
 from axial.errors import Unsupported
 from axial.highwater import hw_quotient_weights
+from axial.linalg import Subspace, vadd, vscale
 
 
 class TestSeress:
@@ -92,3 +100,95 @@ class TestBaric:
         alg = matsuo(s3, QQ.parse("2"))
         assert not baric_map_check(alg, (0, 0, 0))
         assert baric_map_check(alg, (0, 0, 0), require_nonzero=False)
+
+
+def _round_fixed_point(alg, seeds, products):
+    """Oracle: multiply the whole basis every round until a round adds nothing."""
+    span = Subspace.from_vectors(alg.field, alg.dim, seeds)
+    while True:
+        fresh = [p for p in products(span.basis) if not span.contains(p)]
+        if not fresh:
+            return span
+        span = span.sum(Subspace.from_vectors(alg.field, alg.dim, fresh))
+
+
+def _all_pairs(alg):
+    def products(rows):
+        for i in range(len(rows)):
+            for j in range(i, len(rows)):
+                yield alg.mul(rows[i], rows[j])
+
+    return products
+
+
+def _by_basis(alg):
+    basis = [alg.basis_vector(i) for i in range(alg.dim)]
+    return lambda rows: (alg.mul(e, r) for e in basis for r in rows)
+
+
+def _by_vectors(alg, vecs):
+    return lambda rows: (alg.mul(a, r) for a in vecs for r in rows)
+
+
+@pytest.fixture(scope="module")
+def span_algebras():
+    out = [norton_sakuma(name) for name in NORTON_SAKUMA_NAMES]
+    for field in (QQ, GF(10007)):
+        for n in (4, 5):
+            group = ThreeTranspositionGroup.symmetric(n)
+            out.append(matsuo(group, field.parse("1/4"), field=field))
+    out.append(spin_factor([[2, 1], [1, 2]]).algebra)
+    out.append(split_spin_factor([[1, 0], [0, 1]], rational(1, 3)).algebra)
+    out.extend(hw_periodic_quotient(d) for d in (4, 5, 6))
+    return out
+
+
+@st.composite
+def generator_sets(draw, alg):
+    """Up to three vectors: zero, an axis, a sparse random (usually not
+    idempotent) vector, or a combination of earlier picks."""
+    entries = st.sampled_from((0, 0, 0, 1, -1, 2, 3))
+    out = []
+    for kind in draw(st.lists(st.sampled_from(("zero", "axis", "random", "dependent")), max_size=3)):
+        if kind == "zero":
+            out.append(alg.zero_vector())
+        elif kind == "axis" and alg.axes:
+            out.append(draw(st.sampled_from(alg.axis_vectors())))
+        elif kind == "dependent" and out:
+            c = alg.field.coerce(draw(entries))
+            out.append(vadd(out[0], vscale(c, out[-1])))
+        else:
+            out.append(alg.coerce_vector(draw(st.lists(entries, min_size=alg.dim, max_size=alg.dim))))
+    return out
+
+
+class TestSpanGrowth:
+    def _check(self, alg, gens):
+        assert alg.subalgebra_gen(gens) == _round_fixed_point(alg, gens, _all_pairs(alg))
+        assert alg.ideal_gen(gens) == _round_fixed_point(alg, gens, _by_basis(alg))
+        assert spine(alg, gens) == _round_fixed_point(alg, gens, _by_vectors(alg, gens))
+
+    def test_fixed_cases_on_every_algebra(self, span_algebras):
+        for alg in span_algebras:
+            zero, axes = alg.zero_vector(), list(alg.axis_vectors())
+            ends = vadd(alg.basis_vector(0), alg.basis_vector(alg.dim - 1))
+            for gens in ([], [zero], [zero, zero], axes, axes[:1] + axes[:1], [ends]):
+                self._check(alg, gens)
+
+    @given(data=st.data())
+    def test_matches_round_based_loop(self, span_algebras, data):
+        alg = data.draw(st.sampled_from(span_algebras))
+        self._check(alg, data.draw(generator_sets(alg)))
+
+    def test_one_generator_reaches_its_square(self):
+        alg = norton_sakuma("3A")
+        a, b = alg.axis_vectors()[:2]
+        v = vadd(a, b)
+        sub = alg.subalgebra_gen([v])
+        assert sub.contains(alg.mul(v, v)) and sub.dim > 1
+
+    def test_highwater_radical_is_its_own_ideal(self):
+        for d in range(2, 9):
+            alg = hw_periodic_quotient(d)
+            rad = radical(alg)
+            assert alg.ideal_gen(rad.basis) == rad
