@@ -8,6 +8,7 @@ from .algebra import Algebra
 from .errors import (
     ClosureCapExceeded,
     ConsistencyFailure,
+    InvalidField,
     InvalidGrading,
     NotAnAxis,
     NotPrimitive,
@@ -16,7 +17,7 @@ from .errors import (
     Unsupported,
 )
 from .fusion import FusionLaw, Grading, is_symmetric, unique_adequate_grading
-from .linalg import Matrix, Subspace, invert, kernel, vdot
+from .linalg import EchelonAccumulator, Matrix, Subspace, invert, kernel, vdot
 from .perms import Perm, dimino, orbits_of
 
 DEFAULT_AXIS_CAP = 10_000
@@ -24,13 +25,18 @@ DEFAULT_AXIS_CAP = 10_000
 
 def eigenspace(alg: Algebra, a, lam) -> Subspace:
     """A_lam(a) = { x : a x = lam x } as the kernel of ad_a - lam I."""
-    lam = alg.field.coerce(lam)
-    return kernel(alg.adjoint(a).minus_scalar_diag(lam))
+    return kernel(alg.adjoint(a).minus_scalar_diag(alg.field.coerce(lam)))
 
 
 def eigen_decomposition(alg: Algebra, a, law: FusionLaw):
     """Eigenspaces of ad_a at each law eigenvalue, in law element order."""
-    ad = alg.adjoint(a)
+    return _eigen_decomposition(alg, alg.coerce_vector(a), law)
+
+
+def _eigen_decomposition(alg: Algebra, a, law: FusionLaw):
+    if law.field != alg.field:
+        raise InvalidField(f"fusion law over {law.field} for an algebra over {alg.field}")
+    ad = alg._adjoint(a)
     spaces = tuple(kernel(ad.minus_scalar_diag(lam)) for lam in law.elements)
     dims = tuple(s.dim for s in spaces)
     return dims, spaces
@@ -69,16 +75,17 @@ def check_axis(alg: Algebra, a, law: FusionLaw) -> AxisReport:
 
     Failures are recorded in the report, never raised.
     """
-    a = alg.coerce_vector(a)
-    is_idem = alg.mul(a, a) == a
-    dims, spaces = eigen_decomposition(alg, a, law)
+    return _check_axis(alg, alg.coerce_vector(a), law)
+
+
+def _check_axis(alg: Algebra, a, law: FusionLaw) -> AxisReport:
+    is_idem = alg._mul(a, a) == a
+    dims, spaces = _eigen_decomposition(alg, a, law)
     semisimple = sum(dims) == alg.dim
     if semisimple:
         # independence cross-check: stacked eigenbases must have full rank
-        stacked: List = []
-        for s in spaces:
-            stacked.extend(s.basis)
-        if Subspace.from_vectors(alg.field, alg.dim, stacked).dim != alg.dim:
+        stacked = (b for s in spaces for b in s.basis)
+        if EchelonAccumulator.of(alg.field, alg.dim, stacked).rank != alg.dim:
             semisimple = False
 
     violations = []
@@ -88,10 +95,8 @@ def check_axis(alg: Algebra, a, law: FusionLaw) -> AxisReport:
     def target(cell: frozenset) -> Subspace:
         got = target_cache.get(cell)
         if got is None:
-            got = Subspace.zero(alg.field, alg.dim)
-            for k in sorted(cell):
-                got = got.sum(spaces[k])
-            target_cache[cell] = got
+            rows = (b for k in sorted(cell) for b in spaces[k].basis)
+            got = target_cache[cell] = EchelonAccumulator.of(alg.field, alg.dim, rows).subspace()
         return got
 
     for i in range(law.size):
@@ -103,7 +108,7 @@ def check_axis(alg: Algebra, a, law: FusionLaw) -> AxisReport:
                 vs = spaces[j].basis
                 for s_idx in range(r if (sym and i == j) else 0, len(vs)):
                     v = vs[s_idx]
-                    if not tgt.contains(alg.mul(u, v)):
+                    if not tgt.contains(alg._mul(u, v)):
                         violations.append((law.elements[i], law.elements[j], u, v))
 
     primitive = is_idem and dims[law.one_index] == 1
@@ -165,8 +170,8 @@ def is_axial(alg: Algebra, law: Optional[FusionLaw] = None) -> AxialVerdict:
         raise NotAnAxis("no fusion law given and none attached to the algebra")
     if not alg.axes:
         raise NotAnAxis("the algebra has no designated axes")
-    reports = tuple((name, check_axis(alg, v, law)) for name, v in alg.axes)
-    gen = alg.subalgebra_gen([v for _, v in alg.axes])
+    reports = tuple((name, _check_axis(alg, v, law)) for name, v in alg.axes)
+    gen = alg._subalgebra(alg.axis_vectors())
     return AxialVerdict(
         law=law,
         reports=reports,
@@ -185,7 +190,7 @@ def _eigenbasis(alg: Algebra, spaces):
     """
     cols = [b for s in spaces for b in s.basis]
     owner = [t for t, s in enumerate(spaces) for _ in s.basis]
-    return cols, owner, invert(Matrix.from_columns(alg.field, cols))
+    return cols, owner, invert(Matrix._of(alg.field, zip(*cols)))
 
 
 def projection_functional(alg: Algebra, a, law: Optional[FusionLaw] = None) -> Tuple:
@@ -193,8 +198,11 @@ def projection_functional(alg: Algebra, a, law: Optional[FusionLaw] = None) -> T
     law = law if law is not None else alg.law
     if law is None:
         raise Unsupported("projection functional needs a fusion law")
-    a = alg.coerce_vector(a)
-    dims, spaces = eigen_decomposition(alg, a, law)
+    return _projection_functional(alg, alg.coerce_vector(a), law)
+
+
+def _projection_functional(alg: Algebra, a, law: FusionLaw) -> Tuple:
+    dims, spaces = _eigen_decomposition(alg, a, law)
     if sum(dims) != alg.dim:
         raise NotSemisimple("adjoint eigenspaces do not span the algebra")
     if dims[law.one_index] != 1:
@@ -213,9 +221,9 @@ def projection(alg: Algebra, a, v, law: Optional[FusionLaw] = None):
         raise Unsupported("projection needs a fusion law to enumerate eigenvalues")
     a = alg.coerce_vector(a)
     v = alg.coerce_vector(v)
-    if alg.mul(a, a) != a:
+    if alg._mul(a, a) != a:
         raise NotAnAxis("projection base vector is not idempotent")
-    return vdot(projection_functional(alg, a, law), v)
+    return vdot(_projection_functional(alg, a, law), v)
 
 
 @dataclass(frozen=True)
@@ -276,7 +284,7 @@ def _tau_from_report(alg: Algebra, report: AxisReport, grading: Grading) -> Matr
         raise Unsupported("no nontrivial C2 character in characteristic 2")
     cols, owner, inv = _eigenbasis(alg, report.eigenspaces)
     signed = [c if grading.signs[t] > 0 else tuple(-x for x in c) for c, t in zip(cols, owner)]
-    tau = Matrix.from_columns(alg.field, signed).matmul(inv)
+    tau = Matrix._of(alg.field, zip(*signed)).matmul(inv)
 
     if tau.matmul(tau) != Matrix.identity(alg.field, alg.dim):
         raise ConsistencyFailure("Miyamoto map does not square to the identity")
@@ -285,7 +293,7 @@ def _tau_from_report(alg: Algebra, report: AxisReport, grading: Grading) -> Matr
         for j in range(i, alg.dim):
             p = alg.basis_product(i, j)
             lhs = tau.mul_vec(p) if p is not None else alg.zero_vector()
-            if lhs != alg.mul(tau_cols[i], tau_cols[j]):
+            if lhs != alg._mul(tau_cols[i], tau_cols[j]):
                 raise ConsistencyFailure("Miyamoto map is not an algebra automorphism")
     return tau
 
@@ -366,7 +374,7 @@ def close_axes(
         return j
 
     def admit(v, name, seed: bool):
-        rep = check_axis(alg, v, law)
+        rep = _check_axis(alg, v, law)
         if not rep.passed:
             if seed:
                 raise NotAnAxis(f"{name}: {rep.describe()}")
@@ -414,7 +422,7 @@ def close_axes(
     for p, m in zip(perms, mats):
         first = seen.setdefault(p, m)
         if first != m:
-            generated = generated or alg.subalgebra_gen(vecs).basis
+            generated = generated or alg._subalgebra(vecs).basis
             if any(first.mul_vec(u) != m.mul_vec(u) for u in generated):
                 raise ConsistencyFailure("distinct Miyamoto maps induce the same permutation")
 

@@ -20,7 +20,7 @@ from .errors import (
 )
 from .fields import QQ, FieldSpec
 from .fusion import FusionLaw, law_J, law_M
-from .linalg import Matrix, is_zero_vec, vadd
+from .linalg import Matrix, as_vector, is_zero_vec, vadd
 from .perms import (
     Perm,
     conjugate,
@@ -119,7 +119,7 @@ def matsuo(group: ThreeTranspositionGroup, eta, field: FieldSpec = QQ) -> Algebr
         products,
         axes=axes,
         law=law_J(field, eta),
-        form=Matrix(field, gram),
+        form=Matrix._of(field, gram),
     )
 
 
@@ -135,10 +135,7 @@ class SpinFactor:
 
     def axis(self, u) -> Tuple:
         """Ambient vector (1 + u)/2 for u in V with b(u,u) = 2."""
-        u = tuple(self.field.coerce(x) for x in u)
-        m = self.gram.nrows
-        if len(u) != m:
-            raise AxialError("vector length does not match the quadratic space")
+        u = as_vector(self.field, u, self.gram.nrows)
         norm = form_value(self.gram, u, u)
         if norm != self.field.from_int(2):
             raise NotAnAxisCandidate("spin axis needs b(u,u) = 2")
@@ -196,9 +193,7 @@ class SplitSpinFactor:
     algebra: Algebra
 
     def _check_unit(self, e) -> Tuple:
-        e = tuple(self.field.coerce(x) for x in e)
-        if len(e) != self.gram.nrows:
-            raise AxialError("vector length does not match the quadratic space")
+        e = as_vector(self.field, e, self.gram.nrows)
         if form_value(self.gram, e, e) != self.field.one():
             raise NotAnAxisCandidate("idempotent families need b(e,e) = 1")
         return e
@@ -251,14 +246,14 @@ def split_spin_factor(gram, alpha, field: FieldSpec = QQ) -> SplitSpinFactor:
     ssf = SplitSpinFactor(field=field, gram=g, alpha=alpha, algebra=alg)
     z1 = alg.basis_vector(0)
     z2 = alg.basis_vector(1)
-    if alg.mul(z1, z1) != z1 or alg.mul(z2, z2) != z2 or not is_zero_vec(alg.mul(z1, z2)):
+    if alg._mul(z1, z1) != z1 or alg._mul(z2, z2) != z2 or not is_zero_vec(alg._mul(z1, z2)):
         raise ConsistencyFailure("z1, z2 are not orthogonal idempotents")
     axes: List[Tuple[str, Tuple]] = [("z1", z1)]
     for k in range(m):
         unit = tuple(one if t == k else zero for t in range(m))
         if form_value(g, unit, unit) == one:
             a = ssf.fam_a(unit)
-            if alg.mul(a, a) != a:
+            if alg._mul(a, a) != a:
                 raise ConsistencyFailure("family (a) vector is not idempotent")
             axes.append((f"a:e{k + 1}", a))
             if m == 1:
@@ -501,7 +496,7 @@ def norton_sakuma(name: str, field: FieldSpec = QQ) -> Algebra:
             (s, tuple(field.one() if t == i else field.zero() for t in range(len(symbols))))
         )
     law = law_M(field, field.parse("1/4"), field.parse("1/32"))
-    alg = Algebra(field, symbols, idx_products, axes=axes, law=law, form=Matrix(field, gm))
+    alg = Algebra(field, symbols, idx_products, axes=axes, law=law, form=Matrix._of(field, gm))
     if alg.dim != NORTON_SAKUMA_DIMS[key]:
         raise ConsistencyFailure(f"{key}: unexpected dimension {alg.dim}")
     return alg
@@ -515,9 +510,9 @@ def double_axis(m: Algebra, a, b) -> Tuple:
     """a + b for orthogonal axes; idempotent precisely because ab = 0."""
     a = m.coerce_vector(a)
     b = m.coerce_vector(b)
-    if m.mul(a, a) != a or m.mul(b, b) != b:
+    if m._mul(a, a) != a or m._mul(b, b) != b:
         raise NotAnAxis("double axis summands must be idempotent")
-    if not is_zero_vec(m.mul(a, b)):
+    if not is_zero_vec(m._mul(a, b)):
         raise NotOrthogonal("double axis needs ab = 0")
     return vadd(a, b)
 
@@ -590,7 +585,7 @@ def flip_subalgebra(
     gens = [v for _, v in singles] + [v for _, v in doubles]
     if not gens:
         raise NotAFlip("flip leaves no single or double axes to generate from")
-    sub = ambient.subalgebra_gen(gens)
+    sub = ambient._subalgebra(gens)
     law = law_M(field, field.from_int(2) * eta, eta)
     alg, embed = ambient.restrict(sub, axes=singles + doubles, law=law)
     return FlipSubalgebra(

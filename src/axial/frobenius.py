@@ -5,7 +5,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .algebra import Algebra, form_value
-from .axes import Axet, eigen_decomposition, projection_functional
+from .axes import Axet, _projection_functional, eigen_decomposition, projection_functional
 from .errors import ConsistencyFailure, Unsupported
 from .fusion import FusionLaw
 from .linalg import EchelonAccumulator, Matrix, Subspace, kernel, solve_linear, vdot
@@ -19,10 +19,9 @@ def frobenius_solution_space(alg: Algebra) -> Subspace:
     sum_m c_jl^m X[i, m] - c_ij^m X[m, l] = 0 and is built as a sparse row.
     """
     n = alg.dim
-    sparse = {ij: [(m, c) for m, c in enumerate(v) if c] for ij, v in alg.products.items()}
 
     def prod(i, j):
-        return sparse.get((i, j) if i <= j else (j, i), ())
+        return alg.products.get((i, j) if i <= j else (j, i), ())
 
     acc = EchelonAccumulator(alg.field, n * n)
     for i in range(n):
@@ -40,7 +39,7 @@ def frobenius_solution_space(alg: Algebra) -> Subspace:
 
 def _gram_from_flat(alg: Algebra, flat) -> Matrix:
     n = alg.dim
-    return Matrix(alg.field, [list(flat[m * n : (m + 1) * n]) for m in range(n)])
+    return Matrix._of(alg.field, [flat[m * n : (m + 1) * n] for m in range(n)])
 
 
 @dataclass(frozen=True)
@@ -81,13 +80,13 @@ def solve_frobenius(alg: Algebra) -> FrobeniusSolution:
         )
     one = alg.field.one()
     norm_rows = [[form_value(g, a, a) for g in grams] for a in axes]
-    coeffs = Matrix(alg.field, norm_rows)
+    coeffs = Matrix._of(alg.field, norm_rows)
     rhs = tuple(one for _ in axes)
     y, free = solve_linear(coeffs, rhs)
     ambiguous = False
     if y is None or free.dim > 0:
         ambiguous = True
-        first = Matrix(alg.field, [norm_rows[0]])
+        first = Matrix._of(alg.field, [norm_rows[0]])
         y, _ = solve_linear(first, (one,))
         if y is None:
             return FrobeniusSolution(space=space, canonical=None, ambiguous=True, axis_norms=None)
@@ -166,7 +165,7 @@ class ProjectionGraph:
 
 def projection_graph(alg: Algebra, axet: Axet) -> ProjectionGraph:
     """Directed graph on axes with an edge a -> b when phi_a(b) is nonzero."""
-    functionals = [projection_functional(alg, v, axet.law) for v in axet.axes]
+    functionals = [_projection_functional(alg, v, axet.law) for v in axet.axes]
     edges = []
     for ia, w in enumerate(functionals):
         for ib, v in enumerate(axet.axes):

@@ -279,7 +279,7 @@ def hw_periodic_quotient(D: int, field: FieldSpec = QQ) -> Algebra:
     # Frobenius form induced by the baric weight: (x, y) = w(x) w(y)
     one = field.one()
     wt = [one] * D + [zero] * ns
-    gram = Matrix(field, [[wt[i] * wt[j] for j in range(n)] for i in range(n)])
+    gram = Matrix._of(field, [[wt[i] * wt[j] for j in range(n)] for i in range(n)])
     try:
         law = law_M(field, field.from_int(2), field.parse("1/2"))
     except DegenerateParameters:

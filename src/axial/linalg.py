@@ -52,6 +52,14 @@ def is_zero_vec(u) -> bool:
     return not any(u)
 
 
+def as_vector(field: FieldSpec, v, n: int):
+    """The one entry check for a caller's vector: n scalars of `field`, as a tuple."""
+    v = tuple(field.coerce(x) for x in v)
+    if len(v) != n:
+        raise DimensionError(f"vector length {len(v)} for dimension {n}")
+    return v
+
+
 class Matrix:
     """Immutable rectangular matrix over one exact field, row-major."""
 
@@ -59,29 +67,27 @@ class Matrix:
 
     def __init__(self, field: FieldSpec, rows: Iterable[Iterable]):
         data = tuple(tuple(field.coerce(x) for x in row) for row in rows)
-        if data:
-            w = len(data[0])
-            for row in data:
-                if len(row) != w:
-                    raise DimensionError("ragged rows")
-        else:
-            w = 0
-        self.field = field
-        self.data = data
-        self.nrows = len(data)
-        self.ncols = w if data else 0
+        if any(len(row) != len(data[0]) for row in data):
+            raise DimensionError("ragged rows")
+        self.field, self.data = field, data
+        self.nrows, self.ncols = len(data), len(data[0]) if data else 0
+
+    @classmethod
+    def _of(cls, field: FieldSpec, rows) -> "Matrix":
+        """A matrix of rows the package built from scalars of `field`: no entry check."""
+        m = cls.__new__(cls)
+        m.field, m.data = field, tuple(map(tuple, rows))
+        m.nrows, m.ncols = len(m.data), len(m.data[0]) if m.data else 0
+        return m
 
     @classmethod
     def identity(cls, field: FieldSpec, n: int) -> "Matrix":
         one, zero = field.one(), field.zero()
-        return cls(field, [[one if i == j else zero for j in range(n)] for i in range(n)])
+        return cls._of(field, [[one if i == j else zero for j in range(n)] for i in range(n)])
 
     @classmethod
     def from_columns(cls, field: FieldSpec, cols: Sequence[Sequence]) -> "Matrix":
-        if not cols:
-            return cls(field, [])
-        n = len(cols[0])
-        return cls(field, [[cols[j][i] for j in range(len(cols))] for i in range(n)])
+        return cls(field, cols).transpose()
 
     def column(self, j: int):
         return tuple(row[j] for row in self.data)
@@ -119,20 +125,19 @@ class Matrix:
                     for j, x in sparse[l]:
                         acc[j] = acc[j] + a * x
             out.append(acc)
-        return Matrix(self.field, out)
+        return Matrix._of(self.field, out)
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.field, [self.column(j) for j in range(self.ncols)])
+        return Matrix._of(self.field, zip(*self.data))
 
     def minus_scalar_diag(self, lam) -> "Matrix":
-        """self - lam*I (square only)."""
+        """self - lam*I (square only) for a scalar lam of the matrix's field."""
         if self.nrows != self.ncols:
             raise DimensionError("not square")
-        lam = self.field.coerce(lam)
         rows = [list(row) for row in self.data]
         for i in range(self.nrows):
             rows[i][i] = rows[i][i] - lam
-        return Matrix(self.field, rows)
+        return Matrix._of(self.field, rows)
 
     def __eq__(self, other):
         return (
@@ -292,7 +297,7 @@ def rref(m: Matrix) -> Matrix:
     acc = EchelonAccumulator.of(m.field, m.ncols, m.data)
     rows = [acc.row(p) for p in acc.pivots]
     rows += [(m.field.zero(),) * m.ncols] * (m.nrows - len(rows))
-    return Matrix(m.field, rows)
+    return Matrix._of(m.field, rows)
 
 
 def det(m: Matrix):
@@ -326,13 +331,8 @@ class Subspace:
 
     @classmethod
     def from_vectors(cls, field: FieldSpec, ambient: int, vectors) -> "Subspace":
-        acc = EchelonAccumulator(field, ambient)
-        for v in vectors:
-            v = [field.coerce(x) for x in v]
-            if len(v) != ambient:
-                raise DimensionError(f"vector length {len(v)} in ambient {ambient}")
-            acc.add_row(v)
-        return acc.subspace()
+        rows = [as_vector(field, v, ambient) for v in vectors]
+        return EchelonAccumulator.of(field, ambient, rows).subspace()
 
     @classmethod
     def zero(cls, field: FieldSpec, ambient: int) -> "Subspace":
@@ -431,10 +431,9 @@ def kernel(m: Matrix) -> Subspace:
 def solve_linear(m: Matrix, b):
     """Solve m x = b.  Returns (particular | None, kernel(m)), from one
     echelon of the augmented rows [m | b]."""
-    if len(b) != m.nrows:
-        raise DimensionError(f"rhs length {len(b)} for {m.nrows} rows")
+    b = as_vector(m.field, b, m.nrows)
     n = m.ncols
-    aug = (row + (m.field.coerce(x),) for row, x in zip(m.data, b))
+    aug = (row + (x,) for row, x in zip(m.data, b))
     acc = EchelonAccumulator.of(m.field, n + 1, aug)
     ker = acc.kernel(n)
     if n in acc.rows:
@@ -459,4 +458,4 @@ def invert(m: Matrix) -> Matrix:
         acc.add_row(v)
     if any(p not in acc.rows for p in range(n)):
         raise DimensionError("matrix is singular")
-    return Matrix(m.field, [acc.row(p, n) for p in range(n)])
+    return Matrix._of(m.field, [acc.row(p, n) for p in range(n)])

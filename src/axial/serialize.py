@@ -8,10 +8,14 @@ invocations:
       "dim": 3, "basis": ["a0", "a1", "s1"],
       "products": [ {"i": 0, "j": 1, "v": {"0": "1/2", "1": "1/2", "2": "1"}} ],
       "axes": [ {"name": "a0", "v": {"0": "1"}} ],
-      "law": {"kind": "M", "alpha": "2", "beta": "1/2"} }
+      "law": {"kind": "M", "alpha": "2", "beta": "1/2"},
+      "form": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]] }
 
-A pair absent from "products" multiplies to zero.  All scalars are strings in
-exact notation; nothing here ever goes through floating point.
+A pair absent from "products" multiplies to zero; entries for one pair, in
+either index order, must agree.  The optional "form" holds the rows of the
+attached Frobenius form's n x n Gram matrix, in the same row format as a
+gram-matrix file.  All scalars are strings in exact notation; nothing here
+ever goes through floating point.
 """
 
 import json
@@ -20,6 +24,7 @@ from .algebra import Algebra
 from .errors import InvalidField, MalformedInput
 from .fields import FieldSpec
 from .fusion import law_from_obj, law_to_obj
+from .linalg import Matrix
 
 
 def vec_to_obj(field: FieldSpec, v) -> dict:
@@ -39,9 +44,9 @@ def vec_from_obj(field: FieldSpec, obj, dim: int):
 
 
 def algebra_to_obj(alg: Algebra) -> dict:
-    prods = []
-    for (i, j), v in sorted(alg.products.items()):
-        prods.append({"i": i, "j": j, "v": vec_to_obj(alg.field, v)})
+    fmt = alg.field.fmt
+    prods = [{"i": i, "j": j, "v": {str(k): fmt(c) for k, c in pairs}}
+             for (i, j), pairs in sorted(alg.products.items())]
     obj = {
         "field": alg.field.to_json(),
         "dim": alg.dim,
@@ -53,6 +58,8 @@ def algebra_to_obj(alg: Algebra) -> dict:
     }
     if alg.law is not None:
         obj["law"] = law_to_obj(alg.law)
+    if alg.form is not None:
+        obj["form"] = [[fmt(x) for x in row] for row in alg.form.data]
     return obj
 
 
@@ -70,17 +77,25 @@ def algebra_from_obj(obj) -> Algebra:
             i, j = int(entry["i"]), int(entry["j"])
             if not (0 <= i < dim and 0 <= j < dim):
                 raise MalformedInput(f"product index ({i}, {j}) out of range for dim {dim}")
-            products[(i, j)] = vec_from_obj(field, entry["v"], dim)
+            vec = vec_from_obj(field, entry["v"], dim)
+            if products.setdefault((i, j), vec) != vec:
+                raise MalformedInput(f"conflicting products for pair ({i}, {j})")
         axes = [
             (str(e["name"]), vec_from_obj(field, e["v"], dim))
             for e in obj.get("axes", ())
         ]
         law = law_from_obj(field, obj["law"]) if "law" in obj else None
+        form = None
+        if "form" in obj:
+            rows = _scalar_rows(obj["form"], field)
+            if len(rows) != dim or any(len(row) != dim for row in rows):
+                raise MalformedInput(f"form must be a {dim} x {dim} array of rows")
+            form = Matrix._of(field, rows)
     except MalformedInput:
         raise
-    except (KeyError, TypeError, ValueError, InvalidField) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, InvalidField) as exc:
         raise MalformedInput(f"bad algebra document: {exc}") from exc
-    return Algebra(field, basis, products, axes=axes, law=law)
+    return Algebra(field, basis, products, axes=axes, law=law, form=form)
 
 
 def dump_algebra(alg: Algebra) -> str:
@@ -103,11 +118,16 @@ def load_gram(text: str, field: FieldSpec):
         raise MalformedInput(f"not valid JSON: {exc}") from exc
     if not isinstance(obj, list) or not obj:
         raise MalformedInput("gram file must be a nonempty JSON array of rows")
-    rows = []
-    for row in obj:
-        if not isinstance(row, list):
-            raise MalformedInput("gram rows must be arrays")
-        rows.append([field.parse(x) if isinstance(x, str) else field.from_int(int(x))
-                     for x in row])
-    return rows
+    return _scalar_rows(obj, field)
+
+
+def _scalar_rows(obj, field: FieldSpec):
+    """Rows of scalars, each an exact string or a JSON integer (never a float)."""
+    if not isinstance(obj, list) or not all(isinstance(row, list) for row in obj):
+        raise MalformedInput("matrix rows must be arrays")
+    for x in (x for row in obj for x in row):
+        if isinstance(x, bool) or not isinstance(x, (str, int)):
+            raise MalformedInput(f"scalar must be an exact string or an integer, not {x!r}")
+    return [[field.parse(x) if isinstance(x, str) else field.from_int(x) for x in row]
+            for row in obj]
 

@@ -2,13 +2,13 @@
 decompositions, spines and baric maps."""
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple, Union
+from typing import Iterable, Optional, Tuple, Union
 
 from .algebra import Algebra
-from .axes import Axet, eigenspace
+from .axes import Axet, _eigen_decomposition
 from .errors import Unsupported
 from .fusion import FusionLaw, is_seress
-from .linalg import Subspace, close_span, is_zero_vec, vdot
+from .linalg import EchelonAccumulator, Subspace, close_span, is_zero_vec, vdot
 
 
 def _axis_list(alg: Algebra, axes: Union[Axet, Iterable]) -> Tuple[Tuple, ...]:
@@ -29,14 +29,13 @@ def seress_lemma_check(alg: Algebra, a, law: Optional[FusionLaw] = None) -> Sere
     if law is None or not is_seress(law):
         raise Unsupported("Seress lemma needs a Seress fusion law")
     a = alg.coerce_vector(a)
-    one_zero: List[Tuple] = []
-    one_zero.extend(eigenspace(alg, a, law.field.one()).basis)
-    one_zero.extend(eigenspace(alg, a, law.field.zero()).basis)
+    spaces = _eigen_decomposition(alg, a, law)[1]
+    one_zero = spaces[law.one_index].basis + spaces[law.zero_index].basis
     for y in one_zero:
         for i in range(alg.dim):
             x = alg.basis_vector(i)
-            lhs = alg.mul(a, alg.mul(x, y))
-            rhs = alg.mul(alg.mul(a, x), y)
+            lhs = alg._mul(a, alg._mul(x, y))
+            rhs = alg._mul(alg._mul(a, x), y)
             if lhs != rhs:
                 return SeressCheck(ok=False, witness=(x, y))
     return SeressCheck(ok=True)
@@ -69,13 +68,14 @@ class UndirectedGraph:
 
 def non_annihilating_graph(alg: Algebra, axes: Union[Axet, Iterable]) -> UndirectedGraph:
     """Edge between distinct axes a, b whenever ab != 0."""
-    vecs = _axis_list(alg, axes)
-    edges = []
-    for i in range(len(vecs)):
-        for j in range(i + 1, len(vecs)):
-            if not is_zero_vec(alg.mul(vecs[i], vecs[j])):
-                edges.append((i, j))
-    return UndirectedGraph(vertices=tuple(range(len(vecs))), edges=tuple(edges))
+    return _graph(alg, _axis_list(alg, axes))
+
+
+def _graph(alg: Algebra, vecs) -> UndirectedGraph:
+    n = len(vecs)
+    edges = tuple((i, j) for i in range(n) for j in range(i + 1, n)
+                  if not is_zero_vec(alg._mul(vecs[i], vecs[j])))
+    return UndirectedGraph(vertices=tuple(range(n)), edges=edges)
 
 
 @dataclass(frozen=True)
@@ -94,19 +94,15 @@ def sum_decomposition(alg: Algebra, axes: Union[Axet, Iterable]) -> SumDecomposi
     """Subalgebras generated by the non-annihilating components, with the
     pairwise-product and directness verdicts reported, not assumed."""
     vecs = _axis_list(alg, axes)
-    comps = non_annihilating_graph(alg, vecs).components()
-    subs = tuple(alg.subalgebra_gen([vecs[i] for i in comp]) for comp in comps)
-    pairwise_zero = True
-    for i in range(len(subs)):
-        for j in range(i + 1, len(subs)):
-            for u in subs[i].basis:
-                for v in subs[j].basis:
-                    if not is_zero_vec(alg.mul(u, v)):
-                        pairwise_zero = False
-    total = Subspace.zero(alg.field, alg.dim)
-    for s in subs:
-        total = total.sum(s)
-    direct = total.dim == sum(s.dim for s in subs)
+    comps = _graph(alg, vecs).components()
+    subs = tuple(alg._subalgebra([vecs[i] for i in comp]) for comp in comps)
+    pairwise_zero = all(
+        is_zero_vec(alg._mul(u, v))
+        for i in range(len(subs)) for j in range(i + 1, len(subs))
+        for u in subs[i].basis for v in subs[j].basis
+    )
+    stacked = (b for s in subs for b in s.basis)
+    direct = EchelonAccumulator.of(alg.field, alg.dim, stacked).rank == sum(s.dim for s in subs)
     return SumDecomposition(
         components=comps, subalgebras=subs, pairwise_zero=pairwise_zero, direct=direct
     )
@@ -115,7 +111,7 @@ def sum_decomposition(alg: Algebra, axes: Union[Axet, Iterable]) -> SumDecomposi
 def spine(alg: Algebra, axes: Union[Axet, Iterable]) -> Subspace:
     """Smallest subspace containing the axes with a Q <= Q for each axis a."""
     vecs = _axis_list(alg, axes)
-    return close_span(alg.field, alg.dim, vecs, lambda v, _: (alg.mul(a, v) for a in vecs))
+    return close_span(alg.field, alg.dim, vecs, lambda v, _: (alg._mul(a, v) for a in vecs))
 
 
 def is_slender(alg: Algebra, axes: Union[Axet, Iterable]) -> bool:

@@ -12,13 +12,14 @@ from axial import (
     Algebra,
     dump_algebra,
     form_value,
+    hw_periodic_quotient,
     load_algebra,
     matsuo,
     norton_sakuma,
     rational,
 )
 from axial.catalog import ThreeTranspositionGroup
-from axial.errors import DimensionError, MalformedInput, NotAnIdeal
+from axial.errors import AxialError, DimensionError, MalformedInput, NotAnIdeal
 from axial.linalg import Matrix, Subspace, is_zero_vec, vadd, vscale
 
 coeffs = st.integers(min_value=-7, max_value=7).map(rational)
@@ -74,6 +75,38 @@ class TestProducts:
     def test_coerce_rejects_bad_length(self, three_a):
         with pytest.raises(Exception):
             three_a.mul((1, 0), (0, 1))
+
+    def test_products_are_sorted_nonzero_pairs(self, three_a):
+        for (i, j), pairs in three_a.products.items():
+            assert i <= j and pairs
+            assert [k for k, _ in pairs] == sorted({k for k, _ in pairs})
+            assert all(c for _, c in pairs)
+            dense = three_a.basis_product(j, i)
+            assert [(k, c) for k, c in enumerate(dense) if c] == list(pairs)
+
+    @pytest.mark.parametrize("index", [-1, -2, 2, 7])
+    def test_product_map_index_out_of_range(self, index):
+        with pytest.raises(DimensionError):
+            Algebra(QQ, ["a", "b"], {(0, 0): {index: 1}})
+
+    @pytest.mark.parametrize(
+        "products",
+        [
+            {(0, 1): (0, 0), (1, 0): (1, 0)},
+            {(1, 0): (1, 0), (0, 1): (0, 0)},
+            {(0, 1): {}, (1, 0): {0: 1}},
+            {(1, 0): {0: 1}, (0, 1): {}},
+        ],
+        ids=["zero-first", "zero-last", "map-zero-first", "map-zero-last"],
+    )
+    def test_conflicting_products_in_either_order(self, products):
+        with pytest.raises(AxialError, match="conflicting"):
+            Algebra(QQ, ["a", "b"], products)
+
+    def test_agreeing_products_in_either_order(self):
+        alg = Algebra(QQ, ["a", "b"], {(0, 1): (0, 0), (1, 0): {}, (1, 1): {1: 1}, (0, 0): (1, 0)})
+        assert alg.basis_product(1, 0) is None
+        assert alg.basis_product(1, 1) == (0, 1)
 
 
 class TestSubstructures:
@@ -167,6 +200,62 @@ class TestSerialization:
 
     def test_deterministic_output(self, three_a):
         assert dump_algebra(three_a) == dump_algebra(three_a)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: norton_sakuma("3A"),
+            lambda: matsuo(ThreeTranspositionGroup.symmetric(4), GF(10007).parse("1/4"), GF(10007)),
+            lambda: hw_periodic_quotient(6),
+        ],
+        ids=["ns3A", "matsuo-S4-GF", "hw6"],
+    )
+    def test_form_roundtrip(self, build):
+        alg = build()
+        text = dump_algebra(alg)
+        assert list(json.loads(text))[-1] == "form"
+        back = load_algebra(text)
+        assert back.form == alg.form
+        assert back.products == alg.products
+        assert dump_algebra(back) == text
+
+    def test_repeated_product_entries_must_agree(self, three_a):
+        obj = json.loads(dump_algebra(three_a))
+        obj["products"].append(dict(obj["products"][0]))
+        assert load_algebra(json.dumps(obj)).products == three_a.products
+        obj["products"][-1] = {**obj["products"][0], "v": {"1": "1"}}
+        with pytest.raises(MalformedInput, match="conflicting"):
+            load_algebra(json.dumps(obj))
+
+    def test_document_without_form_loads_without_one(self, three_a):
+        obj = json.loads(dump_algebra(three_a))
+        del obj["form"]
+        back = load_algebra(json.dumps(obj))
+        assert back.form is None
+        assert "form" not in json.loads(dump_algebra(back))
+
+    @pytest.mark.parametrize(
+        "form",
+        [
+            [["1", "0"], ["0", "1"]],
+            [["1", "0", "0", "0"]] * 3 + [["1", "0", "0"]],
+            [["1"] * 4] * 5,
+            [["1", "0", "0", "1/0"]] * 4,
+            [["1", "0", "0", 0.5]] * 4,
+            [["1", "0", "0", "2 mod 7"]] * 4,
+            [["1", "0", "0", None]] * 4,
+            [["1", "0", "0", True]] * 4,
+            [["1", "0", "0", ["1"]]] * 4,
+            ["1", "0", "0", "1"],
+            "1",
+            None,
+        ],
+    )
+    def test_malformed_form(self, three_a, form):
+        obj = json.loads(dump_algebra(three_a))
+        obj["form"] = form
+        with pytest.raises(MalformedInput):
+            load_algebra(json.dumps(obj))
 
     def test_malformed_documents(self):
         with pytest.raises(MalformedInput):

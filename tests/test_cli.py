@@ -1,5 +1,6 @@
 """Command line surface: pipelines, exit codes, machine-readable reports."""
 
+import copy
 import json
 import os
 import subprocess
@@ -8,8 +9,20 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import axial
+from axial import (
+    GF,
+    QQ,
+    ThreeTranspositionGroup,
+    dump_algebra,
+    hw_periodic_quotient,
+    load_algebra,
+    matsuo,
+    norton_sakuma,
+)
 from axial.cli import main
 
 
@@ -217,3 +230,168 @@ class TestHighwaterCommands:
         result = runner.invoke(main, ["hw", "member", "1,-2,1", str(elem)])
         assert result.exit_code == 0
         assert "yes" in result.output
+
+
+class TestDocumentErrors:
+    @pytest.mark.parametrize("order", ["zero-first", "zero-last", "same-pair"])
+    def test_conflicting_products_exit_2(self, order):
+        # a real process, so that an uncaught error would print its traceback
+        zero = {"i": 0, "j": 1, "v": {}}
+        i, j = (0, 1) if order == "same-pair" else (1, 0)
+        unit = {"i": i, "j": j, "v": {"0": "1"}}
+        doc = {
+            "field": {"kind": "rational"}, "dim": 2, "basis": ["a", "b"],
+            "products": [unit, zero] if order == "zero-last" else [zero, unit],
+            "axes": [{"name": "a", "v": {"0": "1"}}], "law": {"kind": "A"},
+        }
+        src = str(Path(axial.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", "from axial.cli import main; main()", "verify", "-"],
+            input=json.dumps(doc), capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 2
+        assert "conflicting" in proc.stderr
+        assert "Traceback" not in proc.stdout + proc.stderr
+
+    def test_form_survives_a_pipe(self, runner):
+        doc = json.loads(build(runner, "ns:3A"))
+        assert doc["form"][0] == ["1", "13/256", "13/256", "1/4"]
+        assert load_algebra(json.dumps(doc)).form == norton_sakuma("3A").form
+
+    @pytest.mark.parametrize("form", [[["1"]], [["1", "0", "0", "1/0"]] * 4, "1"])
+    def test_malformed_form_exit_2(self, runner, form):
+        doc = json.loads(build(runner, "ns:3A"))
+        doc["form"] = form
+        result = runner.invoke(main, ["frobenius", "-"], input=json.dumps(doc))
+        assert result.exit_code == 2
+        assert result.output.startswith("error: ")
+
+
+# ---------------------------------------------------------------------------
+# Fuzz: every mutated document ends in an exit code 0-3, never a traceback
+
+BAD_VALUES = [
+    None, True, 0, -1, 7, 0.5, float("inf"), float("nan"), -10**30, 10**30, 2**64,
+    "", "x", "1/0", "-0", "1/3", "1 mod 7", "3 mod 10007", "0.5", "1e9",
+    [], ["1"], [["1", "0"]], {}, {"0": "1"}, {"-1": "1"}, {"0": 0.5},
+    {"99999999999999999999": "1"},
+]
+BAD_KEYS = ["-1", "-7", "99999999999999999999", "x", "1.5", " 0", "", "0", "3"]
+# The window search of `hw member` widens its window to the element's
+# support and takes time and memory that grow with it, so element indices
+# stay within -8..12, a little past the default window (|i| <= 6) of the
+# tuple 1,-2,1.
+ELEMENT_VALUES = [v for v in BAD_VALUES if v != {"99999999999999999999": "1"}]
+ELEMENT_KEYS = ["-8", "-6", "-1", "0", "2", "6", "8", "12", "x", "1.5", " 0", "", "1e3"]
+FUZZ = dict(
+    derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow],
+    database=None,
+)
+
+
+def _paths(obj, prefix=()):
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for k, v in items:
+        yield prefix + (k,)
+        yield from _paths(v, prefix + (k,))
+
+
+def _retyped(value):
+    """The value under other JSON types: wrapped, stringified, unwrapped, numeric."""
+    out = [[value], {"0": value}, str(value)]
+    if isinstance(value, dict) and value:
+        out.append(next(iter(value.values())))
+    if isinstance(value, list) and value:
+        out.append(value[0])
+    if isinstance(value, str):
+        out.append(int(value) if value.lstrip("-").isdigit() else 1.5)
+    if isinstance(value, int):
+        out.append(float(value))
+    return out
+
+
+@st.composite
+def mutated(draw, doc, values, keys):
+    """doc after one to three replacements, deletions, retypings or re-keyings."""
+    doc = copy.deepcopy(doc)
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(_paths(doc))
+        if not paths:
+            break
+        path = draw(st.sampled_from(paths))
+        parent = doc
+        for k in path[:-1]:
+            parent = parent[k]
+        key = path[-1]
+        op = draw(st.sampled_from(["replace", "delete", "retype", "rekey"]))
+        if op == "delete":
+            del parent[key]
+        elif op == "retype":
+            parent[key] = copy.deepcopy(draw(st.sampled_from(_retyped(parent[key]))))
+        elif op == "rekey" and isinstance(parent, dict):
+            parent[draw(st.sampled_from(keys))] = parent.pop(key)
+        elif op == "rekey":
+            parent.insert(key, copy.deepcopy(parent[key]))  # a repeated list entry
+        else:
+            parent[key] = copy.deepcopy(draw(st.sampled_from(values)))
+    return doc
+
+
+def _assert_clean(result):
+    assert result.exit_code in (0, 1, 2, 3), result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit), (
+        repr(result.exception)
+    )
+    assert "Traceback" not in result.output
+
+
+def _fuzz_documents():
+    f = GF(10007)
+    algs = [
+        norton_sakuma("3A"),
+        matsuo(ThreeTranspositionGroup.symmetric(4), QQ.parse("1/4")),
+        matsuo(ThreeTranspositionGroup.symmetric(4), f.parse("1/4"), f),
+        hw_periodic_quotient(4),
+    ]
+    return [json.loads(dump_algebra(alg)) for alg in algs]
+
+
+FUZZ_DOCS = _fuzz_documents()
+FUZZ_COMMANDS = ["verify", "miyamoto", "frobenius", "radical", "decompose", "axet"]
+
+
+class TestFuzz:
+    @settings(max_examples=400, **FUZZ)
+    @given(
+        doc=st.sampled_from(FUZZ_DOCS).flatmap(lambda d: mutated(d, BAD_VALUES, BAD_KEYS)),
+        command=st.sampled_from(FUZZ_COMMANDS),
+        as_json=st.booleans(),
+    )
+    def test_algebra_documents(self, doc, command, as_json):
+        args = [command, "-"] + (["--json"] if as_json else [])
+        _assert_clean(CliRunner().invoke(main, args, input=json.dumps(doc)))
+
+    @settings(max_examples=100, **FUZZ)
+    @given(
+        elem=st.sampled_from([
+            {"a": {"0": "1", "1": "-2", "2": "1"}, "s": {}},
+            {"a": {"-1": "1/2", "3": "-1"}, "s": {"2": "3/4"}},
+        ]).flatmap(lambda d: mutated(d, ELEMENT_VALUES, ELEMENT_KEYS)),
+    )
+    def test_highwater_elements(self, elem):
+        result = CliRunner().invoke(main, ["hw", "member", "1,-2,1", "-"], input=json.dumps(elem))
+        _assert_clean(result)
+
+    @settings(max_examples=100, **FUZZ)
+    @given(
+        gram=st.sampled_from([
+            [[2, 0], [0, 2]],
+            [["2", "0", "1"], ["0", "2", "0"], ["1", "0", "2"]],
+        ]).flatmap(lambda d: mutated(d, BAD_VALUES, BAD_KEYS)),
+        family=st.sampled_from(["spin:{}", "splitspin:{}:1/3"]),
+    )
+    def test_gram_files(self, tmp_path_factory, gram, family):
+        path = tmp_path_factory.mktemp("gram") / "gram.json"
+        path.write_text(json.dumps(gram))
+        _assert_clean(CliRunner().invoke(main, ["build", family.format(path)]))
