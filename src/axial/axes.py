@@ -1,7 +1,7 @@
 """Axis verification, eigenspace decompositions, Miyamoto maps, axis-set
 closure, Miyamoto groups and 2-generated axet classification."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .algebra import Algebra
@@ -160,17 +160,18 @@ class AxialVerdict:
 def is_axial(alg: Algebra, law: Optional[FusionLaw] = None) -> AxialVerdict:
     """Verify that alg with its designated axes is an axial algebra for law.
 
-    Checks every designated axis with check_axis and then that the axes
-    generate alg as an algebra.  A clean fusion check on each axis does not
-    by itself make the algebra axial; the generation leg is part of the
-    definition and is the one that fails for some degenerate parameters.
+    Checks the designated axes in order as `close_axes` checks seeds (a full
+    `check_axis` for each in characteristic 2 or under an all-plus grading),
+    then that they generate alg as an algebra.  A clean fusion check on each
+    axis does not by itself make the algebra axial; the generation leg is
+    part of the definition and fails for some degenerate parameters.
     """
     law = law if law is not None else alg.law
     if law is None:
         raise NotAnAxis("no fusion law given and none attached to the algebra")
     if not alg.axes:
         raise NotAnAxis("the algebra has no designated axes")
-    reports = tuple((name, _check_axis(alg, v, law)) for name, v in alg.axes)
+    reports = _designated_reports(alg, law)
     gen = alg._subalgebra(alg.axis_vectors())
     return AxialVerdict(
         law=law,
@@ -179,6 +180,16 @@ def is_axial(alg: Algebra, law: Optional[FusionLaw] = None) -> AxialVerdict:
         generated_dim=gen.dim,
         dim=alg.dim,
     )
+
+
+def _designated_reports(alg: Algebra, law: FusionLaw) -> Tuple[Tuple[str, AxisReport], ...]:
+    """(name, report) of each designated axis in order; failures are not raised."""
+    try:
+        grading = resolve_grading(law)
+    except InvalidGrading:  # several adequate gradings: no one map to transport through
+        grading = Grading((1,) * law.size)
+    adm = _Admission(alg, law, grading, grading.is_adequate and alg.field.characteristic != 2)
+    return tuple((name, adm.offer(v)) for name, v in alg.axes)
 
 
 def _eigenbasis(alg: Algebra, spaces):
@@ -310,6 +321,58 @@ def _conjugate_tau(report: AxisReport, grading: Grading, tau_c: Matrix, tau_a: M
     return tau
 
 
+def _transport(alg: Algebra, report: AxisReport, tau: Matrix, b) -> AxisReport:
+    """b = tau(a)'s report from a's passed one: the verified automorphism tau
+    maps each A_lam(a) onto A_lam(b).  Certified by b w = lam w on each mapped
+    basis vector w; these are independent and dim in number, so they span each
+    A_lam(b) exactly.  Idempotency, fusion and primitivity carry over."""
+    spaces = []
+    for lam, space in zip(report.law.elements, report.eigenspaces):
+        ws = [tau.mul_vec(u) for u in space.basis]
+        if any(alg._mul(b, w) != tuple(lam * x for x in w) for w in ws):
+            raise ConsistencyFailure("transported eigenvector is not an eigenvector of the image")
+        spaces.append(EchelonAccumulator.of(alg.field, alg.dim, ws).subspace())
+    return replace(report, axis=b, eigenspaces=tuple(spaces))
+
+
+class _Admission:
+    """Admitted axes with their reports and Miyamoto maps.  images[c, a] is
+    the index of tau_c(axis a); an image not yet admitted waits in `pending`
+    with every (c, a) pair that produced it."""
+
+    def __init__(self, alg: Algebra, law: FusionLaw, grading: Grading, maps: bool):
+        self.alg, self.law, self.grading, self.maps = alg, law, grading, maps
+        self.vecs, self.reports, self.mats = [], [], []
+        self.index, self.images, self.pending = {}, {}, {}
+
+    def offer(self, v) -> AxisReport:
+        """v's report, transported from the least (c, a) with v = tau_c(a) or
+        else a full check; a passed axis is admitted if maps are built."""
+        if v in self.index:
+            return self.reports[self.index[v]]
+        pairs = self.pending.pop(v, ())
+        if pairs:
+            c, a = min(pairs)
+            rep = _transport(self.alg, self.reports[a], self.mats[c], v)
+            self.mats.append(_conjugate_tau(rep, self.grading, self.mats[c], self.mats[a]))
+        else:
+            rep = _check_axis(self.alg, v, self.law)
+            if not (rep.passed and self.maps):
+                return rep
+            self.mats.append(_tau_from_report(self.alg, rep, self.grading))
+        self.index[v] = k = len(self.vecs)
+        self.vecs.append(v)
+        self.reports.append(rep)
+        self.images.update(dict.fromkeys(pairs, k))
+        for c, a in [(c, k) for c in range(k)] + [(k, a) for a in range(k + 1)]:
+            img = self.mats[c].mul_vec(self.vecs[a])
+            if img in self.index:
+                self.images[c, a] = self.index[img]
+            else:
+                self.pending.setdefault(img, []).append((c, a))
+        return rep
+
+
 @dataclass(frozen=True)
 class Axet:
     """A closed axis set with its Miyamoto data."""
@@ -339,13 +402,13 @@ def close_axes(
 ) -> Axet:
     """Close an axis set under all of its Miyamoto maps.
 
-    Every admitted axis, seed or image, passes `check_axis` exactly once.  An
-    axis b equal to tau_c(a) for axes a, c already admitted gets tau_b =
-    tau_c tau_a tau_c, a product of verified automorphisms, certified exactly
-    on b's own eigenbasis (+-1 as the grading says), which fixes it uniquely.
-    Any other axis gets its map built from scratch and checked to be an
-    involutive automorphism, as `miyamoto` does.  Each (map, axis) image is
-    computed once, as soon as both are admitted, and kept as an axis index.
+    A seed no admitted map reaches gets a full `check_axis` and a map built
+    from scratch and checked to be an involutive automorphism, as `miyamoto`
+    does.  Any other axis b is tau_c(a) for admitted axes a, c: it gets a's
+    report mapped through tau_c, certified exactly by b w = lam w on each
+    mapped basis vector w, and tau_b = tau_c tau_a tau_c, certified exactly
+    on b's eigenbasis (+-1 as the grading says), which fixes it uniquely.
+    Each (map, axis) image is computed once, as soon as both are admitted.
     New images are admitted round by round in order of their first (map
     index, axis index) pair, as a sweep of every map over every axis would
     find them.
@@ -356,63 +419,27 @@ def close_axes(
     grading = resolve_grading(law, grading)
     limit = DEFAULT_AXIS_CAP if cap is None else cap
 
-    vecs: List[Tuple] = []
-    index: Dict[Tuple, int] = {}
+    adm = _Admission(alg, law, grading, maps=True)
     name_list: List[str] = []
-    reports: List[AxisReport] = []
-    mats: List[Matrix] = []
-    # images[c][a] is the index of tau_c(axis a); an image not yet admitted
-    # waits in `pending` with every (c, a) pair that produced it.
-    images: List[List[Optional[int]]] = []
-    pending: Dict[Tuple, List[Tuple[int, int]]] = {}
-
-    def image(c: int, a: int) -> Optional[int]:
-        img = mats[c].mul_vec(vecs[a])
-        j = index.get(img)
-        if j is None:
-            pending.setdefault(img, []).append((c, a))
-        return j
-
-    def admit(v, name, seed: bool):
-        rep = _check_axis(alg, v, law)
-        if not rep.passed:
-            if seed:
-                raise NotAnAxis(f"{name}: {rep.describe()}")
-            raise ConsistencyFailure(
-                f"Miyamoto image {name} failed axis verification: {rep.describe()}"
-            )
-        pairs = pending.pop(v, [])
-        if pairs:
-            c, a = min(pairs)
-            mats.append(_conjugate_tau(rep, grading, mats[c], mats[a]))
-        else:
-            mats.append(_tau_from_report(alg, rep, grading))
-        k = len(vecs)
-        index[v] = k
-        vecs.append(v)
-        name_list.append(name)
-        reports.append(rep)
-        for c, a in pairs:
-            images[c][a] = k
-        for c in range(k):
-            images[c].append(image(c, k))
-        images.append([image(k, a) for a in range(k + 1)])
-
     seed_list = [alg.coerce_vector(v) for v in axes]
     if names is not None and len(names) != len(seed_list):
         raise ValueError("names must match the seed axes")
     for k, v in enumerate(seed_list):
-        if v in index:
-            continue
-        admit(v, names[k] if names is not None else f"x{len(vecs)}", seed=True)
+        if v not in adm.index:
+            name_list.append(names[k] if names is not None else f"x{len(name_list)}")
+            rep = adm.offer(v)
+            if not rep.passed:
+                raise NotAnAxis(f"{name_list[-1]}: {rep.describe()}")
 
-    while pending:
-        for img in sorted(pending, key=lambda v: min(pending[v])):
-            if len(vecs) >= limit:
+    while adm.pending:
+        for img in sorted(adm.pending, key=lambda v: min(adm.pending[v])):
+            if len(name_list) >= limit:
                 raise ClosureCapExceeded(f"axis closure exceeded cap {limit}")
-            admit(img, f"x{len(vecs)}", seed=False)
+            adm.offer(img)
+            name_list.append(f"x{len(name_list)}")
 
-    perms: List[Perm] = [tuple(row) for row in images]
+    vecs, mats, n = adm.vecs, adm.mats, len(adm.vecs)
+    perms: List[Perm] = [tuple(adm.images[c, a] for a in range(n)) for c in range(n)]
     if any(len(set(p)) != len(vecs) for p in perms):
         raise ConsistencyFailure("closed set is not permuted by a Miyamoto map")
     # maps inducing one permutation agree on the subalgebra the axes generate
@@ -432,7 +459,7 @@ def close_axes(
         grading=grading,
         axes=tuple(vecs),
         names=tuple(name_list),
-        reports=tuple(reports),
+        reports=tuple(adm.reports),
         tau_mats=tuple(mats),
         tau_perms=tuple(perms),
         orbits=orbits_of(perms, len(vecs)),

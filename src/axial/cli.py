@@ -18,7 +18,7 @@ import click
 from .algebra import form_value
 from .axes import (
     DEFAULT_AXIS_CAP,
-    check_axis,
+    _designated_reports,
     classify_2gen_axet,
     close_axes,
     miyamoto_group,
@@ -198,8 +198,7 @@ def verify(file, law_text, as_json):
         raise MalformedInput("the document carries no fusion law; pass --law")
     if not alg.axes:
         raise MalformedInput("the document designates no axes")
-    reports = [check_axis(alg, v, law) for _, v in alg.axes]
-    named = list(zip((name for name, _ in alg.axes), reports))
+    named = _designated_reports(alg, law)
     all_passed = all(r.passed for _, r in named)
     if as_json:
         payload = {

@@ -18,6 +18,8 @@ from .fields import QQ, FieldSpec, rational
 from .fusion import law_M
 from .linalg import EchelonAccumulator, Matrix
 
+MAX_WINDOW = 48  # rows of 4w + 1 entries; about 5 s at w = 48 (Fraction backend, 2-CPU VM)
+
 
 class HighwaterElement:
     """Finitely supported element: maps a-indices and s-indices to scalars."""
@@ -320,7 +322,7 @@ def hw_ideal_window_contains(
     by axes a_k with |k| <= window and reflecting, always discarding anything
     supported outside the window.  Returns "yes" when v lies in the grown
     span; otherwise "unknown" (the span is a lower bound on the ideal, so a
-    miss proves nothing).
+    miss proves nothing).  A window past MAX_WINDOW raises Unsupported first.
     """
     info = ideal_type_info(t, field)
     if not info.ok:
@@ -332,6 +334,8 @@ def hw_ideal_window_contains(
         w = max(w, max(abs(i) for i in v.a))
     if v.s:
         w = max(w, (max(v.s) + 1) // 2)
+    if w > MAX_WINDOW:
+        raise Unsupported(f"window {w} exceeds cap {MAX_WINDOW}")
     m = 2 * w + 1 + 2 * w  # a_{-w}..a_w then s_1..s_{2w}
     target = _window_coords(v, w, m)
     acc = EchelonAccumulator(field, m)

@@ -68,15 +68,15 @@ def algebra_from_obj(obj) -> Algebra:
         raise MalformedInput("algebra document must be a JSON object")
     try:
         field = FieldSpec.from_json(obj["field"])
-        dim = int(obj["dim"])
+        dim = obj["dim"]  # "dim", "i" and "j" take JSON integers only, never floats or booleans
         basis = [str(b) for b in obj["basis"]]
-        if len(basis) != dim:
-            raise MalformedInput(f"dim {dim} does not match basis of size {len(basis)}")
+        if type(dim) is not int or len(basis) != dim:
+            raise MalformedInput(f"dim {dim!r} is not a JSON integer equal to the basis size {len(basis)}")
         products = {}
         for entry in obj.get("products", ()):
-            i, j = int(entry["i"]), int(entry["j"])
-            if not (0 <= i < dim and 0 <= j < dim):
-                raise MalformedInput(f"product index ({i}, {j}) out of range for dim {dim}")
+            i, j = entry["i"], entry["j"]
+            if not (type(i) is type(j) is int and 0 <= i < dim and 0 <= j < dim):
+                raise MalformedInput(f"product index ({i!r}, {j!r}) is not a JSON integer pair in 0..{dim - 1}")
             vec = vec_from_obj(field, entry["v"], dim)
             if products.setdefault((i, j), vec) != vec:
                 raise MalformedInput(f"conflicting products for pair ({i}, {j})")

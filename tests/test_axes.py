@@ -1,6 +1,6 @@
 """Axis verification, Miyamoto maps, closures and axet classification."""
 
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given
@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from axial import (
     GF,
     QQ,
+    Algebra,
+    axes,
     check_axis,
     classify_2gen_axet,
     close_axes,
@@ -24,8 +26,9 @@ from axial import (
     norton_sakuma,
     rational,
 )
-from axial.axes import _conjugate_tau, resolve_grading
+from axial.axes import _conjugate_tau, _transport, resolve_grading
 from axial.catalog import ThreeTranspositionGroup
+from axial.fusion import _build
 from axial.errors import (
     ClosureCapExceeded,
     ConsistencyFailure,
@@ -34,7 +37,7 @@ from axial.errors import (
     NotAnAxis,
     NotTwoGenerated,
 )
-from axial.linalg import vadd, vscale
+from axial.linalg import vadd, vscale, vsub
 
 coeffs = st.integers(min_value=-5, max_value=5).map(rational)
 
@@ -287,6 +290,111 @@ class TestClosureDifferential:
             (0, 3, 4, 1, 2, 5),
         )
         assert rev.orbits == ((0, 1, 2, 3, 4, 5),)
+
+
+def _counting(monkeypatch, name):
+    """Count the calls to axes.<name> made through the module global."""
+    calls = []
+    real = getattr(axes, name)
+    monkeypatch.setattr(axes, name, lambda *args: calls.append(1) or real(*args))
+    return calls
+
+
+def _same_report(got, fresh):
+    for f in fields(fresh):
+        assert getattr(got, f.name) == getattr(fresh, f.name), f.name
+
+
+class TestTransport:
+    """An axis b = tau_c(a) gets a's report mapped through tau_c, certified by
+    b w = lam w on each mapped vector; only other axes get a full check."""
+
+    @pytest.mark.parametrize("n,full", [(4, 3), (5, 4), (6, 5), (7, 6)])
+    def test_matsuo_full_checks(self, monkeypatch, n, full):
+        alg = _algebra(f"matsuo:{n}:0")
+        calls = _counting(monkeypatch, "_check_axis")
+        axet = close_axes(alg, alg.axis_vectors())
+        assert axet.size == n * (n - 1) // 2
+        assert len(calls) == full
+
+    @pytest.mark.parametrize("name", ["3A", "4B", "5A", "6A"])
+    def test_ns_full_checks(self, monkeypatch, name):
+        alg = norton_sakuma(name)
+        calls = _counting(monkeypatch, "_check_axis")
+        assert close_axes(alg, _seeds(alg, "two")).size == int(name[0])
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize(
+        "spec",
+        [f"ns:{name}" for name in ("2A", "2B", "3A", "3C", "4A", "4B", "5A", "6A")]
+        + [f"matsuo:{n}:{p}" for n in (4, 5) for p in (0, 10007)]
+        + [f"hw:{d}" for d in range(4, 9)],
+    )
+    def test_is_axial_reports_match_fresh_checks(self, spec):
+        alg = _algebra(spec)
+        verdict = is_axial(alg)
+        assert [name for name, _ in verdict.reports] == [name for name, _ in alg.axes]
+        for (_, got), (_, v) in zip(verdict.reports, alg.axes):
+            _same_report(got, check_axis(alg, v, alg.law))
+
+    def test_is_axial_transports_matsuo(self, monkeypatch):
+        alg = _algebra("matsuo:5:0")
+        calls = _counting(monkeypatch, "_check_axis")
+        assert is_axial(alg).passed
+        assert len(calls) == 4
+
+    def test_designated_non_axis_keeps_its_failing_report(self):
+        alg = norton_sakuma("3A")
+        (na, a), (nb, b) = alg.axes[:2]
+        bad = vsub(a, b)
+        fresh = check_axis(alg, bad, alg.law)
+        assert fresh.fusion_violations
+        mixed = alg.with_axes([(na, a), ("bad", bad), (nb, b), ("bad again", bad), *alg.axes[2:]])
+        verdict = is_axial(mixed)
+        assert not verdict.axes_pass and verdict.generates
+        for (_, got), (_, v) in zip(verdict.reports, mixed.axes):
+            _same_report(got, check_axis(alg, v, alg.law))
+        assert [n for n, r in verdict.reports if not r.passed] == ["bad", "bad again"]
+
+    def test_no_maps_under_an_all_plus_grading(self, monkeypatch):
+        full = _counting(monkeypatch, "_check_axis")
+        built = _counting(monkeypatch, "_tau_from_report")
+        for f in (QQ, GF(2)):
+            alg = Algebra(
+                f, ["a", "b"], {(0, 0): (1, 0), (1, 1): (0, 1)},
+                axes=[("a", (1, 0)), ("b", (0, 1)), ("a again", (1, 0))], law=law_A(f),
+            )
+            assert is_axial(alg).passed
+        assert len(full) == 6 and not built
+
+    def test_ambiguous_grading_gets_full_checks(self):
+        # 1/4 and 1/32 can each be the minus part, so no one Miyamoto map exists
+        one, zero, q, r = (QQ.parse(x) for x in ("1", "0", "1/4", "1/32"))
+        cells = {(0, 0): {0}, (0, 1): set(), (0, 2): {2}, (0, 3): {3}, (1, 1): {1},
+                 (1, 2): {2}, (1, 3): {3}, (2, 2): {0, 1}, (2, 3): set(), (3, 3): {0, 1}}
+        law = _build(QQ, (one, zero, q, r), cells, "two gradings")
+        alg = norton_sakuma("3A")
+        with pytest.raises(InvalidGrading):
+            close_axes(alg, alg.axis_vectors(), law=law)
+        verdict = is_axial(alg, law)
+        for (_, got), (_, v) in zip(verdict.reports, alg.axes):
+            _same_report(got, check_axis(alg, v, law))
+
+    def test_transport_is_certified(self):
+        alg = norton_sakuma("3A")
+        a, c = alg.axes[0][1], alg.axes[1][1]
+        tau_a, tau_c = miyamoto(alg, a).matrix, miyamoto(alg, c).matrix
+        b = tau_c.mul_vec(a)
+        rep = check_axis(alg, a, alg.law)
+        _same_report(_transport(alg, rep, tau_c, b), check_axis(alg, b, alg.law))
+        with pytest.raises(ConsistencyFailure):
+            _transport(alg, rep, tau_a, b)  # the wrong map: tau_a fixes a, not b
+        spaces, dims = list(rep.eigenspaces), list(rep.eigen_dims)
+        spaces[2], spaces[3] = spaces[3], spaces[2]
+        dims[2], dims[3] = dims[3], dims[2]
+        swapped = replace(rep, eigenspaces=tuple(spaces), eigen_dims=tuple(dims))
+        with pytest.raises(ConsistencyFailure):
+            _transport(alg, swapped, tau_c, b)  # the 1/4 and 1/32 labels swapped
 
 
 class TestClassification:

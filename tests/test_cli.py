@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -24,6 +25,7 @@ from axial import (
     norton_sakuma,
 )
 from axial.cli import main
+from axial.highwater import MAX_WINDOW
 
 
 @pytest.fixture()
@@ -35,6 +37,15 @@ def build(runner, spec: str) -> str:
     result = runner.invoke(main, ["build", spec])
     assert result.exit_code == 0, result.output
     return result.output
+
+
+def run_process(args, text):
+    """`axial ARGS` in a real process, so that an uncaught error would print its traceback."""
+    src = str(Path(axial.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-c", "from axial.cli import main; main()", *args],
+        input=text, capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
 
 
 class TestBuild:
@@ -231,6 +242,19 @@ class TestHighwaterCommands:
         assert result.exit_code == 0
         assert "yes" in result.output
 
+    @pytest.mark.parametrize("elem,window", [
+        ({"a": {"1000000000": "1"}}, None),
+        ({"s": {"1000000000": "1"}}, None),
+        ({"a": {"0": "1"}}, str(MAX_WINDOW + 1)),
+    ])
+    def test_member_window_cap_exit_3(self, runner, elem, window):
+        args = ["hw", "member", "1,-2,1", "-"] + (["--window", window] if window else [])
+        start = time.perf_counter()
+        result = runner.invoke(main, args, input=json.dumps(elem))
+        assert time.perf_counter() - start < 1.0
+        assert result.exit_code == 3
+        assert "exceeds cap" in result.output
+
 
 class TestDocumentErrors:
     @pytest.mark.parametrize("order", ["zero-first", "zero-last", "same-pair"])
@@ -244,14 +268,20 @@ class TestDocumentErrors:
             "products": [unit, zero] if order == "zero-last" else [zero, unit],
             "axes": [{"name": "a", "v": {"0": "1"}}], "law": {"kind": "A"},
         }
-        src = str(Path(axial.__file__).resolve().parents[1])
-        proc = subprocess.run(
-            [sys.executable, "-c", "from axial.cli import main; main()", "verify", "-"],
-            input=json.dumps(doc), capture_output=True, text=True,
-            env={**os.environ, "PYTHONPATH": src},
-        )
+        proc = run_process(["verify", "-"], json.dumps(doc))
         assert proc.returncode == 2
         assert "conflicting" in proc.stderr
+        assert "Traceback" not in proc.stdout + proc.stderr
+
+    @pytest.mark.parametrize("where,key,value", [
+        ("product", "i", 0.9), ("top", "dim", 2.0), ("product", "j", True),
+    ])
+    def test_non_integer_index_exit_2(self, runner, where, key, value):
+        doc = json.loads(build(runner, "ns:2B"))
+        (doc["products"][0] if where == "product" else doc)[key] = value
+        proc = run_process(["verify", "-"], json.dumps(doc))
+        assert proc.returncode == 2
+        assert "JSON integer" in proc.stderr
         assert "Traceback" not in proc.stdout + proc.stderr
 
     def test_form_survives_a_pipe(self, runner):
@@ -279,11 +309,11 @@ BAD_VALUES = [
 ]
 BAD_KEYS = ["-1", "-7", "99999999999999999999", "x", "1.5", " 0", "", "0", "3"]
 # The window search of `hw member` widens its window to the element's
-# support and takes time and memory that grow with it, so element indices
-# stay within -8..12, a little past the default window (|i| <= 6) of the
-# tuple 1,-2,1.
-ELEMENT_VALUES = [v for v in BAD_VALUES if v != {"99999999999999999999": "1"}]
-ELEMENT_KEYS = ["-8", "-6", "-1", "0", "2", "6", "8", "12", "x", "1.5", " 0", "", "1e3"]
+# support, up to MAX_WINDOW; indices past it exit 3 before any work.
+ELEMENT_KEYS = [
+    "-8", "-6", "-1", "0", "2", "6", "8", "12", "x", "1.5", " 0", "", "1e3",
+    str(MAX_WINDOW + 1), "-1000000000", "1000000000", "99999999999999999999",
+]
 FUZZ = dict(
     derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow],
     database=None,
@@ -377,7 +407,7 @@ class TestFuzz:
         elem=st.sampled_from([
             {"a": {"0": "1", "1": "-2", "2": "1"}, "s": {}},
             {"a": {"-1": "1/2", "3": "-1"}, "s": {"2": "3/4"}},
-        ]).flatmap(lambda d: mutated(d, ELEMENT_VALUES, ELEMENT_KEYS)),
+        ]).flatmap(lambda d: mutated(d, BAD_VALUES, ELEMENT_KEYS)),
     )
     def test_highwater_elements(self, elem):
         result = CliRunner().invoke(main, ["hw", "member", "1,-2,1", "-"], input=json.dumps(elem))
