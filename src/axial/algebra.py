@@ -1,11 +1,13 @@
 """Finite-dimensional commutative nonassociative algebras via structure constants.
 
-Products are stored once, as sparse rows for index pairs i <= j (see
-`Algebra`), so commutativity is structural.  Vectors are plain tuples of exact
-scalars.  A scalar is checked once, where it enters: the constructor checks
-structure constants and axes, public methods check the caller's vectors, and
-vectors the package built go straight to the unchecked kernels `_mul` and
-`_adjoint`.
+Products are stored once, as sorted (k, c) pairs for index pairs i <= j (see
+`Algebra`), so commutativity is structural.  Inside the package a vector is
+a sparse row {index: nonzero} that never stores a zero (see `linalg`); the
+kernels `_mul` and `_adjoint` take sparse rows and visit only non-zeros.
+Public methods take and return dense tuples and convert once, where a vector
+enters or leaves; that is also where its scalars are checked, as the
+constructor checks structure constants and axes.  Vectors the package built
+go straight to the unchecked kernels.
 """
 
 from typing import Dict, Iterable, Optional, Sequence, Tuple
@@ -19,7 +21,12 @@ from .linalg import (
     Subspace,
     as_vector,
     close_span,
-    vsub,
+    combine,
+    dense,
+    dot,
+    residue,
+    row_key,
+    sparse,
     vzero,
 )
 
@@ -68,7 +75,7 @@ class Algebra:
     def _pairs(self, vec) -> Tuple:
         """Sorted non-zero (k, c) pairs of a dense vector or an {index: scalar} map."""
         if not isinstance(vec, dict):
-            return tuple((k, c) for k, c in enumerate(self.coerce_vector(vec)) if c)
+            return row_key(self._row(vec))
         entries = {}
         for k, val in vec.items():
             k = int(k)
@@ -80,141 +87,132 @@ class Algebra:
     def coerce_vector(self, v) -> Vector:
         return as_vector(self.field, v, self.dim)
 
+    def _row(self, v) -> dict:
+        """A caller's vector, checked, as a sparse row."""
+        return sparse(self.coerce_vector(v))
+
+    def _dense(self, row) -> Vector:
+        return dense(self.field, row, self.dim)
+
     def zero_vector(self) -> Vector:
         return vzero(self.field, self.dim)
 
     def basis_vector(self, i: int) -> Vector:
         if not 0 <= i < self.dim:
             raise DimensionError(f"basis index {i} out of range")
-        z, one = self.field.zero(), self.field.one()
-        return tuple(one if k == i else z for k in range(self.dim))
+        return self._dense({i: self.field.one()})
+
+    def _product_pairs(self, i: int, j: int) -> Tuple:
+        """e_i e_j as its sorted (k, c) pairs; () when it is zero."""
+        return self.products.get((i, j) if i <= j else (j, i), ())
 
     def basis_product(self, i: int, j: int) -> Optional[Vector]:
         """Structure-constant vector e_i e_j, dense, or None when it is zero."""
-        pairs = self.products.get((i, j) if i <= j else (j, i))
-        if pairs is None:
-            return None
-        out = [self.field.zero()] * self.dim
-        for k, c in pairs:
-            out[k] = c
-        return tuple(out)
+        pairs = self._product_pairs(i, j)
+        return self._dense(dict(pairs)) if pairs else None
 
     def axis_vectors(self) -> Tuple[Vector, ...]:
         return tuple(v for _, v in self.axes)
 
     def mul(self, u, v) -> Vector:
-        return self._mul(self.coerce_vector(u), self.coerce_vector(v))
+        return self._dense(self._mul(self._row(u), self._row(v)))
 
-    def _mul(self, u, v) -> Vector:
-        """u v for vectors already over this algebra's field and of its dimension."""
-        acc = [self.field.zero()] * self.dim
+    def _mul(self, u, v) -> dict:
+        """u v for sparse rows over this algebra's field, as a sparse row."""
         prods = self.products
-        vnz = [(j, vj) for j, vj in enumerate(v) if vj]
-        for i, ui in enumerate(u):
-            if not ui:
-                continue
-            for j, vj in vnz:
+        terms = []
+        for i, x in u.items():
+            for j, y in v.items():
                 pairs = prods.get((i, j) if i <= j else (j, i))
-                if pairs is None:
-                    continue
-                c = ui * vj
-                for k, r in pairs:
-                    acc[k] = acc[k] + c * r
-        return tuple(acc)
+                if pairs is not None:
+                    terms.append((x * y, pairs))
+        return combine(terms)
 
     def adjoint(self, a) -> Matrix:
         """Matrix of x -> a x; column j is a e_j."""
-        return self._adjoint(self.coerce_vector(a))
+        return self._adjoint(self._row(a))
 
     def _adjoint(self, a) -> Matrix:
-        n = self.dim
-        rows = [[self.field.zero()] * n for _ in range(n)]
-        prods = self.products
-        for i, ai in enumerate(a):
-            if not ai:
-                continue
-            for j in range(n):
-                for k, r in prods.get((i, j) if i <= j else (j, i), ()):
-                    rows[k][j] = rows[k][j] + ai * r
-        return Matrix._of(self.field, rows)
+        one = self.field.one()
+        cols = [self._mul(a, {j: one}) for j in range(self.dim)]
+        return Matrix._of(self.field, self.dim, cols).transpose()
 
     def associator(self, x, y, z) -> Vector:
         """(x y) z - x (y z)."""
-        x, y, z = (self.coerce_vector(w) for w in (x, y, z))
-        return vsub(self._mul(self._mul(x, y), z), self._mul(x, self._mul(y, z)))
+        x, y, z = (self._row(w) for w in (x, y, z))
+        one = self.field.one()
+        left, right = self._mul(self._mul(x, y), z), self._mul(x, self._mul(y, z))
+        return self._dense(combine(((one, left.items()), (-one, right.items()))))
+
+    def _basis_rows(self):
+        one = self.field.one()
+        return [{i: one} for i in range(self.dim)]
 
     def subalgebra_gen(self, gens: Iterable) -> Subspace:
         """Smallest multiplication-closed subspace containing the generators."""
-        return self._subalgebra([self.coerce_vector(g) for g in gens])
+        return self._subalgebra([self._row(g) for g in gens])
 
     def _subalgebra(self, seeds) -> Subspace:
         return close_span(self.field, self.dim, seeds, lambda v, done: (self._mul(v, u) for u in done))
 
     def ideal_gen(self, gens: Iterable) -> Subspace:
         """Smallest subspace containing the generators with A I <= I."""
-        seeds = [self.coerce_vector(g) for g in gens]
-        basis = [self.basis_vector(i) for i in range(self.dim)]
+        seeds = [self._row(g) for g in gens]
+        basis = self._basis_rows()
         return close_span(self.field, self.dim, seeds, lambda v, _: (self._mul(e, v) for e in basis))
 
     def is_ideal(self, sub: Subspace) -> bool:
         if sub.ambient != self.dim:
             raise DimensionError("subspace ambient does not match algebra")
-        basis = [self.basis_vector(i) for i in range(self.dim)]
-        return all(sub.contains(self._mul(e, row)) for e in basis for row in sub.basis)
+        basis = self._basis_rows()
+        return not any(residue(self._mul(e, row), sub.rows) for e in basis for row in sub.rows.values())
 
     def quotient(self, ideal: Subspace) -> Tuple["Algebra", Matrix]:
         """Quotient algebra and the projection matrix (rows = quotient coords)."""
         if not self.is_ideal(ideal):
             raise NotAnIdeal("subspace is not closed under multiplication by the algebra")
-        pivot_set = set(ideal.pivots)
-        keep = [k for k in range(self.dim) if k not in pivot_set]
+        keep = [k for k in range(self.dim) if k not in ideal.rows]
+        pos = {k: t for t, k in enumerate(keep)}
         m = len(keep)
 
-        def project(v) -> Vector:
-            red = ideal.reduce(v)
-            return tuple(red[k] for k in keep)
+        def project(v) -> dict:
+            return {pos[k]: x for k, x in residue(v, ideal.rows).items()}
 
-        cols = [project(self.basis_vector(j)) for j in range(self.dim)]
-        projection = Matrix._of(self.field, zip(*cols))
-
-        products = {}
-        for a in range(m):
-            for b in range(a, m):
-                p = self._mul(self.basis_vector(keep[a]), self.basis_vector(keep[b]))
-                products[(a, b)] = project(p)
+        cols = [project(e) for e in self._basis_rows()]
+        products = {
+            (a, b): project(dict(self._product_pairs(keep[a], keep[b])))
+            for a in range(m) for b in range(a, m)
+        }
         names = [self.basis[k] for k in keep]
         axes = []
         for name, v in self.axes:
-            img = project(v)
-            if any(img):
-                axes.append((name, img))
+            img = project(sparse(v))
+            if img:
+                axes.append((name, dense(self.field, img, m)))
         quot = Algebra(self.field, names, products, axes=axes, law=self.law)
         # projection must be an algebra homomorphism on all basis pairs
         for i in range(self.dim):
             for j in range(i, self.dim):
-                lhs = project(self._mul(self.basis_vector(i), self.basis_vector(j)))
-                rhs = quot._mul(projection.column(i), projection.column(j))
-                if lhs != rhs:
+                if project(dict(self._product_pairs(i, j))) != quot._mul(cols[i], cols[j]):
                     raise AxialError("quotient projection failed the homomorphism check")
-        return quot, projection
+        return quot, Matrix._of(self.field, m, cols).transpose()
 
     def annihilator(self) -> Subspace:
         """{x : e_i x = 0 for every basis vector}, as a kernel of stacked adjoints."""
-        rows = (row for i in range(self.dim) for row in self._adjoint(self.basis_vector(i)).data)
+        rows = (row for e in self._basis_rows() for row in self._adjoint(e).rows)
         return EchelonAccumulator.of(self.field, self.dim, rows).kernel()
 
     def centre(self) -> Subspace:
         """{a : (a, e_i, e_j) = 0 for all i, j}; commutativity supplies the rest."""
+        one = self.field.one()
         acc = EchelonAccumulator(self.field, self.dim)
-        ads = [self._adjoint(self.basis_vector(i)) for i in range(self.dim)]
+        ads = [self._adjoint(e) for e in self._basis_rows()]
         for i in range(self.dim):
             for j in range(self.dim):
-                block = ads[i].matmul(ads[j]).data
-                prod = self.basis_product(i, j)
-                if prod is not None:
-                    block = [vsub(r, s) for r, s in zip(block, self._adjoint(prod).data)]
-                for row in block:
-                    acc.add_row(row)
+                block = ads[i].matmul(ads[j]).rows
+                ad_ij = self._adjoint(dict(self._product_pairs(i, j))).rows
+                for r, s in zip(block, ad_ij):
+                    acc.add_row(combine(((one, r.items()), (-one, s.items()))))
         return acc.kernel()
 
     def restrict(
@@ -229,31 +227,32 @@ class Algebra:
         Returns the restricted algebra (coordinates on sub's canonical basis)
         and the embedding matrix mapping sub coordinates back into self.
         """
-        rows = sub.basis
+        rows = list(sub.rows.values())
         m = len(rows)
         products = {}
         for a in range(m):
             for b in range(a, m):
-                p = self._mul(rows[a], rows[b])
-                coords = sub.coords(p)
+                coords = sub._coords(self._mul(rows[a], rows[b]))
                 if coords is None:
                     raise AxialError("subspace is not multiplicatively closed")
                 products[(a, b)] = coords
         sub_axes = []
         for name, v in axes:
-            coords = sub.coords(self.coerce_vector(v))
+            coords = sub._coords(self._row(v))
             if coords is None:
                 raise AxialError(f"designated axis {name!r} lies outside the subspace")
-            sub_axes.append((name, coords))
+            sub_axes.append((name, dense(self.field, coords, m)))
         if names is None:
             names = [f"e{k}" for k in range(m)]
         restricted_form = None
         if self.form is not None:
-            gram = [[form_value(self.form, u, v) for v in rows] for u in rows]
-            restricted_form = Matrix._of(self.field, gram)
+            gram = []
+            for u in rows:
+                values = (_form(self.form, u, v) for v in rows)
+                gram.append({b: g for b, g in enumerate(values) if g})
+            restricted_form = Matrix._of(self.field, m, gram)
         alg = Algebra(self.field, names, products, axes=sub_axes, law=law, form=restricted_form)
-        embed = Matrix._of(self.field, zip(*rows))
-        return alg, embed
+        return alg, Matrix._of(self.field, self.dim, rows).transpose()
 
     def with_axes(self, axes: Iterable[Tuple[str, Sequence]]) -> "Algebra":
         return self._copy(axes, self.law)
@@ -273,11 +272,9 @@ def form_value(gram: Matrix, u, v):
     """Evaluate the bilinear form with Gram matrix `gram` on a vector pair."""
     if gram.nrows != gram.ncols or gram.nrows != len(u) or len(u) != len(v):
         raise DimensionError("gram/vector size mismatch")
-    total = gram.field.zero()
-    for i, ui in enumerate(u):
-        if ui:
-            row = gram.data[i]
-            for j, vj in enumerate(v):
-                if vj:
-                    total = total + ui * row[j] * vj
-    return total
+    return _form(gram, sparse(u), sparse(v))
+
+
+def _form(gram: Matrix, u, v):
+    """(u, v) under the Gram matrix `gram`, for sparse rows u and v."""
+    return dot(gram.field, u, gram._apply(v))

@@ -17,7 +17,9 @@ from .errors import (
     Unsupported,
 )
 from .fusion import FusionLaw, Grading, is_symmetric, unique_adequate_grading
-from .linalg import EchelonAccumulator, Matrix, Subspace, invert, kernel, vdot
+from .linalg import (
+    EchelonAccumulator, Matrix, Subspace, dot, invert, kernel, residue, row_key, scaled, sparse,
+)
 from .perms import Perm, dimino, orbits_of
 
 DEFAULT_AXIS_CAP = 10_000
@@ -30,7 +32,7 @@ def eigenspace(alg: Algebra, a, lam) -> Subspace:
 
 def eigen_decomposition(alg: Algebra, a, law: FusionLaw):
     """Eigenspaces of ad_a at each law eigenvalue, in law element order."""
-    return _eigen_decomposition(alg, alg.coerce_vector(a), law)
+    return _eigen_decomposition(alg, alg._row(a), law)
 
 
 def _eigen_decomposition(alg: Algebra, a, law: FusionLaw):
@@ -75,16 +77,17 @@ def check_axis(alg: Algebra, a, law: FusionLaw) -> AxisReport:
 
     Failures are recorded in the report, never raised.
     """
-    return _check_axis(alg, alg.coerce_vector(a), law)
+    return _check_axis(alg, alg._row(a), law)
 
 
 def _check_axis(alg: Algebra, a, law: FusionLaw) -> AxisReport:
+    """check_axis for a sparse row a."""
     is_idem = alg._mul(a, a) == a
     dims, spaces = _eigen_decomposition(alg, a, law)
     semisimple = sum(dims) == alg.dim
     if semisimple:
         # independence cross-check: stacked eigenbases must have full rank
-        stacked = (b for s in spaces for b in s.basis)
+        stacked = (b for s in spaces for b in s.rows.values())
         if EchelonAccumulator.of(alg.field, alg.dim, stacked).rank != alg.dim:
             semisimple = False
 
@@ -95,25 +98,23 @@ def _check_axis(alg: Algebra, a, law: FusionLaw) -> AxisReport:
     def target(cell: frozenset) -> Subspace:
         got = target_cache.get(cell)
         if got is None:
-            rows = (b for k in sorted(cell) for b in spaces[k].basis)
+            rows = (b for k in sorted(cell) for b in spaces[k].rows.values())
             got = target_cache[cell] = EchelonAccumulator.of(alg.field, alg.dim, rows).subspace()
         return got
 
     for i in range(law.size):
         j_start = i if sym else 0
         for j in range(j_start, law.size):
-            cell = law.table[i][j]
-            tgt = target(cell)
-            for r, u in enumerate(spaces[i].basis):
-                vs = spaces[j].basis
-                for s_idx in range(r if (sym and i == j) else 0, len(vs)):
-                    v = vs[s_idx]
-                    if not tgt.contains(alg._mul(u, v)):
-                        violations.append((law.elements[i], law.elements[j], u, v))
+            tgt = target(law.table[i][j])
+            vs = list(spaces[j].rows.values())
+            for r, u in enumerate(spaces[i].rows.values()):
+                for v in vs[r if (sym and i == j) else 0:]:
+                    if residue(alg._mul(u, v), tgt.rows):
+                        violations.append((law.elements[i], law.elements[j], alg._dense(u), alg._dense(v)))
 
     primitive = is_idem and dims[law.one_index] == 1
     return AxisReport(
-        axis=a,
+        axis=alg._dense(a),
         law=law,
         is_idempotent=is_idem,
         eigen_dims=dims,
@@ -172,7 +173,7 @@ def is_axial(alg: Algebra, law: Optional[FusionLaw] = None) -> AxialVerdict:
     if not alg.axes:
         raise NotAnAxis("the algebra has no designated axes")
     reports = _designated_reports(alg, law)
-    gen = alg._subalgebra(alg.axis_vectors())
+    gen = alg._subalgebra([sparse(v) for v in alg.axis_vectors()])
     return AxialVerdict(
         law=law,
         reports=reports,
@@ -189,19 +190,19 @@ def _designated_reports(alg: Algebra, law: FusionLaw) -> Tuple[Tuple[str, AxisRe
     except InvalidGrading:  # several adequate gradings: no one map to transport through
         grading = Grading((1,) * law.size)
     adm = _Admission(alg, law, grading, grading.is_adequate and alg.field.characteristic != 2)
-    return tuple((name, adm.offer(v)) for name, v in alg.axes)
+    return tuple((name, adm.offer(sparse(v))) for name, v in alg.axes)
 
 
 def _eigenbasis(alg: Algebra, spaces):
     """Change of basis to the stacked eigenbases of a semisimple decomposition.
 
-    Returns the eigenbasis vectors in law order, the eigenspace index of
-    each, and the inverse change of basis: row r of it reads off a vector's
-    coordinate on vector r.
+    Returns the eigenbasis vectors (sparse rows) in law order, the
+    eigenspace index of each, and the inverse change of basis: row r of it
+    reads off a vector's coordinate on vector r.
     """
-    cols = [b for s in spaces for b in s.basis]
-    owner = [t for t, s in enumerate(spaces) for _ in s.basis]
-    return cols, owner, invert(Matrix._of(alg.field, zip(*cols)))
+    cols = [b for s in spaces for b in s.rows.values()]
+    owner = [t for t, s in enumerate(spaces) for _ in s.rows]
+    return cols, owner, invert(Matrix._of(alg.field, alg.dim, cols).transpose())
 
 
 def projection_functional(alg: Algebra, a, law: Optional[FusionLaw] = None) -> Tuple:
@@ -209,20 +210,20 @@ def projection_functional(alg: Algebra, a, law: Optional[FusionLaw] = None) -> T
     law = law if law is not None else alg.law
     if law is None:
         raise Unsupported("projection functional needs a fusion law")
-    return _projection_functional(alg, alg.coerce_vector(a), law)
+    return alg._dense(_projection_functional(alg, alg._row(a), law))
 
 
-def _projection_functional(alg: Algebra, a, law: FusionLaw) -> Tuple:
+def _projection_functional(alg: Algebra, a, law: FusionLaw) -> dict:
+    """The functional phi_a as a sparse row, for a sparse row a."""
     dims, spaces = _eigen_decomposition(alg, a, law)
     if sum(dims) != alg.dim:
         raise NotSemisimple("adjoint eigenspaces do not span the algebra")
     if dims[law.one_index] != 1:
         raise NotPrimitive("1-eigenspace is not one-dimensional")
     _, owner, inv = _eigenbasis(alg, spaces)
-    b1 = spaces[law.one_index].basis[0]
-    k = next(i for i, ai in enumerate(a) if ai)
-    scale = b1[k] / a[k]
-    return tuple(scale * x for x in inv.data[owner.index(law.one_index)])
+    (b1,) = spaces[law.one_index].rows.values()
+    k = min(a)
+    return scaled(b1[k] / a[k], inv.rows[owner.index(law.one_index)])
 
 
 def projection(alg: Algebra, a, v, law: Optional[FusionLaw] = None):
@@ -230,11 +231,10 @@ def projection(alg: Algebra, a, v, law: Optional[FusionLaw] = None):
     law = law if law is not None else alg.law
     if law is None:
         raise Unsupported("projection needs a fusion law to enumerate eigenvalues")
-    a = alg.coerce_vector(a)
-    v = alg.coerce_vector(v)
+    a, v = alg._row(a), alg._row(v)
     if alg._mul(a, a) != a:
         raise NotAnAxis("projection base vector is not idempotent")
-    return vdot(_projection_functional(alg, a, law), v)
+    return dot(alg.field, _projection_functional(alg, a, law), v)
 
 
 @dataclass(frozen=True)
@@ -294,16 +294,15 @@ def _tau_from_report(alg: Algebra, report: AxisReport, grading: Grading) -> Matr
     if alg.field.characteristic == 2:
         raise Unsupported("no nontrivial C2 character in characteristic 2")
     cols, owner, inv = _eigenbasis(alg, report.eigenspaces)
-    signed = [c if grading.signs[t] > 0 else tuple(-x for x in c) for c, t in zip(cols, owner)]
-    tau = Matrix._of(alg.field, zip(*signed)).matmul(inv)
+    signed = [scaled(grading.signs[t], c) for c, t in zip(cols, owner)]
+    tau = Matrix._of(alg.field, alg.dim, signed).transpose().matmul(inv)
 
     if tau.matmul(tau) != Matrix.identity(alg.field, alg.dim):
         raise ConsistencyFailure("Miyamoto map does not square to the identity")
-    tau_cols = [tau.column(j) for j in range(alg.dim)]
+    tau_cols = tau.transpose().rows
     for i in range(alg.dim):
         for j in range(i, alg.dim):
-            p = alg.basis_product(i, j)
-            lhs = tau.mul_vec(p) if p is not None else alg.zero_vector()
+            lhs = tau._apply(dict(alg._product_pairs(i, j)))
             if lhs != alg._mul(tau_cols[i], tau_cols[j]):
                 raise ConsistencyFailure("Miyamoto map is not an algebra automorphism")
     return tau
@@ -315,30 +314,32 @@ def _conjugate_tau(report: AxisReport, grading: Grading, tau_c: Matrix, tau_a: M
     grading signs u's eigenspace.  That basis fixes the map uniquely."""
     tau = tau_c.matmul(tau_a).matmul(tau_c)
     for sign, space in zip(grading.signs, report.eigenspaces):
-        for u in space.basis:
-            if tau.mul_vec(u) != (u if sign > 0 else tuple(-x for x in u)):
+        for u in space.rows.values():
+            if tau._apply(u) != scaled(sign, u):
                 raise ConsistencyFailure("conjugated Miyamoto map is not +-1 on the eigenspaces")
     return tau
 
 
 def _transport(alg: Algebra, report: AxisReport, tau: Matrix, b) -> AxisReport:
-    """b = tau(a)'s report from a's passed one: the verified automorphism tau
-    maps each A_lam(a) onto A_lam(b).  Certified by b w = lam w on each mapped
-    basis vector w; these are independent and dim in number, so they span each
-    A_lam(b) exactly.  Idempotency, fusion and primitivity carry over."""
+    """b = tau(a)'s report from a's passed one, for a sparse row b: the
+    verified automorphism tau maps each A_lam(a) onto A_lam(b).  Certified by
+    b w = lam w on each mapped basis vector w; these are independent and dim
+    in number, so they span each A_lam(b) exactly.  Idempotency, fusion and
+    primitivity carry over."""
     spaces = []
     for lam, space in zip(report.law.elements, report.eigenspaces):
-        ws = [tau.mul_vec(u) for u in space.basis]
-        if any(alg._mul(b, w) != tuple(lam * x for x in w) for w in ws):
+        ws = [tau._apply(u) for u in space.rows.values()]
+        if any(alg._mul(b, w) != scaled(lam, w) for w in ws):
             raise ConsistencyFailure("transported eigenvector is not an eigenvector of the image")
         spaces.append(EchelonAccumulator.of(alg.field, alg.dim, ws).subspace())
-    return replace(report, axis=b, eigenspaces=tuple(spaces))
+    return replace(report, axis=alg._dense(b), eigenspaces=tuple(spaces))
 
 
 class _Admission:
-    """Admitted axes with their reports and Miyamoto maps.  images[c, a] is
-    the index of tau_c(axis a); an image not yet admitted waits in `pending`
-    with every (c, a) pair that produced it."""
+    """Admitted axes (sparse rows) with their reports and Miyamoto maps.
+    `index` and `pending` are keyed by `row_key`.  images[c, a] is the index
+    of tau_c(axis a); an image not yet admitted waits in `pending` with every
+    (c, a) pair that produced it."""
 
     def __init__(self, alg: Algebra, law: FusionLaw, grading: Grading, maps: bool):
         self.alg, self.law, self.grading, self.maps = alg, law, grading, maps
@@ -346,11 +347,13 @@ class _Admission:
         self.index, self.images, self.pending = {}, {}, {}
 
     def offer(self, v) -> AxisReport:
-        """v's report, transported from the least (c, a) with v = tau_c(a) or
-        else a full check; a passed axis is admitted if maps are built."""
-        if v in self.index:
-            return self.reports[self.index[v]]
-        pairs = self.pending.pop(v, ())
+        """The sparse row v's report, transported from the least (c, a) with
+        v = tau_c(a) or else a full check; a passed axis is admitted if maps
+        are built."""
+        key = row_key(v)
+        if key in self.index:
+            return self.reports[self.index[key]]
+        pairs = self.pending.pop(key, ())
         if pairs:
             c, a = min(pairs)
             rep = _transport(self.alg, self.reports[a], self.mats[c], v)
@@ -360,12 +363,12 @@ class _Admission:
             if not (rep.passed and self.maps):
                 return rep
             self.mats.append(_tau_from_report(self.alg, rep, self.grading))
-        self.index[v] = k = len(self.vecs)
+        self.index[key] = k = len(self.vecs)
         self.vecs.append(v)
         self.reports.append(rep)
         self.images.update(dict.fromkeys(pairs, k))
         for c, a in [(c, k) for c in range(k)] + [(k, a) for a in range(k + 1)]:
-            img = self.mats[c].mul_vec(self.vecs[a])
+            img = row_key(self.mats[c]._apply(self.vecs[a]))
             if img in self.index:
                 self.images[c, a] = self.index[img]
             else:
@@ -421,11 +424,11 @@ def close_axes(
 
     adm = _Admission(alg, law, grading, maps=True)
     name_list: List[str] = []
-    seed_list = [alg.coerce_vector(v) for v in axes]
+    seed_list = [alg._row(v) for v in axes]
     if names is not None and len(names) != len(seed_list):
         raise ValueError("names must match the seed axes")
     for k, v in enumerate(seed_list):
-        if v not in adm.index:
+        if row_key(v) not in adm.index:
             name_list.append(names[k] if names is not None else f"x{len(name_list)}")
             rep = adm.offer(v)
             if not rep.passed:
@@ -435,7 +438,7 @@ def close_axes(
         for img in sorted(adm.pending, key=lambda v: min(adm.pending[v])):
             if len(name_list) >= limit:
                 raise ClosureCapExceeded(f"axis closure exceeded cap {limit}")
-            adm.offer(img)
+            adm.offer(dict(img))
             name_list.append(f"x{len(name_list)}")
 
     vecs, mats, n = adm.vecs, adm.mats, len(adm.vecs)
@@ -449,15 +452,15 @@ def close_axes(
     for p, m in zip(perms, mats):
         first = seen.setdefault(p, m)
         if first != m:
-            generated = generated or alg._subalgebra(vecs).basis
-            if any(first.mul_vec(u) != m.mul_vec(u) for u in generated):
+            generated = generated or list(alg._subalgebra(vecs).rows.values())
+            if any(first._apply(u) != m._apply(u) for u in generated):
                 raise ConsistencyFailure("distinct Miyamoto maps induce the same permutation")
 
     return Axet(
         algebra=alg,
         law=law,
         grading=grading,
-        axes=tuple(vecs),
+        axes=tuple(map(alg._dense, vecs)),
         names=tuple(name_list),
         reports=tuple(adm.reports),
         tau_mats=tuple(mats),

@@ -20,7 +20,7 @@ from .errors import (
 )
 from .fields import QQ, FieldSpec
 from .fusion import FusionLaw, law_J, law_M
-from .linalg import Matrix, as_vector, is_zero_vec, vadd
+from .linalg import Matrix, as_vector, combine, dense, sparse
 from .perms import (
     Perm,
     conjugate,
@@ -30,6 +30,17 @@ from .perms import (
     mul,
     perm_order,
 )
+
+
+# Largest dimension of a Matsuo algebra or highwater quotient to build; past
+# it a build raises Unsupported before any work.  About twice the largest size
+# in use (Matsuo S10, dim 45); the quotient of dim 99 builds in about 3 s.
+MAX_BUILD_DIM = 100
+
+
+def check_build_dim(dim: int, what: str):
+    if dim > MAX_BUILD_DIM:
+        raise Unsupported(f"{what} would have dimension {dim}, past the build cap {MAX_BUILD_DIM}")
 
 
 # ---------------------------------------------------------------------------
@@ -48,6 +59,7 @@ class ThreeTranspositionGroup:
         """S_n acting on n points, D = the transposition class."""
         if n < 2:
             raise InvalidGroup("need at least two points for transpositions")
+        check_build_dim(n * (n - 1) // 2, f"the Matsuo algebra of S_{n}")
         ident = list(identity_perm(n))
         ds = []
         for i in range(n):
@@ -89,16 +101,16 @@ def matsuo(group: ThreeTranspositionGroup, eta, field: FieldSpec = QQ) -> Algebr
     eta = field.coerce(eta)
     if eta == field.zero() or eta == field.one():
         raise DegenerateParameters("eta must avoid 0 and 1")
+    check_build_dim(len(group.transpositions), "the Matsuo algebra")
     group.validate()
     ds = group.transpositions
     index = {d: i for i, d in enumerate(ds)}
     n = len(ds)
     half_eta = eta / field.from_int(2)
     products: Dict[Tuple[int, int], Dict[int, object]] = {}
-    gram = [[field.zero()] * n for _ in range(n)]
+    gram = [{i: field.one()} for i in range(n)]
     for i in range(n):
         products[(i, i)] = {i: field.one()}
-        gram[i][i] = field.one()
     for i in range(n):
         for j in range(i + 1, n):
             order = perm_order(mul(ds[i], ds[j]))
@@ -109,17 +121,14 @@ def matsuo(group: ThreeTranspositionGroup, eta, field: FieldSpec = QQ) -> Algebr
             gram[i][j] = half_eta
             gram[j][i] = half_eta
     names = group.names()
-    axes = [
-        (names[i], tuple(field.one() if t == i else field.zero() for t in range(n)))
-        for i in range(n)
-    ]
+    axes = [(names[i], dense(field, {i: field.one()}, n)) for i in range(n)]
     return Algebra(
         field,
         names,
         products,
         axes=axes,
         law=law_J(field, eta),
-        form=Matrix._of(field, gram),
+        form=Matrix._of(field, n, gram),
     )
 
 
@@ -163,10 +172,9 @@ def spin_factor(gram, field: FieldSpec = QQ) -> SpinFactor:
     products: Dict[Tuple[int, int], Dict[int, object]] = {(0, 0): {0: field.one()}}
     for k in range(m):
         products[(0, k + 1)] = {k + 1: field.one()}
-        for l in range(k, m):
-            c = half * g.data[k][l]
-            if c:
-                products[(k + 1, l + 1)] = {0: c}
+        for l, b in g.rows[k].items():
+            if l >= k:
+                products[(k + 1, l + 1)] = {0: half * b}
     names = ["1"] + [f"v{k + 1}" for k in range(m)]
     alg = Algebra(field, names, products, law=law_J(field, half))
     sf = SpinFactor(field=field, gram=g, algebra=alg)
@@ -236,24 +244,23 @@ def split_spin_factor(gram, alpha, field: FieldSpec = QQ) -> SplitSpinFactor:
     for k in range(m):
         products[(0, k + 2)] = {k + 2: alpha}
         products[(1, k + 2)] = {k + 2: one - alpha}
-        for l in range(k, m):
-            b = g.data[k][l]
-            if b:
+        for l, b in g.rows[k].items():
+            if l >= k:
                 products[(k + 2, l + 2)] = {0: -b * z_coef_1, 1: -b * z_coef_2}
     names = ["z1", "z2"] + [f"e{k + 1}" for k in range(m)]
     law = law_M(field, alpha, one / two)
     alg = Algebra(field, names, products, law=law)
     ssf = SplitSpinFactor(field=field, gram=g, alpha=alpha, algebra=alg)
-    z1 = alg.basis_vector(0)
-    z2 = alg.basis_vector(1)
-    if alg._mul(z1, z1) != z1 or alg._mul(z2, z2) != z2 or not is_zero_vec(alg._mul(z1, z2)):
+    z1, z2 = {0: one}, {1: one}
+    if alg._mul(z1, z1) != z1 or alg._mul(z2, z2) != z2 or alg._mul(z1, z2):
         raise ConsistencyFailure("z1, z2 are not orthogonal idempotents")
-    axes: List[Tuple[str, Tuple]] = [("z1", z1)]
+    axes: List[Tuple[str, Tuple]] = [("z1", alg.basis_vector(0))]
     for k in range(m):
         unit = tuple(one if t == k else zero for t in range(m))
         if form_value(g, unit, unit) == one:
             a = ssf.fam_a(unit)
-            if alg._mul(a, a) != a:
+            row = sparse(a)
+            if alg._mul(row, row) != row:
                 raise ConsistencyFailure("family (a) vector is not idempotent")
             axes.append((f"a:e{k + 1}", a))
             if m == 1:
@@ -483,20 +490,17 @@ def norton_sakuma(name: str, field: FieldSpec = QQ) -> Algebra:
         idx_products[(sym_index[s], sym_index[t])] = {
             sym_index[u]: c for u, c in val.items()
         }
-    gm = [[field.zero()] * len(symbols) for _ in range(len(symbols))]
+    gm = [{} for _ in symbols]
     for (s, t), v in gram.items():
-        gm[sym_index[s]][sym_index[t]] = v
-        gm[sym_index[t]][sym_index[s]] = v
+        if v:
+            gm[sym_index[s]][sym_index[t]] = v
+            gm[sym_index[t]][sym_index[s]] = v
 
     axis_order = ["a0", "a1"] + [f"a{w}" for w in window if w not in (0, 1)]
-    axes = []
-    for s in axis_order:
-        i = sym_index[s]
-        axes.append(
-            (s, tuple(field.one() if t == i else field.zero() for t in range(len(symbols))))
-        )
+    axes = [(s, dense(field, {sym_index[s]: field.one()}, len(symbols))) for s in axis_order]
     law = law_M(field, field.parse("1/4"), field.parse("1/32"))
-    alg = Algebra(field, symbols, idx_products, axes=axes, law=law, form=Matrix._of(field, gm))
+    form = Matrix._of(field, len(symbols), gm)
+    alg = Algebra(field, symbols, idx_products, axes=axes, law=law, form=form)
     if alg.dim != NORTON_SAKUMA_DIMS[key]:
         raise ConsistencyFailure(f"{key}: unexpected dimension {alg.dim}")
     return alg
@@ -508,13 +512,13 @@ def norton_sakuma(name: str, field: FieldSpec = QQ) -> Algebra:
 
 def double_axis(m: Algebra, a, b) -> Tuple:
     """a + b for orthogonal axes; idempotent precisely because ab = 0."""
-    a = m.coerce_vector(a)
-    b = m.coerce_vector(b)
+    a, b = m._row(a), m._row(b)
     if m._mul(a, a) != a or m._mul(b, b) != b:
         raise NotAnAxis("double axis summands must be idempotent")
-    if not is_zero_vec(m._mul(a, b)):
+    if m._mul(a, b):
         raise NotOrthogonal("double axis needs ab = 0")
-    return vadd(a, b)
+    one = m.field.one()
+    return m._dense(combine(((one, a.items()), (one, b.items()))))
 
 
 @dataclass(frozen=True)
@@ -561,7 +565,7 @@ def flip_subalgebra(
     names = group.names()
     singles: List[Tuple[str, Tuple]] = []
     doubles: List[Tuple[str, Tuple]] = []
-    extras: List[Tuple[str, Tuple]] = []
+    extras: List[str] = []
     seen = set()
     for i in range(len(ds)):
         if i in seen:
@@ -578,11 +582,9 @@ def flip_subalgebra(
                 (f"d:{pair_name}", double_axis(m=ambient, a=ambient.basis_vector(i), b=ambient.basis_vector(j)))
             )
         else:
-            extras.append(
-                (f"x:{pair_name}", vadd(ambient.basis_vector(i), ambient.basis_vector(j)))
-            )
+            extras.append(f"x:{pair_name}")
 
-    gens = [v for _, v in singles] + [v for _, v in doubles]
+    gens = [sparse(v) for _, v in singles + doubles]
     if not gens:
         raise NotAFlip("flip leaves no single or double axes to generate from")
     sub = ambient._subalgebra(gens)
@@ -595,5 +597,5 @@ def flip_subalgebra(
         sigma=sigma,
         singles=tuple(nm for nm, _ in singles),
         doubles=tuple(nm for nm, _ in doubles),
-        extras=tuple(nm for nm, _ in extras),
+        extras=tuple(extras),
     )

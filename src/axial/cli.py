@@ -118,38 +118,44 @@ def _parse_law(field, text):
     raise MalformedInput(f"bad law {text!r} (want A, J:<eta> or M:<alpha>,<beta>)")
 
 
+def _matsuo_spec(parts):
+    """(group, eta literal) of a matsuo:Sn:<n>:<eta> spec split at ":", or
+    None when the parts have another shape."""
+    if len(parts) != 4 or parts[0] != "matsuo" or parts[1] != "Sn":
+        return None
+    try:
+        degree = int(parts[2])
+    except ValueError as exc:
+        raise MalformedInput(f"bad symmetric-group degree {parts[2]!r}") from exc
+    return ThreeTranspositionGroup.symmetric(degree), parts[3]
+
+
+def _read_gram(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        return load_gram(fh.read(), QQ)
+
+
 def _build_catalog(spec: str):
     parts = spec.split(":")
     kind = parts[0]
     if kind == "ns" and len(parts) == 2:
         return norton_sakuma(parts[1])
-    if kind == "matsuo" and len(parts) == 4 and parts[1] == "Sn":
-        try:
-            degree = int(parts[2])
-        except ValueError as exc:
-            raise MalformedInput(f"bad symmetric-group degree {parts[2]!r}") from exc
-        return matsuo(ThreeTranspositionGroup.symmetric(degree), QQ.parse(parts[3]))
+    matsuo_spec = _matsuo_spec(parts)
+    if matsuo_spec is not None:
+        group, eta = matsuo_spec
+        return matsuo(group, QQ.parse(eta))
     if kind == "spin" and len(parts) == 2:
-        with open(parts[1], "r", encoding="utf-8") as fh:
-            gram = load_gram(fh.read(), QQ)
-        return spin_factor(gram).algebra
+        return spin_factor(_read_gram(parts[1])).algebra
     if kind == "splitspin" and len(parts) == 3:
-        with open(parts[1], "r", encoding="utf-8") as fh:
-            gram = load_gram(fh.read(), QQ)
-        return split_spin_factor(gram, QQ.parse(parts[2])).algebra
+        return split_spin_factor(_read_gram(parts[1]), QQ.parse(parts[2])).algebra
     if kind == "flip" and len(parts) >= 3:
-        inner = ":".join(parts[1:-1])
-        cycles = parts[-1]
-        ip = inner.split(":")
-        if len(ip) != 4 or ip[0] != "matsuo" or ip[1] != "Sn":
-            raise MalformedInput(f"flip needs a matsuo:Sn spec, got {inner!r}")
-        try:
-            degree = int(ip[2])
-        except ValueError as exc:
-            raise MalformedInput(f"bad symmetric-group degree {ip[2]!r}") from exc
-        group = ThreeTranspositionGroup.symmetric(degree)
-        sigma = parse_cycles(cycles, degree)
-        return flip_subalgebra(group, QQ.parse(ip[3]), sigma).algebra
+        inner = parts[1:-1]
+        matsuo_spec = _matsuo_spec(inner)
+        if matsuo_spec is None:
+            raise MalformedInput(f"flip needs a matsuo:Sn spec, got {':'.join(inner)!r}")
+        group, eta = matsuo_spec
+        sigma = parse_cycles(parts[-1], group.degree)
+        return flip_subalgebra(group, QQ.parse(eta), sigma).algebra
     raise MalformedInput(
         f"unknown catalog spec {spec!r} (want ns:<name>, matsuo:Sn:<n>:<eta>, "
         f"spin:<gram-file>, splitspin:<gram-file>:<alpha>, "
@@ -285,7 +291,7 @@ def frobenius(file, as_json):
     if sol.canonical is not None:
         try:
             rad = compute_radical(alg, sol)
-            radical_basis = [vec_to_obj(alg.field, v) for v in rad.basis_vectors()]
+            radical_basis = [vec_to_obj(alg.field, v) for v in rad.basis]
         except Unsupported as exc:
             radical_note = str(exc)
     else:
@@ -336,7 +342,7 @@ def radical_cmd(file, as_json):
     """Compute the radical of the canonical Frobenius form (exit 3 if unsupported)."""
     alg = _read_algebra(file)
     rad = compute_radical(alg)
-    basis = [vec_to_obj(alg.field, v) for v in rad.basis_vectors()]
+    basis = [vec_to_obj(alg.field, v) for v in rad.basis]
     if as_json:
         click.echo(json.dumps({"dim": rad.dim, "basis": basis}, indent=2))
     else:
@@ -434,17 +440,20 @@ def quotient(period, out):
     out.write("\n")
 
 
+def _parse_tuple(csv):
+    try:
+        return [QQ.parse(x) for x in csv.split(",")]
+    except AxialError as exc:
+        raise MalformedInput(f"bad tuple {csv!r}: {exc}") from exc
+
+
 @hw.command("check-tuple")
 @click.argument("csv")
 @click.option("--json", "as_json", is_flag=True, help="Machine-readable report.")
 @_guard
 def check_tuple(csv, as_json):
     """Decide whether a comma-separated coefficient tuple is of ideal type."""
-    try:
-        items = [QQ.parse(x) for x in csv.split(",")]
-    except AxialError as exc:
-        raise MalformedInput(f"bad tuple {csv!r}: {exc}") from exc
-    info = ideal_type_info(items)
+    info = ideal_type_info(_parse_tuple(csv))
     if as_json:
         click.echo(json.dumps({
             "ok": info.ok,
@@ -471,10 +480,7 @@ def check_tuple(csv, as_json):
 @_guard
 def member(csv, element, window, rounds, as_json):
     """Window-bounded ideal membership: answers yes or unknown, never no."""
-    try:
-        items = [QQ.parse(x) for x in csv.split(",")]
-    except AxialError as exc:
-        raise MalformedInput(f"bad tuple {csv!r}: {exc}") from exc
+    items = _parse_tuple(csv)
     text = element.read()
     try:
         obj = json.loads(text)

@@ -4,11 +4,11 @@ eigenspace orthogonality and projection graphs."""
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .algebra import Algebra, form_value
+from .algebra import Algebra, _form
 from .axes import Axet, _projection_functional, eigen_decomposition, projection_functional
 from .errors import ConsistencyFailure, Unsupported
 from .fusion import FusionLaw
-from .linalg import EchelonAccumulator, Matrix, Subspace, kernel, solve_linear, vdot
+from .linalg import EchelonAccumulator, Matrix, Subspace, combine, dot, kernel, solve_linear, sparse
 
 
 def frobenius_solution_space(alg: Algebra) -> Subspace:
@@ -19,10 +19,7 @@ def frobenius_solution_space(alg: Algebra) -> Subspace:
     sum_m c_jl^m X[i, m] - c_ij^m X[m, l] = 0 and is built as a sparse row.
     """
     n = alg.dim
-
-    def prod(i, j):
-        return alg.products.get((i, j) if i <= j else (j, i), ())
-
+    prod = alg._product_pairs
     acc = EchelonAccumulator(alg.field, n * n)
     for i in range(n):
         for j in range(n):
@@ -31,15 +28,21 @@ def frobenius_solution_space(alg: Algebra) -> Subspace:
                 row = {i * n + m: c for m, c in prod(j, l)}
                 for m, c in left:
                     k = m * n + l
-                    t = row.get(k)
-                    row[k] = -c if t is None else t - c
+                    t = row.pop(k, None)
+                    t = -c if t is None else t - c
+                    if t:
+                        row[k] = t
                 acc.add_row(row)
     return acc.kernel()
 
 
 def _gram_from_flat(alg: Algebra, flat) -> Matrix:
+    """The Gram matrix of a sparse row over the n^2 entries, row by row."""
     n = alg.dim
-    return Matrix._of(alg.field, [flat[m * n : (m + 1) * n] for m in range(n)])
+    rows = [{} for _ in range(n)]
+    for t, x in flat.items():
+        rows[t // n][t % n] = x
+    return Matrix._of(alg.field, n, rows)
 
 
 @dataclass(frozen=True)
@@ -58,7 +61,7 @@ class FrobeniusSolution:
         return self.space.dim > 0
 
     def basis_forms(self, alg: Algebra) -> Tuple[Matrix, ...]:
-        return tuple(_gram_from_flat(alg, b) for b in self.space.basis)
+        return tuple(_gram_from_flat(alg, b) for b in self.space.rows.values())
 
 
 def solve_frobenius(alg: Algebra) -> FrobeniusSolution:
@@ -72,33 +75,27 @@ def solve_frobenius(alg: Algebra) -> FrobeniusSolution:
     d = space.dim
     if d == 0:
         return FrobeniusSolution(space=space, canonical=None, ambiguous=False, axis_norms=None)
-    grams = [_gram_from_flat(alg, b) for b in space.basis]
-    axes = alg.axis_vectors()
+    grams = [_gram_from_flat(alg, b) for b in space.rows.values()]
+    axes = [sparse(v) for v in alg.axis_vectors()]
     if not axes:
         return FrobeniusSolution(
             space=space, canonical=grams[0], ambiguous=d > 1, axis_norms=()
         )
     one = alg.field.one()
-    norm_rows = [[form_value(g, a, a) for g in grams] for a in axes]
-    coeffs = Matrix._of(alg.field, norm_rows)
+    norm_rows = [[_form(g, a, a) for g in grams] for a in axes]
+    coeffs = Matrix._of(alg.field, d, map(sparse, norm_rows))
     rhs = tuple(one for _ in axes)
     y, free = solve_linear(coeffs, rhs)
     ambiguous = False
     if y is None or free.dim > 0:
         ambiguous = True
-        first = Matrix._of(alg.field, [norm_rows[0]])
+        first = Matrix._of(alg.field, d, [sparse(norm_rows[0])])
         y, _ = solve_linear(first, (one,))
         if y is None:
             return FrobeniusSolution(space=space, canonical=None, ambiguous=True, axis_norms=None)
-    combined = [alg.field.zero()] * (alg.dim * alg.dim)
-    for coef, vec in zip(y, space.basis):
-        if not coef:
-            continue
-        for t, val in enumerate(vec):
-            if val:
-                combined[t] = combined[t] + coef * val
+    combined = combine((coef, vec.items()) for coef, vec in zip(y, space.rows.values()) if coef)
     gram = _gram_from_flat(alg, combined)
-    norms = tuple(form_value(gram, a, a) for a in axes)
+    norms = tuple(_form(gram, a, a) for a in axes)
     return FrobeniusSolution(space=space, canonical=gram, ambiguous=ambiguous, axis_norms=norms)
 
 
@@ -142,10 +139,10 @@ def eigenspace_orthogonality_violations(
     bad = []
     for i in range(law.size):
         for j in range(i + 1, law.size):
-            for u in spaces[i].basis:
-                for v in spaces[j].basis:
-                    if form_value(form, u, v):
-                        bad.append((law.elements[i], law.elements[j], u, v))
+            for u in spaces[i].rows.values():
+                for v in spaces[j].rows.values():
+                    if _form(form, u, v):
+                        bad.append((law.elements[i], law.elements[j], alg._dense(u), alg._dense(v)))
     return bad
 
 
@@ -165,12 +162,11 @@ class ProjectionGraph:
 
 def projection_graph(alg: Algebra, axet: Axet) -> ProjectionGraph:
     """Directed graph on axes with an edge a -> b when phi_a(b) is nonzero."""
-    functionals = [_projection_functional(alg, v, axet.law) for v in axet.axes]
+    axes = [sparse(v) for v in axet.axes]
+    functionals = [_projection_functional(alg, v, axet.law) for v in axes]
     edges = []
     for ia, w in enumerate(functionals):
-        for ib, v in enumerate(axet.axes):
-            if ia == ib:
-                continue
-            if vdot(w, v):
+        for ib, v in enumerate(axes):
+            if ia != ib and dot(alg.field, w, v):
                 edges.append((ia, ib))
     return ProjectionGraph(vertices=tuple(range(axet.size)), edges=tuple(edges))

@@ -13,10 +13,12 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import Algebra
+from .catalog import check_build_dim
 from .errors import ConsistencyFailure, DegenerateParameters, InvalidField, Unsupported
 from .fields import QQ, FieldSpec, rational
 from .fusion import law_M
-from .linalg import EchelonAccumulator, Matrix
+from .linalg import EchelonAccumulator, Matrix, combine, dense, residue
+from .serialize import index_from_key
 
 MAX_WINDOW = 48  # rows of 4w + 1 entries; about 5 s at w = 48 (Fraction backend, 2-CPU VM)
 
@@ -99,8 +101,8 @@ class HighwaterElement:
 
     @classmethod
     def from_json(cls, field: FieldSpec, obj: dict) -> "HighwaterElement":
-        a = {int(k): field.parse(v) for k, v in (obj.get("a") or {}).items()}
-        s = {int(k): field.parse(v) for k, v in (obj.get("s") or {}).items()}
+        a = {index_from_key(k): field.parse(v) for k, v in (obj.get("a") or {}).items()}
+        s = {index_from_key(k): field.parse(v) for k, v in (obj.get("s") or {}).items()}
         return cls(field, a, s)
 
 
@@ -233,20 +235,18 @@ def hw_periodic_quotient(D: int, field: FieldSpec = QQ) -> Algebra:
     _require_odd_char(field, "the quotient")
     ns = D // 2
     n = D + ns
+    check_build_dim(n, f"the period-{D} quotient")
     basis = [f"a{i}" for i in range(D)] + [f"s{j}" for j in range(1, ns + 1)]
-    zero = field.zero()
+    one = field.one()
 
-    def reduce_elem(x: HighwaterElement):
-        vec = [zero] * n
-        for i, c in x.a.items():
-            vec[i % D] = vec[i % D] + c
+    def reduce_elem(x: HighwaterElement) -> dict:
+        """The sparse row of x's image in the quotient."""
+        terms = [(i % D, c) for i, c in x.a.items()]
         for j, c in x.s.items():
-            r = j % D
-            r = min(r, D - r)
+            r = min(j % D, D - j % D)
             if r:
-                k = D + r - 1
-                vec[k] = vec[k] + c
-        return tuple(vec)
+                terms.append((D + r - 1, c))
+        return combine([(one, terms)])
 
     def lifts(k: int) -> List[HighwaterElement]:
         if k < D:
@@ -260,28 +260,17 @@ def hw_periodic_quotient(D: int, field: FieldSpec = QQ) -> Algebra:
     products = {}
     for p in range(n):
         for q in range(p, n):
-            seen = None
-            for xl in lifts(p):
-                for yl in lifts(q):
-                    got = reduce_elem(hw_mul(xl, yl))
-                    if seen is None:
-                        seen = got
-                    elif got != seen:
-                        raise ConsistencyFailure(
-                            f"period-{D} quotient: product of basis {p},{q} "
-                            f"differs between lifts"
-                        )
-            products[(p, q)] = seen
+            images = [reduce_elem(hw_mul(xl, yl)) for xl in lifts(p) for yl in lifts(q)]
+            if any(img != images[0] for img in images):
+                raise ConsistencyFailure(
+                    f"period-{D} quotient: product of basis {p},{q} differs between lifts"
+                )
+            products[(p, q)] = images[0]
 
-    axes = []
-    for i in range(D):
-        v = [zero] * n
-        v[i] = field.one()
-        axes.append((f"a{i}", tuple(v)))
+    axes = [(f"a{i}", dense(field, {i: one}, n)) for i in range(D)]
     # Frobenius form induced by the baric weight: (x, y) = w(x) w(y)
-    one = field.one()
-    wt = [one] * D + [zero] * ns
-    gram = Matrix._of(field, [[wt[i] * wt[j] for j in range(n)] for i in range(n)])
+    weight = dict.fromkeys(range(D), one)
+    gram = Matrix._of(field, n, [weight] * D + [{}] * ns)
     try:
         law = law_M(field, field.from_int(2), field.parse("1/2"))
     except DegenerateParameters:
@@ -296,17 +285,14 @@ def hw_quotient_weights(alg: Algebra) -> Tuple:
     return tuple(one if name.startswith("a") else zero for name in alg.basis)
 
 
-def _window_coords(x: HighwaterElement, window: int, m: int):
-    vec = [x.field.zero()] * m
-    for i, c in x.a.items():
-        if abs(i) > window:
-            return None
-        vec[i + window] = c
-    for j, c in x.s.items():
-        if j > 2 * window:
-            return None
-        vec[2 * window + j] = c
-    return tuple(vec)
+def _window_coords(x: HighwaterElement, window: int):
+    """x as a sparse row on a_{-w}..a_w then s_1..s_{2w}, or None when its
+    support leaves the window."""
+    if any(abs(i) > window for i in x.a) or any(j > 2 * window for j in x.s):
+        return None
+    row = {i + window: c for i, c in x.a.items()}
+    row.update((2 * window + j, c) for j, c in x.s.items())
+    return row
 
 
 def hw_ideal_window_contains(
@@ -337,17 +323,17 @@ def hw_ideal_window_contains(
     if w > MAX_WINDOW:
         raise Unsupported(f"window {w} exceeds cap {MAX_WINDOW}")
     m = 2 * w + 1 + 2 * w  # a_{-w}..a_w then s_1..s_{2w}
-    target = _window_coords(v, w, m)
+    target = _window_coords(v, w)
     acc = EchelonAccumulator(field, m)
     frontier: List[HighwaterElement] = []
 
     def offer(x: HighwaterElement):
-        vec = _window_coords(x, w, m)
-        if vec is not None and acc.add_row(vec) is not None:
+        row = _window_coords(x, w)
+        if row is not None and acc.add_row(row) is not None:
             frontier.append(x)
 
     def reached() -> bool:
-        return target is not None and acc.subspace().contains(target)
+        return target is not None and not residue(target, acc.rows)
 
     gen = HighwaterElement(field, {i: vals[i] for i in range(D + 1)})
     for shift in range(-w, w + 1):

@@ -1,32 +1,37 @@
 """Exact linear algebra on one sparse elimination core: RREF, kernels,
 determinants, inverses, linear solves and canonical subspaces.
 
+Inside the package a vector is a sparse row: a dict {index: value} that never
+stores a zero, so dict equality is vector equality and a row costs only its
+non-zeros.  `Matrix` and `Subspace` keep their rows in this format.  Public
+functions and views (`Matrix.data`, `mul_vec`, `Subspace.basis`, `reduce`,
+`contains`, `coords`, `solve_linear`, ...) take and return dense tuples,
+converted once where a vector enters or leaves (`sparse`, `dense`).
+
 Every routine feeds its rows to `EchelonAccumulator`, which keeps a fully
-reduced row-echelon basis of sparse rows ({column: nonzero}, pivot
-normalised to 1) and reduces each new row in one pass over the pivot columns
-it touches.  Zero entries are never visited.  The reduced row-echelon form of
-a row space is unique, so every result is deterministic and independent of
-row order.  Subspaces store that form as dense tuples with zero rows
-stripped; two equal subspaces therefore have identical stored bases, and
-equality is plain tuple comparison.
+reduced row-echelon basis (pivot entries 1) and reduces each new row in one
+pass over the pivot columns it touches.  That form of a row space is unique,
+so results do not depend on row order and equal subspaces store equal rows.
 """
 
-from typing import Iterable, Optional, Sequence
+from typing import Optional
 
 from .errors import DimensionError, InvalidField
 from .fields import FieldSpec
 
 
-def vadd(u, v):
+def _zip(u, v):
     if len(u) != len(v):
         raise DimensionError(f"vector lengths {len(u)} vs {len(v)}")
-    return tuple(a + b for a, b in zip(u, v))
+    return zip(u, v)
+
+
+def vadd(u, v):
+    return tuple(a + b for a, b in _zip(u, v))
 
 
 def vsub(u, v):
-    if len(u) != len(v):
-        raise DimensionError(f"vector lengths {len(u)} vs {len(v)}")
-    return tuple(a - b for a, b in zip(u, v))
+    return tuple(a - b for a, b in _zip(u, v))
 
 
 def vscale(c, u):
@@ -34,18 +39,12 @@ def vscale(c, u):
 
 
 def vdot(u, v):
-    if len(u) != len(v):
-        raise DimensionError(f"vector lengths {len(u)} vs {len(v)}")
-    total = None
-    for a, b in zip(u, v):
-        ab = a * b
-        total = ab if total is None else total + ab
-    return total
+    terms = [a * b for a, b in _zip(u, v)]
+    return sum(terms[1:], terms[0]) if terms else None
 
 
 def vzero(field: FieldSpec, n: int):
-    z = field.zero()
-    return (z,) * n
+    return (field.zero(),) * n
 
 
 def is_zero_vec(u) -> bool:
@@ -60,94 +59,130 @@ def as_vector(field: FieldSpec, v, n: int):
     return v
 
 
+def sparse(v) -> dict:
+    """The sparse row of a dense vector."""
+    return {c: x for c, x in enumerate(v) if x}
+
+
+def dense(field: FieldSpec, row, n: int):
+    """The dense tuple of a sparse row of length n."""
+    zero = field.zero()
+    return tuple(row.get(c, zero) for c in range(n))
+
+
+def row_key(row):
+    """A sparse row as its sorted (index, value) pairs: hashable, and the
+    format `Algebra.products` stores."""
+    return tuple(sorted(row.items()))
+
+
+def combine(terms) -> dict:
+    """The sparse row sum(f * row) over (f, row) terms, each row an iterable
+    of (index, value) pairs; entries that cancel are dropped."""
+    acc = {}
+    for f, row in terms:
+        for c, x in row:
+            t = acc.get(c)
+            acc[c] = f * x if t is None else t + f * x
+    return {c: x for c, x in acc.items() if x}
+
+
+def scaled(f, row) -> dict:
+    return {c: f * x for c, x in row.items()} if f else {}
+
+
+def dot(field: FieldSpec, u, v):
+    """Sum of u[c] v[c] over the indices both sparse rows hold."""
+    return sum((x * v[c] for c, x in u.items() if c in v), field.zero())
+
+
 class Matrix:
-    """Immutable rectangular matrix over one exact field, row-major."""
+    """Immutable rectangular matrix over one exact field, held as sparse rows;
+    `data` is the dense view.  A matrix without rows has no columns either."""
 
-    __slots__ = ("field", "data", "nrows", "ncols")
+    __slots__ = ("field", "rows", "nrows", "ncols")
 
-    def __init__(self, field: FieldSpec, rows: Iterable[Iterable]):
-        data = tuple(tuple(field.coerce(x) for x in row) for row in rows)
-        if any(len(row) != len(data[0]) for row in data):
+    def __init__(self, field: FieldSpec, rows):
+        data = [tuple(field.coerce(x) for x in row) for row in rows]
+        ncols = len(data[0]) if data else 0
+        if any(len(row) != ncols for row in data):
             raise DimensionError("ragged rows")
-        self.field, self.data = field, data
-        self.nrows, self.ncols = len(data), len(data[0]) if data else 0
+        self.field, self.rows = field, tuple(map(sparse, data))
+        self.nrows, self.ncols = len(data), ncols
 
     @classmethod
-    def _of(cls, field: FieldSpec, rows) -> "Matrix":
-        """A matrix of rows the package built from scalars of `field`: no entry check."""
+    def _of(cls, field: FieldSpec, ncols: int, rows) -> "Matrix":
+        """A matrix of sparse rows the package built from scalars of `field`: no entry check."""
         m = cls.__new__(cls)
-        m.field, m.data = field, tuple(map(tuple, rows))
-        m.nrows, m.ncols = len(m.data), len(m.data[0]) if m.data else 0
+        m.field, m.rows = field, tuple(rows)
+        m.nrows, m.ncols = len(m.rows), ncols if m.rows else 0
         return m
 
     @classmethod
     def identity(cls, field: FieldSpec, n: int) -> "Matrix":
-        one, zero = field.one(), field.zero()
-        return cls._of(field, [[one if i == j else zero for j in range(n)] for i in range(n)])
+        one = field.one()
+        return cls._of(field, n, [{i: one} for i in range(n)])
 
     @classmethod
-    def from_columns(cls, field: FieldSpec, cols: Sequence[Sequence]) -> "Matrix":
+    def from_columns(cls, field: FieldSpec, cols) -> "Matrix":
         return cls(field, cols).transpose()
 
-    def column(self, j: int):
-        return tuple(row[j] for row in self.data)
+    @property
+    def data(self):
+        return tuple(dense(self.field, row, self.ncols) for row in self.rows)
 
     def mul_vec(self, v):
-        """self v, visiting only the non-zero entries of v and of each row."""
-        if len(v) != self.ncols:
-            raise DimensionError(f"matrix is {self.nrows}x{self.ncols}, vector has {len(v)}")
-        nz = [(j, x) for j, x in enumerate(v) if x]
-        zero = self.field.zero()
-        out = []
-        for row in self.data:
-            total = zero
-            for j, x in nz:
-                a = row[j]
-                if a:
-                    total = total + a * x
-            out.append(total)
-        return tuple(out)
+        """self v for a dense vector v, as a dense tuple."""
+        v = sparse(as_vector(self.field, v, self.ncols))
+        return dense(self.field, self._apply(v), self.nrows)
+
+    def _apply(self, v) -> dict:
+        """self v for a sparse row v, as a sparse row."""
+        out = {}
+        for i, row in enumerate(self.rows):
+            t = None
+            for j, x in v.items():
+                a = row.get(j)
+                if a is not None:
+                    t = a * x if t is None else t + a * x
+            if t:
+                out[i] = t
+        return out
 
     def matmul(self, other: "Matrix") -> "Matrix":
-        """Row by row: each non-zero self[i][l] adds its multiple of the
-        non-zero part of other's row l."""
+        """Row i of the product is the combination of other's rows that row i of self gives."""
         if self.field != other.field:
             raise InvalidField("mixed fields in matmul")
         if self.ncols != other.nrows:
             raise DimensionError(f"{self.nrows}x{self.ncols} @ {other.nrows}x{other.ncols}")
-        sparse = [[(j, x) for j, x in enumerate(row) if x] for row in other.data]
-        zero = self.field.zero()
-        out = []
-        for row in self.data:
-            acc = [zero] * other.ncols
-            for l, a in enumerate(row):
-                if a:
-                    for j, x in sparse[l]:
-                        acc[j] = acc[j] + a * x
-            out.append(acc)
-        return Matrix._of(self.field, out)
+        rows = other.rows
+        out = [combine((a, rows[l].items()) for l, a in row.items()) for row in self.rows]
+        return Matrix._of(self.field, other.ncols, out)
 
     def transpose(self) -> "Matrix":
-        return Matrix._of(self.field, zip(*self.data))
+        cols = [{} for _ in range(self.ncols)]
+        for i, row in enumerate(self.rows):
+            for j, x in row.items():
+                cols[j][i] = x
+        return Matrix._of(self.field, self.nrows, cols)
 
     def minus_scalar_diag(self, lam) -> "Matrix":
         """self - lam*I (square only) for a scalar lam of the matrix's field."""
         if self.nrows != self.ncols:
             raise DimensionError("not square")
-        rows = [list(row) for row in self.data]
-        for i in range(self.nrows):
-            rows[i][i] = rows[i][i] - lam
-        return Matrix._of(self.field, rows)
+        rows = [dict(row) for row in self.rows]
+        for i, row in enumerate(rows):
+            t = row.pop(i, 0) - lam
+            if t:
+                row[i] = t
+        return Matrix._of(self.field, self.ncols, rows)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Matrix)
-            and self.field == other.field
-            and self.data == other.data
-        )
+        return isinstance(other, Matrix) and (self.field, self.ncols, self.rows) == (
+            other.field, other.ncols, other.rows)
 
     def __hash__(self):
-        return hash((self.field, self.data))
+        return hash((self.field, self.ncols, tuple(map(row_key, self.rows))))
 
     def __repr__(self):
         return f"Matrix({self.nrows}x{self.ncols} over {self.field.kind})"
@@ -156,14 +191,16 @@ class Matrix:
 def _eliminate(v, rows):
     """Reduce the sparse row v in place against a fully reduced basis.
 
-    `rows` maps each pivot column to that row's tail: its entries off the
-    pivot, whose own entry is 1.  Tails are zero on every pivot column, so
-    one pass over the pivot columns v touches clears them all.
+    `rows` maps each pivot column to its row, whose pivot entry is 1.  Every
+    row is zero on the other pivot columns, so one pass over the pivot
+    columns v touches clears them all.
     """
     hits = [c for c in v if c in rows] if len(v) <= len(rows) else [p for p in rows if p in v]
     for p in hits:
         f = -v.pop(p)
         for c, x in rows[p].items():
+            if c == p:
+                continue
             t = v.get(c)
             if t is None:
                 v[c] = f * x
@@ -175,21 +212,25 @@ def _eliminate(v, rows):
                     del v[c]
 
 
+def residue(row, rows) -> dict:
+    """A sparse row reduced against `rows` (see `_eliminate`): empty iff it lies in their span."""
+    v = dict(row)
+    _eliminate(v, rows)
+    return v
+
+
 class EchelonAccumulator:
     """Fully reduced row-echelon basis of sparse rows, grown one row at a time.
 
-    `rows` maps each pivot column to its row's tail (see `_eliminate`);
-    `order` lists the pivots in the order their rows arrived.  After any
-    sequence of rows the basis is the reduced row-echelon form of their span.
+    `rows` maps each pivot column to its row (see `_eliminate`); `order`
+    lists the pivots in the order their rows arrived.  After any sequence of
+    rows the basis is the reduced row-echelon form of their span.
     """
 
     __slots__ = ("field", "ncols", "rows", "order")
 
-    def __init__(self, field: FieldSpec, ncols: int, rows=None):
-        self.field = field
-        self.ncols = ncols
-        self.rows = {} if rows is None else rows
-        self.order = list(self.rows)
+    def __init__(self, field: FieldSpec, ncols: int):
+        self.field, self.ncols, self.rows, self.order = field, ncols, {}, []
 
     @classmethod
     def of(cls, field: FieldSpec, ncols: int, rows) -> "EchelonAccumulator":
@@ -199,27 +240,24 @@ class EchelonAccumulator:
         return acc
 
     def add_row(self, row):
-        """Reduce a row (a sequence, or a {column: value} mapping) into the basis.
+        """Reduce a sparse row into the basis; the row itself is not changed.
 
         Returns its pivot value before normalisation, or None when the row
         depends on the basis.
         """
-        items = row.items() if isinstance(row, dict) else enumerate(row)
-        v = {c: x for c, x in items if x}
         rows = self.rows
-        _eliminate(v, rows)
+        v = residue(row, rows)
         if not v:
             return None
         lead = min(v)
-        pv = v.pop(lead)
+        pv = v[lead]
         one = self.field.one()
         if pv != one:
-            inv = one / pv
-            v = {c: inv * x for c, x in v.items()}
+            v = scaled(one / pv, v)
         single = {lead: v}
-        for tail in rows.values():
-            if lead in tail:
-                _eliminate(tail, single)
+        for other in rows.values():
+            if lead in other:
+                _eliminate(other, single)
         rows[lead] = v
         self.order.append(lead)
         return pv
@@ -228,62 +266,44 @@ class EchelonAccumulator:
     def rank(self) -> int:
         return len(self.rows)
 
-    @property
-    def pivots(self):
-        return sorted(self.rows)
-
-    def row(self, p: int, start: int = 0):
-        """The basis row with pivot p as a dense tuple over columns start.."""
-        out = [self.field.zero()] * (self.ncols - start)
-        if p >= start:
-            out[p - start] = self.field.one()
-        for c, x in self.rows[p].items():
-            out[c - start] = x
-        return tuple(out)
-
     def subspace(self, start: int = 0) -> "Subspace":
         """Span of the basis rows with pivot at or after `start`, on columns start.."""
-        pivots = tuple(p for p in self.pivots if p >= start)
-        basis = tuple(self.row(p, start) for p in pivots)
-        return Subspace(self.field, self.ncols - start, basis, tuple(p - start for p in pivots))
+        rows = self.rows
+        shifted = {p - start: {c - start: x for c, x in rows[p].items()}
+                   for p in sorted(rows) if p >= start}
+        return Subspace(self.field, self.ncols - start, shifted)
 
     def kernel(self, width: Optional[int] = None) -> "Subspace":
         """Null space of the first `width` columns (all of them by default)."""
         width = self.ncols if width is None else width
         neg = {}
-        for p, tail in self.rows.items():
-            for c, x in tail.items():
-                if c < width:
+        for p, row in self.rows.items():
+            for c, x in row.items():
+                if c != p and c < width:
                     neg.setdefault(c, {})[p] = -x
-        ker = EchelonAccumulator(self.field, width)
         one = self.field.one()
-        for f in range(width):
-            if f not in self.rows:
-                v = neg.get(f, {})
-                v[f] = one
-                ker.add_row(v)
-        return ker.subspace()
+        free = ({f: one, **neg.get(f, {})} for f in range(width) if f not in self.rows)
+        return EchelonAccumulator.of(self.field, width, free).subspace()
 
 
 def close_span(field: FieldSpec, ambient: int, seeds, images) -> "Subspace":
-    """Smallest subspace containing `seeds` and closed under `images`.
+    """Smallest subspace containing the sparse rows `seeds` and closed under `images`.
 
-    `images(v, accepted)` gives the vectors the span must hold once it holds
-    v; `accepted` lists the vectors accepted so far, v last.  Semi-naive:
-    each accepted vector is expanded once, in acceptance order, so pairing v
-    with `accepted` forms every product of two accepted vectors exactly once.
-    A vector is queued as its echelon row at the moment it is accepted, not
-    as the raw image: that row is zero on every earlier pivot, hence sparser,
-    and the queued rows form a basis of the span, which is all that closure
-    under (bi)linear images needs.
+    `images(v, accepted)` gives the rows the span must hold once it holds v;
+    `accepted` lists the rows accepted so far, v last.  Semi-naive: each
+    accepted row is expanded once, in acceptance order, so pairing v with
+    `accepted` forms every product of two accepted rows exactly once.  A row
+    is queued as its echelon row at the moment it is accepted: that row is
+    zero on every earlier pivot, and the queued rows form a basis of the span,
+    which is all that closure under (bi)linear images needs.
     """
     acc = EchelonAccumulator(field, ambient)
     accepted = []
 
-    def offer(vectors):
-        for v in vectors:
+    def offer(rows):
+        for v in rows:
             if acc.add_row(v) is not None:
-                accepted.append(acc.row(acc.order[-1]))
+                accepted.append(dict(acc.rows[acc.order[-1]]))
 
     offer(seeds)
     done = 0
@@ -294,20 +314,18 @@ def close_span(field: FieldSpec, ambient: int, seeds, images) -> "Subspace":
 
 
 def rref(m: Matrix) -> Matrix:
-    acc = EchelonAccumulator.of(m.field, m.ncols, m.data)
-    rows = [acc.row(p) for p in acc.pivots]
-    rows += [(m.field.zero(),) * m.ncols] * (m.nrows - len(rows))
-    return Matrix._of(m.field, rows)
+    acc = EchelonAccumulator.of(m.field, m.ncols, m.rows)
+    rows = [acc.rows[p] for p in sorted(acc.rows)] + [{} for _ in range(m.nrows - acc.rank)]
+    return Matrix._of(m.field, m.ncols, rows)
 
 
 def det(m: Matrix):
-    """Product of the pivots as the rows arrive, signed by the row -> pivot
-    permutation."""
+    """Product of the pivots as the rows arrive, signed by the row -> pivot permutation."""
     if m.nrows != m.ncols:
         raise DimensionError("determinant of a non-square matrix")
     acc = EchelonAccumulator(m.field, m.ncols)
     result = m.field.one()
-    for row in m.data:
+    for row in m.rows:
         pv = acc.add_row(row)
         if pv is None:
             return m.field.zero()
@@ -318,106 +336,92 @@ def det(m: Matrix):
 
 
 class Subspace:
-    """Subspace of F^n held as a canonical RREF basis (zero rows stripped)."""
+    """Subspace of F^n held as its reduced row-echelon basis: `rows` maps each
+    pivot, in increasing order, to its sparse row.  `basis` is the dense
+    view, built on demand."""
 
-    __slots__ = ("field", "ambient", "basis", "pivots", "_rows")
+    __slots__ = ("field", "ambient", "rows")
 
-    def __init__(self, field: FieldSpec, ambient: int, basis, pivots):
-        self.field = field
-        self.ambient = ambient
-        self.basis = basis
-        self.pivots = pivots
-        self._rows = None
+    def __init__(self, field: FieldSpec, ambient: int, rows):
+        self.field, self.ambient, self.rows = field, ambient, rows
 
     @classmethod
     def from_vectors(cls, field: FieldSpec, ambient: int, vectors) -> "Subspace":
-        rows = [as_vector(field, v, ambient) for v in vectors]
+        rows = [sparse(as_vector(field, v, ambient)) for v in vectors]
         return EchelonAccumulator.of(field, ambient, rows).subspace()
 
     @classmethod
     def zero(cls, field: FieldSpec, ambient: int) -> "Subspace":
-        return cls(field, ambient, (), ())
+        return cls(field, ambient, {})
 
     @classmethod
     def full(cls, field: FieldSpec, ambient: int) -> "Subspace":
-        eye = Matrix.identity(field, ambient)
-        return cls(field, ambient, eye.data, tuple(range(ambient)))
+        one = field.one()
+        return cls(field, ambient, {i: {i: one} for i in range(ambient)})
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.rows)
+
+    @property
+    def pivots(self):
+        return tuple(self.rows)
+
+    @property
+    def basis(self):
+        return tuple(dense(self.field, row, self.ambient) for row in self.rows.values())
 
     def _check_ambient(self, other: "Subspace"):
         if self.ambient != other.ambient or self.field != other.field:
             raise DimensionError("subspaces live in different ambient spaces")
 
-    def _tails(self):
-        """Sparse tails of the basis rows by pivot (see `_eliminate`), built once."""
-        if self._rows is None:
-            self._rows = {
-                p: {c: x for c, x in enumerate(row) if x and c != p}
-                for p, row in zip(self.pivots, self.basis)
-            }
-        return self._rows
-
-    def _residue(self, v):
-        v = tuple(v)
-        if len(v) != self.ambient:
-            raise DimensionError(f"vector length {len(v)} in ambient {self.ambient}")
-        w = {c: x for c, x in enumerate(v) if x}
-        _eliminate(w, self._tails())
-        return w
+    def _row(self, v) -> dict:
+        return sparse(as_vector(self.field, v, self.ambient))
 
     def reduce(self, v):
         """Residue of v after subtracting its projection onto the basis rows."""
-        w = self._residue(v)
-        zero = self.field.zero()
-        return tuple(w.get(c, zero) for c in range(self.ambient))
+        return dense(self.field, residue(self._row(v), self.rows), self.ambient)
 
     def contains(self, v) -> bool:
-        return not self._residue(v)
+        return not residue(self._row(v), self.rows)
 
     def coords(self, v):
         """Coefficients of v on the stored basis, or None if v is outside."""
-        if not self.contains(v):
+        got = self._coords(self._row(v))
+        return None if got is None else dense(self.field, got, self.dim)
+
+    def _coords(self, row):
+        """Sparse coefficients of a sparse row on the basis, or None if it is outside."""
+        if residue(row, self.rows):
             return None
-        return tuple(v[p] for p in self.pivots)
+        return {t: row[p] for t, p in enumerate(self.rows) if p in row}
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)
-        rows = {p: dict(tail) for p, tail in self._tails().items()}
-        acc = EchelonAccumulator(self.field, self.ambient, rows)
-        for b in other.basis:
-            acc.add_row(b)
-        return acc.subspace()
+        rows = [*self.rows.values(), *other.rows.values()]
+        return EchelonAccumulator.of(self.field, self.ambient, rows).subspace()
 
     def intersect(self, other: "Subspace") -> "Subspace":
         """Zassenhaus: echelon [[u|u],[v|0]]; rows pivoting in the right half span the meet."""
         self._check_ambient(other)
-        acc = EchelonAccumulator(self.field, 2 * self.ambient)
-        for b in self.basis:
-            acc.add_row(b + b)
-        for b in other.basis:
-            acc.add_row(b)
-        return acc.subspace(self.ambient)
+        n = self.ambient
+        acc = EchelonAccumulator(self.field, 2 * n)
+        for u in self.rows.values():
+            acc.add_row({**u, **{c + n: x for c, x in u.items()}})
+        for v in other.rows.values():
+            acc.add_row(v)
+        return acc.subspace(n)
 
     def is_subspace_of(self, other: "Subspace") -> bool:
         self._check_ambient(other)
-        return all(other.contains(b) for b in self.basis)
-
-    def basis_vectors(self):
-        return self.basis
+        return not any(residue(row, other.rows) for row in self.rows.values())
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Subspace)
-            and self.field == other.field
-            and self.ambient == other.ambient
-            and self.basis == other.basis
-        )
+        return isinstance(other, Subspace) and (self.field, self.ambient, self.rows) == (
+            other.field, other.ambient, other.rows)
 
     def __hash__(self):
-        return hash((self.field, self.ambient, self.basis))
+        return hash((self.field, self.ambient, tuple(map(row_key, self.rows.values()))))
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of F^{self.ambient})"
@@ -425,7 +429,7 @@ class Subspace:
 
 def kernel(m: Matrix) -> Subspace:
     """Exact null space {v : m v = 0}."""
-    return EchelonAccumulator.of(m.field, m.ncols, m.data).kernel()
+    return EchelonAccumulator.of(m.field, m.ncols, m.rows).kernel()
 
 
 def solve_linear(m: Matrix, b):
@@ -433,16 +437,12 @@ def solve_linear(m: Matrix, b):
     echelon of the augmented rows [m | b]."""
     b = as_vector(m.field, b, m.nrows)
     n = m.ncols
-    aug = (row + (x,) for row, x in zip(m.data, b))
+    aug = ({**row, n: x} if x else row for row, x in zip(m.rows, b))
     acc = EchelonAccumulator.of(m.field, n + 1, aug)
     ker = acc.kernel(n)
     if n in acc.rows:
         return None, ker
-    zero = m.field.zero()
-    x = [zero] * n
-    for p, tail in acc.rows.items():
-        x[p] = tail.get(n, zero)
-    return tuple(x), ker
+    return dense(m.field, {p: row[n] for p, row in acc.rows.items() if n in row}, n), ker
 
 
 def invert(m: Matrix) -> Matrix:
@@ -452,10 +452,9 @@ def invert(m: Matrix) -> Matrix:
     n = m.nrows
     one = m.field.one()
     acc = EchelonAccumulator(m.field, 2 * n)
-    for i, row in enumerate(m.data):
-        v = {c: x for c, x in enumerate(row) if x}
-        v[n + i] = one
-        acc.add_row(v)
+    for i, row in enumerate(m.rows):
+        acc.add_row({**row, n + i: one})
     if any(p not in acc.rows for p in range(n)):
         raise DimensionError("matrix is singular")
-    return Matrix._of(m.field, [acc.row(p, n) for p in range(n)])
+    rows = acc.rows
+    return Matrix._of(m.field, n, [{c - n: x for c, x in rows[p].items() if c >= n} for p in range(n)])

@@ -14,8 +14,9 @@ invocations:
 A pair absent from "products" multiplies to zero; entries for one pair, in
 either index order, must agree.  The optional "form" holds the rows of the
 attached Frobenius form's n x n Gram matrix, in the same row format as a
-gram-matrix file.  All scalars are strings in exact notation; nothing here
-ever goes through floating point.
+gram-matrix file.  Vector keys are indices written as `str(k)` writes them.
+All scalars are strings in exact notation; nothing here ever goes through
+floating point.
 """
 
 import json
@@ -24,11 +25,22 @@ from .algebra import Algebra
 from .errors import InvalidField, MalformedInput
 from .fields import FieldSpec
 from .fusion import law_from_obj, law_to_obj
-from .linalg import Matrix
+from .linalg import Matrix, sparse
 
 
 def vec_to_obj(field: FieldSpec, v) -> dict:
     return {str(k): field.fmt(c) for k, c in enumerate(v) if c != field.zero()}
+
+
+def index_from_key(key: str) -> int:
+    """An object key as the index it names, only in the form the dumper writes,
+    str(k): no sign "+", blanks, underscores, leading zeros or non-ASCII digits."""
+    try:
+        if str(int(key)) == key:
+            return int(key)
+    except ValueError:
+        pass
+    raise MalformedInput(f"index key {key!r} is not a decimal integer")
 
 
 def vec_from_obj(field: FieldSpec, obj, dim: int):
@@ -36,7 +48,7 @@ def vec_from_obj(field: FieldSpec, obj, dim: int):
         raise MalformedInput(f"vector must be an object of index: scalar, not {obj!r}")
     vec = [field.zero()] * dim
     for k, lit in obj.items():
-        k = int(k)
+        k = index_from_key(k)
         if not 0 <= k < dim:
             raise MalformedInput(f"coordinate index {k} out of range for dim {dim}")
         vec[k] = field.parse(lit)
@@ -90,7 +102,7 @@ def algebra_from_obj(obj) -> Algebra:
             rows = _scalar_rows(obj["form"], field)
             if len(rows) != dim or any(len(row) != dim for row in rows):
                 raise MalformedInput(f"form must be a {dim} x {dim} array of rows")
-            form = Matrix._of(field, rows)
+            form = Matrix._of(field, dim, map(sparse, rows))
     except MalformedInput:
         raise
     except (KeyError, TypeError, ValueError, OverflowError, InvalidField) as exc:

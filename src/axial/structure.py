@@ -8,13 +8,14 @@ from .algebra import Algebra
 from .axes import Axet, _eigen_decomposition
 from .errors import Unsupported
 from .fusion import FusionLaw, is_seress
-from .linalg import EchelonAccumulator, Subspace, close_span, is_zero_vec, vdot
+from .linalg import EchelonAccumulator, Subspace, close_span, dot, sparse
 
 
-def _axis_list(alg: Algebra, axes: Union[Axet, Iterable]) -> Tuple[Tuple, ...]:
+def _axis_list(alg: Algebra, axes: Union[Axet, Iterable]) -> Tuple[dict, ...]:
+    """The axes as sparse rows; a caller's vectors are checked."""
     if isinstance(axes, Axet):
-        return axes.axes
-    return tuple(alg.coerce_vector(v) for v in axes)
+        return tuple(map(sparse, axes.axes))
+    return tuple(map(alg._row, axes))
 
 
 @dataclass(frozen=True)
@@ -28,16 +29,13 @@ def seress_lemma_check(alg: Algebra, a, law: Optional[FusionLaw] = None) -> Sere
     law = law if law is not None else alg.law
     if law is None or not is_seress(law):
         raise Unsupported("Seress lemma needs a Seress fusion law")
-    a = alg.coerce_vector(a)
+    a = alg._row(a)
     spaces = _eigen_decomposition(alg, a, law)[1]
-    one_zero = spaces[law.one_index].basis + spaces[law.zero_index].basis
+    one_zero = [*spaces[law.one_index].rows.values(), *spaces[law.zero_index].rows.values()]
     for y in one_zero:
-        for i in range(alg.dim):
-            x = alg.basis_vector(i)
-            lhs = alg._mul(a, alg._mul(x, y))
-            rhs = alg._mul(alg._mul(a, x), y)
-            if lhs != rhs:
-                return SeressCheck(ok=False, witness=(x, y))
+        for x in alg._basis_rows():
+            if alg._mul(a, alg._mul(x, y)) != alg._mul(alg._mul(a, x), y):
+                return SeressCheck(ok=False, witness=(alg._dense(x), alg._dense(y)))
     return SeressCheck(ok=True)
 
 
@@ -73,8 +71,7 @@ def non_annihilating_graph(alg: Algebra, axes: Union[Axet, Iterable]) -> Undirec
 
 def _graph(alg: Algebra, vecs) -> UndirectedGraph:
     n = len(vecs)
-    edges = tuple((i, j) for i in range(n) for j in range(i + 1, n)
-                  if not is_zero_vec(alg._mul(vecs[i], vecs[j])))
+    edges = tuple((i, j) for i in range(n) for j in range(i + 1, n) if alg._mul(vecs[i], vecs[j]))
     return UndirectedGraph(vertices=tuple(range(n)), edges=edges)
 
 
@@ -96,12 +93,12 @@ def sum_decomposition(alg: Algebra, axes: Union[Axet, Iterable]) -> SumDecomposi
     vecs = _axis_list(alg, axes)
     comps = _graph(alg, vecs).components()
     subs = tuple(alg._subalgebra([vecs[i] for i in comp]) for comp in comps)
-    pairwise_zero = all(
-        is_zero_vec(alg._mul(u, v))
+    pairwise_zero = not any(
+        alg._mul(u, v)
         for i in range(len(subs)) for j in range(i + 1, len(subs))
-        for u in subs[i].basis for v in subs[j].basis
+        for u in subs[i].rows.values() for v in subs[j].rows.values()
     )
-    stacked = (b for s in subs for b in s.basis)
+    stacked = (b for s in subs for b in s.rows.values())
     direct = EchelonAccumulator.of(alg.field, alg.dim, stacked).rank == sum(s.dim for s in subs)
     return SumDecomposition(
         components=comps, subalgebras=subs, pairwise_zero=pairwise_zero, direct=direct
@@ -120,14 +117,13 @@ def is_slender(alg: Algebra, axes: Union[Axet, Iterable]) -> bool:
 
 def baric_map_check(alg: Algebra, weights, require_nonzero: bool = True) -> bool:
     """Is v -> sum_k v_k w_k an algebra homomorphism to the base field?"""
-    w = alg.coerce_vector(weights)
-    if require_nonzero and not any(w):
+    w = alg._row(weights)
+    if require_nonzero and not w:
         return False
     zero = alg.field.zero()
     for i in range(alg.dim):
         for j in range(i, alg.dim):
-            p = alg.basis_product(i, j)
-            lhs = vdot(p, w) if p is not None else zero
-            if lhs != w[i] * w[j]:
+            lhs = dot(alg.field, dict(alg._product_pairs(i, j)), w)
+            if lhs != w.get(i, zero) * w.get(j, zero):
                 return False
     return True

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import settings
 
 from axial import (
+    GF,
     NORTON_SAKUMA_NAMES,
     QQ,
     Algebra,
@@ -115,3 +116,53 @@ def golden(ns) -> List[Tuple[str, Algebra]]:
     for period in (2, 3, 4, 5):
         out.append((f"hw:{period}", hw_periodic_quotient(period)))
     return out
+
+
+# -- inputs for the sparse-kernel differential tests ------------------------
+
+KERNEL_ALGEBRAS = (
+    tuple(f"ns:{name}" for name in NORTON_SAKUMA_NAMES)
+    + ("matsuo:S4:QQ", "matsuo:S4:GF(10007)")
+    + tuple(f"hw:{d}" for d in (4, 5, 6))
+)
+
+
+def _kernel_algebra(name: str) -> Algebra:
+    family, arg = name.split(":", 1)
+    if family == "ns":
+        return norton_sakuma(arg)
+    if family == "hw":
+        return hw_periodic_quotient(int(arg))
+    field = QQ if arg.endswith("QQ") else GF(10007)
+    return matsuo(ThreeTranspositionGroup.symmetric(4), field.parse("1/4"), field)
+
+
+def cancelling_pair(alg: Algebra):
+    """(e_i, x e_j + y e_l) whose product has an entry k that two non-zero
+    contributions cancel to exactly zero, or None when the algebra has none."""
+    n, zero = alg.dim, alg.field.zero()
+    for i in range(n):
+        for j in range(n):
+            for l in range(j + 1, n):
+                p, q = alg.basis_product(i, j), alg.basis_product(i, l)
+                for k in range(n) if p is not None and q is not None else ():
+                    if p[k] and q[k]:
+                        v = [zero] * n
+                        v[j], v[l] = q[k], -p[k]
+                        return alg.basis_vector(i), tuple(v)
+    return None
+
+
+@pytest.fixture(scope="session", params=KERNEL_ALGEBRAS)
+def kernel_case(request):
+    """(name, algebra, probe vectors, cancelling pair or None).  The probes are
+    the zero vector, one basis vector, a vector with three non-zeros, a fully
+    dense one and the cancelling pair."""
+    alg = _kernel_algebra(request.param)
+    f, n = alg.field, alg.dim
+    few = [f.zero()] * n
+    few[0], few[n // 2], few[-1] = f.parse("1"), f.parse("-2"), f.parse("1/3")
+    full = tuple(f.parse(f"{(-1) ** k * (k + 2)}/{k + 1}") for k in range(n))
+    pair = cancelling_pair(alg)
+    probes = [alg.zero_vector(), alg.basis_vector(n - 1), tuple(few), full, *(pair or ())]
+    return request.param, alg, probes, pair

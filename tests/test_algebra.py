@@ -20,7 +20,7 @@ from axial import (
 )
 from axial.catalog import ThreeTranspositionGroup
 from axial.errors import AxialError, DimensionError, MalformedInput, NotAnIdeal
-from axial.linalg import Matrix, Subspace, is_zero_vec, vadd, vscale
+from axial.linalg import Matrix, Subspace, is_zero_vec, sparse, vadd, vscale
 
 coeffs = st.integers(min_value=-7, max_value=7).map(rational)
 
@@ -107,6 +107,43 @@ class TestProducts:
         alg = Algebra(QQ, ["a", "b"], {(0, 1): (0, 0), (1, 0): {}, (1, 1): {1: 1}, (0, 0): (1, 0)})
         assert alg.basis_product(1, 0) is None
         assert alg.basis_product(1, 1) == (0, 1)
+
+
+def dense_product(alg, u, v):
+    """u v written out as the double sum of u_i v_j e_i e_j over basis_product."""
+    out = [alg.field.zero()] * alg.dim
+    for i in range(alg.dim):
+        for j in range(alg.dim):
+            p = alg.basis_product(i, j)
+            for k in range(alg.dim) if p is not None else ():
+                out[k] = out[k] + u[i] * v[j] * p[k]
+    return tuple(out)
+
+
+class TestSparseKernels:
+    """mul and adjoint against the dense double sum, and the sparse rows
+    behind them: the same vectors, with no zero entry stored."""
+
+    def test_mul_matches_dense_sum(self, kernel_case):
+        _, alg, probes, _ = kernel_case
+        for u in probes:
+            for v in probes:
+                want = dense_product(alg, u, v)
+                assert alg.mul(u, v) == want
+                assert alg._mul(sparse(u), sparse(v)) == sparse(want)
+
+    def test_adjoint_matches_dense_sum(self, kernel_case):
+        _, alg, probes, _ = kernel_case
+        for a in probes:
+            rows = tuple(zip(*(dense_product(alg, a, e) for e in map(alg.basis_vector, range(alg.dim)))))
+            ad = alg.adjoint(a)
+            assert ad.data == rows
+            assert ad.rows == tuple(map(sparse, rows))
+
+    def test_products_cancel_to_exact_zero(self, kernel_case):
+        # in 2B the product of distinct basis vectors is 0, so no two products share an entry
+        name, _, _, pair = kernel_case
+        assert (pair is None) == (name == "ns:2B")
 
 
 class TestSubstructures:

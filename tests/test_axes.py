@@ -37,7 +37,7 @@ from axial.errors import (
     NotAnAxis,
     NotTwoGenerated,
 )
-from axial.linalg import vadd, vscale, vsub
+from axial.linalg import sparse, vadd, vscale, vsub
 
 coeffs = st.integers(min_value=-5, max_value=5).map(rational)
 
@@ -386,15 +386,15 @@ class TestTransport:
         tau_a, tau_c = miyamoto(alg, a).matrix, miyamoto(alg, c).matrix
         b = tau_c.mul_vec(a)
         rep = check_axis(alg, a, alg.law)
-        _same_report(_transport(alg, rep, tau_c, b), check_axis(alg, b, alg.law))
+        _same_report(_transport(alg, rep, tau_c, sparse(b)), check_axis(alg, b, alg.law))
         with pytest.raises(ConsistencyFailure):
-            _transport(alg, rep, tau_a, b)  # the wrong map: tau_a fixes a, not b
+            _transport(alg, rep, tau_a, sparse(b))  # the wrong map: tau_a fixes a, not b
         spaces, dims = list(rep.eigenspaces), list(rep.eigen_dims)
         spaces[2], spaces[3] = spaces[3], spaces[2]
         dims[2], dims[3] = dims[3], dims[2]
         swapped = replace(rep, eigenspaces=tuple(spaces), eigen_dims=tuple(dims))
         with pytest.raises(ConsistencyFailure):
-            _transport(alg, swapped, tau_c, b)  # the 1/4 and 1/32 labels swapped
+            _transport(alg, swapped, tau_c, sparse(b))  # the 1/4 and 1/32 labels swapped
 
 
 class TestClassification:

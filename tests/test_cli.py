@@ -84,6 +84,19 @@ class TestBuild:
         doc = json.loads(result.output)
         assert doc["dim"] == 4
 
+    @pytest.mark.parametrize("args", [
+        ["build", "matsuo:Sn:40:1/3"],
+        ["build", "flip:matsuo:Sn:40:1/3:(1 2)"],
+        ["hw", "quotient", "200"],
+    ])
+    def test_build_dimension_cap_exit_3(self, runner, args):
+        start = time.perf_counter()
+        result = runner.invoke(main, args)
+        assert time.perf_counter() - start < 1.0
+        assert result.exit_code == 3
+        assert "past the build cap" in result.output
+        assert "Traceback" not in result.output
+
 
 class TestVerify:
     def test_pipeline_pass(self, runner):
@@ -242,6 +255,14 @@ class TestHighwaterCommands:
         assert result.exit_code == 0
         assert "yes" in result.output
 
+    @pytest.mark.parametrize("elem", [
+        {"a": {"1_0": "1"}}, {"a": {" +1 ": "1"}}, {"s": {"\u0661": "1"}}, {"a": {"-0": "1"}},
+    ])
+    def test_member_index_key_not_in_dumper_form_exit_2(self, runner, elem):
+        result = runner.invoke(main, ["hw", "member", "1,-2,1", "-"], input=json.dumps(elem))
+        assert result.exit_code == 2
+        assert "decimal integer" in result.output
+
     @pytest.mark.parametrize("elem,window", [
         ({"a": {"1000000000": "1"}}, None),
         ({"s": {"1000000000": "1"}}, None),
@@ -284,6 +305,15 @@ class TestDocumentErrors:
         assert "JSON integer" in proc.stderr
         assert "Traceback" not in proc.stdout + proc.stderr
 
+    @pytest.mark.parametrize("key", ["0_1", " +1 ", "\u0661", "01", "-0"])
+    def test_index_key_not_in_dumper_form_exit_2(self, runner, key):
+        # int() reads each of these as an index; the dumper writes only str(k)
+        doc = json.loads(build(runner, "ns:2B"))
+        doc["axes"][1]["v"] = {key: "1"}
+        result = runner.invoke(main, ["verify", "-"], input=json.dumps(doc))
+        assert result.exit_code == 2
+        assert "decimal integer" in result.output
+
     def test_form_survives_a_pipe(self, runner):
         doc = json.loads(build(runner, "ns:3A"))
         assert doc["form"][0] == ["1", "13/256", "13/256", "1/4"]
@@ -307,12 +337,16 @@ BAD_VALUES = [
     [], ["1"], [["1", "0"]], {}, {"0": "1"}, {"-1": "1"}, {"0": 0.5},
     {"99999999999999999999": "1"},
 ]
-BAD_KEYS = ["-1", "-7", "99999999999999999999", "x", "1.5", " 0", "", "0", "3"]
+BAD_KEYS = [
+    "-1", "-7", "99999999999999999999", "x", "1.5", " 0", "", "0", "3",
+    "0_1", " +1 ", "\u0661", "1_0",
+]
 # The window search of `hw member` widens its window to the element's
 # support, up to MAX_WINDOW; indices past it exit 3 before any work.
 ELEMENT_KEYS = [
     "-8", "-6", "-1", "0", "2", "6", "8", "12", "x", "1.5", " 0", "", "1e3",
     str(MAX_WINDOW + 1), "-1000000000", "1000000000", "99999999999999999999",
+    "1_0", " +1 ", "\u0661",
 ]
 FUZZ = dict(
     derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow],

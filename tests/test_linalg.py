@@ -146,7 +146,7 @@ class TestSubspace:
 def test_echelon_accumulator_matches_kernel():
     m = Matrix(QQ, [[1, 2, 3], [2, 4, 6], [0, 1, 1]])
     acc = EchelonAccumulator(QQ, 3)
-    for row in m.data:
+    for row in m.rows:
         acc.add_row(row)
     assert acc.rank == 2
     assert acc.kernel().dim == kernel(m).dim == 1

@@ -166,6 +166,32 @@ def test_mul_vec(abv):
     assert a.mul_vec(v) == tuple(r[0] for r in oracle_rows(a.field, want))
 
 
+def test_subspace_queries_match_oracle(kernel_case):
+    """contains, reduce and coords on spans of catalog vectors, for the probe
+    vectors and their products, against sympy's RREF of the same span."""
+    _, alg, probes, _ = kernel_case
+    f, n = alg.field, alg.dim
+    vectors = probes + [alg.mul(u, v) for i, u in enumerate(probes) for v in probes[i:]]
+    for gens in ([alg.axes[0][1]], probes[1:3], vectors[len(probes):len(probes) + 4]):
+        space = Subspace.from_vectors(f, n, gens)
+        red, pivots = oracle_rref(f, to_oracle(f, gens, n))
+        basis = [r for r in red if any(r)]
+        assert space.basis == tuple(basis) and space.pivots == pivots
+        for w in vectors:
+            inside = to_oracle(f, gens + [w], n).rank() == len(basis)
+            assert space.contains(w) == inside
+            lead = to_oracle(f, [[w[p] for p in pivots]], len(pivots))
+            rest = to_oracle(f, [w], n) - lead * to_oracle(f, basis, n) if basis else to_oracle(f, [w], n)
+            assert space.reduce(w) == oracle_rows(f, rest)[0]
+            coords = space.coords(w)
+            if not inside:
+                assert coords is None
+            elif basis:
+                assert to_oracle(f, [coords], len(basis)) * to_oracle(f, basis, n) == to_oracle(f, [w], n)
+            else:
+                assert coords == ()
+
+
 def associativity_system(alg):
     """Rows of (e_i, e_j e_l) - (e_i e_j, e_l) = 0 over the n^2 Gram entries,
     written out with Algebra.mul on basis vectors."""
