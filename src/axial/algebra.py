@@ -40,7 +40,8 @@ class Algebra:
     `products[(i, j)]`, for i <= j, holds e_i e_j as its sorted non-zero (k, c)
     pairs; a zero product has no entry.  The constructor takes each product as
     a dense vector or an {index: scalar} map, under either index order; two
-    entries for one pair must agree.
+    entries for one pair must agree.  Every index is an int, never a bool,
+    float or str.
     """
 
     __slots__ = ("field", "dim", "basis", "products", "axes", "law", "form")
@@ -60,8 +61,8 @@ class Algebra:
         self.dim = n
         table: Dict[Tuple[int, int], Tuple] = {}
         for (i, j), vec in products.items():
-            if not (0 <= i < n and 0 <= j < n):
-                raise DimensionError(f"product index ({i},{j}) out of range for dim {n}")
+            if not (type(i) is type(j) is int and 0 <= i < n and 0 <= j < n):
+                raise DimensionError(f"product index ({i!r},{j!r}) is not an int pair in 0..{n - 1}")
             if i > j:
                 i, j = j, i
             pairs = self._pairs(vec)
@@ -78,9 +79,8 @@ class Algebra:
             return row_key(self._row(vec))
         entries = {}
         for k, val in vec.items():
-            k = int(k)
-            if not 0 <= k < self.dim:
-                raise DimensionError(f"product coordinate {k} out of range for dim {self.dim}")
+            if type(k) is not int or not 0 <= k < self.dim:
+                raise DimensionError(f"product coordinate {k!r} is not an int in 0..{self.dim - 1}")
             entries[k] = self.field.coerce(val)
         return tuple(sorted((k, c) for k, c in entries.items() if c))
 

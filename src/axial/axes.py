@@ -16,11 +16,11 @@ from .errors import (
     NotTwoGenerated,
     Unsupported,
 )
-from .fusion import FusionLaw, Grading, is_symmetric, unique_adequate_grading
+from .fusion import FusionLaw, Grading, unique_adequate_grading
 from .linalg import (
     EchelonAccumulator, Matrix, Subspace, dot, invert, kernel, residue, row_key, scaled, sparse,
 )
-from .perms import Perm, dimino, orbits_of
+from .perms import Perm, classes, dimino
 
 DEFAULT_AXIS_CAP = 10_000
 
@@ -92,7 +92,6 @@ def _check_axis(alg: Algebra, a, law: FusionLaw) -> AxisReport:
             semisimple = False
 
     violations = []
-    sym = is_symmetric(law)
     target_cache: Dict[frozenset, Subspace] = {}
 
     def target(cell: frozenset) -> Subspace:
@@ -103,12 +102,11 @@ def _check_axis(alg: Algebra, a, law: FusionLaw) -> AxisReport:
         return got
 
     for i in range(law.size):
-        j_start = i if sym else 0
-        for j in range(j_start, law.size):
+        for j in range(i, law.size):  # the law is symmetric, and so is the product
             tgt = target(law.table[i][j])
             vs = list(spaces[j].rows.values())
             for r, u in enumerate(spaces[i].rows.values()):
-                for v in vs[r if (sym and i == j) else 0:]:
+                for v in vs[r if i == j else 0:]:
                     if residue(alg._mul(u, v), tgt.rows):
                         violations.append((law.elements[i], law.elements[j], alg._dense(u), alg._dense(v)))
 
@@ -465,7 +463,7 @@ def close_axes(
         reports=tuple(adm.reports),
         tau_mats=tuple(mats),
         tau_perms=tuple(perms),
-        orbits=orbits_of(perms, len(vecs)),
+        orbits=classes(range(len(vecs)), ((i, x) for p in perms for i, x in enumerate(p))),
     )
 
 

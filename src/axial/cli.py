@@ -15,7 +15,6 @@ import sys
 
 import click
 
-from .algebra import form_value
 from .axes import (
     DEFAULT_AXIS_CAP,
     _designated_reports,
@@ -40,7 +39,7 @@ from .errors import (
     MalformedInput,
     Unsupported,
 )
-from .fields import QQ
+from .fields import QQ, parse_int
 from .frobenius import radical as compute_radical
 from .frobenius import solve_frobenius
 from .fusion import law_A, law_J, law_M, law_to_obj
@@ -72,34 +71,41 @@ def _diag(msg: str):
     click.echo(msg, err=True)
 
 
-def _exit_code(exc: AxialError) -> int:
+def _exit_code(exc) -> int:
     if isinstance(exc, (Unsupported, ClosureCapExceeded, GroupCapExceeded)):
         return _UNSUPPORTED
     if isinstance(exc, ConsistencyFailure):
         return 1
-    return _INPUT_ERRORS
+    return _INPUT_ERRORS  # any other AxialError, and OSError
 
 
-def _guard(fn):
-    """Translate tool errors into diagnostics + exit codes; see module doc."""
+class _Guarded(click.Group):
+    """Runs every command, the hw subcommands included, with tool errors
+    translated into diagnostics + exit codes; see module doc."""
 
-    def wrapper(*args, **kwargs):
+    def invoke(self, ctx):
         try:
-            return fn(*args, **kwargs)
-        except AxialError as exc:
+            return super().invoke(ctx)
+        except (AxialError, OSError) as exc:
             _diag(f"error: {exc}")
             sys.exit(_exit_code(exc))
-        except OSError as exc:
-            _diag(f"error: {exc}")
-            sys.exit(_INPUT_ERRORS)
-
-    wrapper.__name__ = fn.__name__
-    wrapper.__doc__ = fn.__doc__
-    return wrapper
 
 
-def _read_algebra(handle):
-    return load_algebra(handle.read())
+class _Integer(click.ParamType):
+    """An integer argument, read by fields.parse_int: only as str(k) writes it."""
+
+    name = "integer"
+
+    def convert(self, value, param, ctx):
+        if isinstance(value, int):  # a default
+            return value
+        try:
+            return parse_int(value)
+        except MalformedInput as exc:
+            self.fail(str(exc), param, ctx)
+
+
+_INT = _Integer()
 
 
 def _parse_law(field, text):
@@ -118,15 +124,26 @@ def _parse_law(field, text):
     raise MalformedInput(f"bad law {text!r} (want A, J:<eta> or M:<alpha>,<beta>)")
 
 
+def _read_algebra(handle, law=False, law_text=None, axes=False):
+    """The algebra document on handle, checked for what a command needs: with
+    law=True a fusion law (law_text, the --law option, replaces the
+    document's), then with axes=True designated axes."""
+    alg = load_algebra(handle.read())
+    if law_text:
+        alg = alg.with_law(_parse_law(alg.field, law_text))
+    if law and alg.law is None:
+        raise MalformedInput("the document carries no fusion law; pass --law")
+    if axes and not alg.axes:
+        raise MalformedInput("the document designates no axes")
+    return alg
+
+
 def _matsuo_spec(parts):
     """(group, eta literal) of a matsuo:Sn:<n>:<eta> spec split at ":", or
     None when the parts have another shape."""
     if len(parts) != 4 or parts[0] != "matsuo" or parts[1] != "Sn":
         return None
-    try:
-        degree = int(parts[2])
-    except ValueError as exc:
-        raise MalformedInput(f"bad symmetric-group degree {parts[2]!r}") from exc
+    degree = parse_int(parts[2], "symmetric-group degree")
     return ThreeTranspositionGroup.symmetric(degree), parts[3]
 
 
@@ -163,7 +180,7 @@ def _build_catalog(spec: str):
     )
 
 
-@click.group()
+@click.group(cls=_Guarded)
 def main():
     """Exact tools for axial algebras: build, verify, close, decompose."""
 
@@ -172,7 +189,6 @@ def main():
 @click.argument("spec")
 @click.option("-o", "--out", type=click.File("w"), default="-",
               help="Destination file (default stdout).")
-@_guard
 def build(spec, out):
     """Construct a catalog algebra and write its JSON document."""
     alg = _build_catalog(spec)
@@ -195,20 +211,14 @@ def _violation_obj(field, viol):
 @click.option("--law", "law_text", default=None,
               help="Fusion law A, J:<eta> or M:<alpha>,<beta> (default: the document's).")
 @click.option("--json", "as_json", is_flag=True, help="Machine-readable report.")
-@_guard
 def verify(file, law_text, as_json):
     """Run the axis checks on every designated axis; exit 1 on any failure."""
-    alg = _read_algebra(file)
-    law = _parse_law(alg.field, law_text) if law_text else alg.law
-    if law is None:
-        raise MalformedInput("the document carries no fusion law; pass --law")
-    if not alg.axes:
-        raise MalformedInput("the document designates no axes")
-    named = _designated_reports(alg, law)
+    alg = _read_algebra(file, law=True, law_text=law_text, axes=True)
+    named = _designated_reports(alg, alg.law)
     all_passed = all(r.passed for _, r in named)
     if as_json:
         payload = {
-            "law": law_to_obj(law),
+            "law": law_to_obj(alg.law),
             "axes": [
                 {
                     "name": name,
@@ -233,24 +243,21 @@ def verify(file, law_text, as_json):
                 click.echo(
                     f"  violation at ({alg.field.fmt(lam)}, {alg.field.fmt(mu)})"
                 )
-        click.echo(f"verdict: {'pass' if all_passed else 'FAIL'} under {law.name}")
+        click.echo(f"verdict: {'pass' if all_passed else 'FAIL'} under {alg.law.name}")
     if not all_passed:
         sys.exit(1)
 
 
 @main.command()
 @click.argument("file", type=click.File("r"), default="-")
-@click.option("--cap", type=int, default=DEFAULT_AXIS_CAP,
+@click.option("--cap", type=_INT, default=DEFAULT_AXIS_CAP,
               help="Abort if the closed axis set grows past this.")
-@click.option("--group-cap", type=int, default=None,
+@click.option("--group-cap", type=_INT, default=None,
               help="Abort if the group enumeration grows past this.")
 @click.option("--json", "as_json", is_flag=True, help="Machine-readable report.")
-@_guard
 def miyamoto(file, cap, group_cap, as_json):
     """Close the designated axes under their tau maps and report the group."""
-    alg = _read_algebra(file)
-    if not alg.axes:
-        raise MalformedInput("the document designates no axes")
+    alg = _read_algebra(file, axes=True)
     axet = close_axes(alg, alg.axis_vectors(), cap=cap)
     group = miyamoto_group(axet, cap=group_cap)
     if as_json:
@@ -281,7 +288,6 @@ def _gram_rows(alg, gram):
 @main.command()
 @click.argument("file", type=click.File("r"), default="-")
 @click.option("--json", "as_json", is_flag=True, help="Machine-readable report.")
-@_guard
 def frobenius(file, as_json):
     """Solve for the Frobenius form: canonical Gram, space dimension, radical."""
     alg = _read_algebra(file)
@@ -296,12 +302,8 @@ def frobenius(file, as_json):
             radical_note = str(exc)
     else:
         radical_note = "no canonical form"
-    norms = []
-    for name, v in alg.axes:
-        if sol.canonical is None:
-            norms.append((name, None))
-        else:
-            norms.append((name, alg.field.fmt(form_value(sol.canonical, v, v))))
+    norms = [(name, None if sol.axis_norms is None else alg.field.fmt(sol.axis_norms[k]))
+             for k, (name, _) in enumerate(alg.axes)]
     if as_json:
         payload = {
             "solution_dim": sol.space.dim,
@@ -337,7 +339,6 @@ def frobenius(file, as_json):
 @main.command("radical")
 @click.argument("file", type=click.File("r"), default="-")
 @click.option("--json", "as_json", is_flag=True, help="Machine-readable report.")
-@_guard
 def radical_cmd(file, as_json):
     """Compute the radical of the canonical Frobenius form (exit 3 if unsupported)."""
     alg = _read_algebra(file)
@@ -354,12 +355,9 @@ def radical_cmd(file, as_json):
 @main.command()
 @click.argument("file", type=click.File("r"), default="-")
 @click.option("--json", "as_json", is_flag=True, help="Machine-readable report.")
-@_guard
 def decompose(file, as_json):
     """Axis components of the non-annihilating graph and the sum decomposition."""
-    alg = _read_algebra(file)
-    if not alg.axes:
-        raise MalformedInput("the document designates no axes")
+    alg = _read_algebra(file, axes=True)
     vecs = alg.axis_vectors()
     graph = non_annihilating_graph(alg, vecs)
     dec = sum_decomposition(alg, vecs)
@@ -399,13 +397,12 @@ def decompose(file, as_json):
 @click.option("--gens", default="0,1", show_default=True,
               help="Indices of the two generating axes.")
 @click.option("--json", "as_json", is_flag=True, help="Machine-readable report.")
-@_guard
 def axet(file, gens, as_json):
     """Classify the closed axis set generated by two axes: X(n) or X'(k+2k)."""
     alg = _read_algebra(file)
     try:
-        i, j = (int(x) for x in gens.split(","))
-    except ValueError as exc:
+        i, j = (parse_int(x) for x in gens.split(","))
+    except (ValueError, MalformedInput) as exc:
         raise MalformedInput(f"bad --gens {gens!r}: want two comma-separated indices") from exc
     if not (0 <= i < len(alg.axes) and 0 <= j < len(alg.axes)):
         raise MalformedInput(f"--gens {gens!r} out of range for {len(alg.axes)} axes")
@@ -429,10 +426,9 @@ def hw():
 
 
 @hw.command()
-@click.argument("period", type=int)
+@click.argument("period", type=_INT)
 @click.option("-o", "--out", type=click.File("w"), default="-",
               help="Destination file (default stdout).")
-@_guard
 def quotient(period, out):
     """Build the finite quotient with PERIOD axes as an algebra document."""
     alg = hw_periodic_quotient(period)
@@ -450,7 +446,6 @@ def _parse_tuple(csv):
 @hw.command("check-tuple")
 @click.argument("csv")
 @click.option("--json", "as_json", is_flag=True, help="Machine-readable report.")
-@_guard
 def check_tuple(csv, as_json):
     """Decide whether a comma-separated coefficient tuple is of ideal type."""
     info = ideal_type_info(_parse_tuple(csv))
@@ -473,11 +468,10 @@ def check_tuple(csv, as_json):
 @hw.command()
 @click.argument("csv")
 @click.argument("element", type=click.File("r"), default="-")
-@click.option("--window", type=int, default=None,
+@click.option("--window", type=_INT, default=None,
               help="Index bound for the generated span (default 3x tuple degree).")
-@click.option("--rounds", type=int, default=10, show_default=True)
+@click.option("--rounds", type=_INT, default=10, show_default=True)
 @click.option("--json", "as_json", is_flag=True, help="Machine-readable report.")
-@_guard
 def member(csv, element, window, rounds, as_json):
     """Window-bounded ideal membership: answers yes or unknown, never no."""
     items = _parse_tuple(csv)

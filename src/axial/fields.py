@@ -10,7 +10,7 @@ import re
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import InvalidField
+from .errors import InvalidField, MalformedInput
 
 try:
     from gmpy2 import mpq as _rational
@@ -128,6 +128,18 @@ def _is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def parse_int(text: str, what: str = "integer") -> int:
+    """The integer that text from outside names, only in the form str(k) writes
+    it: no sign "+", blanks, underscores, leading zeros or non-ASCII digits."""
+    try:
+        k = int(text)
+        if str(k) == text:
+            return k
+    except ValueError:
+        pass
+    raise MalformedInput(f"{what} {text!r} is not a decimal integer")
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,8 @@
 """Fusion laws: eigenvalue sets with a star table, and their C2 gradings.
 
 A law is a tuple of distinct scalars (1 always present, listed first) plus a
-table mapping each index pair to the set of allowed product eigenvalue
-indices.  The three catalog laws:
+symmetric table mapping each index pair to the set of allowed product
+eigenvalue indices.  The three catalog laws:
 
     A          1*1={1}  1*0={}  0*0={0}
     J(eta)     adds eta: 1*eta={eta}, 0*eta={eta}, eta*eta={1,0}
@@ -31,6 +31,9 @@ class FusionLaw:
             raise DegenerateParameters(f"law elements must be distinct: {self.name}")
         if self.field.one() not in self.elements:
             raise AxialError("a fusion law must contain the eigenvalue 1")
+        n = len(self.elements)
+        if any(self.table[i][j] != self.table[j][i] for i in range(n) for j in range(i)):
+            raise AxialError(f"a fusion law table must be symmetric: {self.name}")
 
     @property
     def size(self) -> int:
@@ -110,11 +113,6 @@ def law_M(field: FieldSpec, alpha, beta) -> FusionLaw:
     }
     name = f"M({field.fmt(alpha)},{field.fmt(beta)})"
     return _build(field, (one, zero, alpha, beta), cells, name)
-
-
-def is_symmetric(law: FusionLaw) -> bool:
-    n = law.size
-    return all(law.table[i][j] == law.table[j][i] for i in range(n) for j in range(n))
 
 
 def is_seress(law: FusionLaw) -> bool:

@@ -15,10 +15,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .algebra import Algebra
 from .catalog import check_build_dim
 from .errors import ConsistencyFailure, DegenerateParameters, InvalidField, Unsupported
-from .fields import QQ, FieldSpec, rational
+from .fields import QQ, FieldSpec, parse_int, rational
 from .fusion import law_M
 from .linalg import EchelonAccumulator, Matrix, combine, dense, residue
-from .serialize import index_from_key
 
 MAX_WINDOW = 48  # rows of 4w + 1 entries; about 5 s at w = 48 (Fraction backend, 2-CPU VM)
 
@@ -101,8 +100,8 @@ class HighwaterElement:
 
     @classmethod
     def from_json(cls, field: FieldSpec, obj: dict) -> "HighwaterElement":
-        a = {index_from_key(k): field.parse(v) for k, v in (obj.get("a") or {}).items()}
-        s = {index_from_key(k): field.parse(v) for k, v in (obj.get("s") or {}).items()}
+        a = {parse_int(k, "index key"): field.parse(v) for k, v in (obj.get("a") or {}).items()}
+        s = {parse_int(k, "index key"): field.parse(v) for k, v in (obj.get("s") or {}).items()}
         return cls(field, a, s)
 
 

@@ -5,9 +5,10 @@ conjugation a^b = mul(mul(inverse(b), a), b).
 """
 
 import os
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, Tuple
 
-from .errors import GroupCapExceeded, InvalidGroup
+from .errors import GroupCapExceeded, InvalidGroup, MalformedInput
+from .fields import parse_int
 
 Perm = Tuple[int, ...]
 
@@ -18,7 +19,7 @@ def group_cap(override=None) -> int:
     if override is not None:
         return override
     env = os.environ.get("AXIAL_CAP")
-    return int(env) if env else DEFAULT_GROUP_CAP
+    return parse_int(env, "AXIAL_CAP") if env else DEFAULT_GROUP_CAP
 
 
 def identity_perm(n: int) -> Perm:
@@ -75,8 +76,8 @@ def parse_cycles(text: str, degree: int) -> Perm:
     for chunk in s[1:-1].split(")("):
         pts = [tok for tok in chunk.replace(",", " ").split() if tok]
         try:
-            cyc = [int(tok) - 1 for tok in pts]
-        except ValueError:
+            cyc = [parse_int(tok) - 1 for tok in pts]
+        except MalformedInput:
             raise InvalidGroup(f"bad cycle notation {text!r}") from None
         if len(cyc) < 2 or len(set(cyc)) != len(cyc):
             raise InvalidGroup(f"bad cycle {chunk!r} in {text!r}")
@@ -151,9 +152,10 @@ def dimino(degree: int, generators: Iterable[Perm], cap=None) -> Tuple[Perm, ...
     return tuple(elements)
 
 
-def orbits_of(perms: Sequence[Perm], n: int) -> Tuple[Tuple[int, ...], ...]:
-    """Orbit partition of {0..n-1} under the listed permutations (union-find)."""
-    parent = list(range(n))
+def classes(items: Iterable[int], pairs: Iterable[Tuple[int, int]]) -> Tuple[Tuple[int, ...], ...]:
+    """Classes of the equivalence on items that the pairs generate (union-find),
+    each sorted, in the order of their least elements."""
+    parent = {x: x for x in items}
 
     def find(x):
         while parent[x] != x:
@@ -161,12 +163,11 @@ def orbits_of(perms: Sequence[Perm], n: int) -> Tuple[Tuple[int, ...], ...]:
             x = parent[x]
         return x
 
-    for p in perms:
-        for i in range(n):
-            a, b = find(i), find(p[i])
-            if a != b:
-                parent[max(a, b)] = min(a, b)
-    groups = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return tuple(tuple(groups[r]) for r in sorted(groups))
+    for a, b in pairs:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+    buckets = {}
+    for x in sorted(parent):  # a class's root is its least element, met first
+        buckets.setdefault(find(x), []).append(x)
+    return tuple(map(tuple, buckets.values()))

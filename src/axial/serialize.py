@@ -23,7 +23,7 @@ import json
 
 from .algebra import Algebra
 from .errors import InvalidField, MalformedInput
-from .fields import FieldSpec
+from .fields import FieldSpec, parse_int
 from .fusion import law_from_obj, law_to_obj
 from .linalg import Matrix, sparse
 
@@ -32,23 +32,12 @@ def vec_to_obj(field: FieldSpec, v) -> dict:
     return {str(k): field.fmt(c) for k, c in enumerate(v) if c != field.zero()}
 
 
-def index_from_key(key: str) -> int:
-    """An object key as the index it names, only in the form the dumper writes,
-    str(k): no sign "+", blanks, underscores, leading zeros or non-ASCII digits."""
-    try:
-        if str(int(key)) == key:
-            return int(key)
-    except ValueError:
-        pass
-    raise MalformedInput(f"index key {key!r} is not a decimal integer")
-
-
 def vec_from_obj(field: FieldSpec, obj, dim: int):
     if not isinstance(obj, dict):
         raise MalformedInput(f"vector must be an object of index: scalar, not {obj!r}")
     vec = [field.zero()] * dim
     for k, lit in obj.items():
-        k = index_from_key(k)
+        k = parse_int(k, "index key")
         if not 0 <= k < dim:
             raise MalformedInput(f"coordinate index {k} out of range for dim {dim}")
         vec[k] = field.parse(lit)

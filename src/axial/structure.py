@@ -9,6 +9,7 @@ from .axes import Axet, _eigen_decomposition
 from .errors import Unsupported
 from .fusion import FusionLaw, is_seress
 from .linalg import EchelonAccumulator, Subspace, close_span, dot, sparse
+from .perms import classes
 
 
 def _axis_list(alg: Algebra, axes: Union[Axet, Iterable]) -> Tuple[dict, ...]:
@@ -45,23 +46,7 @@ class UndirectedGraph:
     edges: Tuple[Tuple[int, int], ...]  # sorted pairs, no loops
 
     def components(self) -> Tuple[Tuple[int, ...], ...]:
-        parent = {v: v for v in self.vertices}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for a, b in self.edges:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-        buckets = {}
-        for v in self.vertices:
-            buckets.setdefault(find(v), []).append(v)
-        comps = [tuple(sorted(vs)) for vs in buckets.values()]
-        return tuple(sorted(comps, key=lambda c: c[0]))
+        return classes(self.vertices, self.edges)
 
 
 def non_annihilating_graph(alg: Algebra, axes: Union[Axet, Iterable]) -> UndirectedGraph:

@@ -91,6 +91,15 @@ class TestProducts:
 
     @pytest.mark.parametrize(
         "products",
+        [{(0, 1): {0.9: 1}}, {(0, 0): {"0_1": 1}}, {(0.5, 1): {0: 1}}, {(True, 1): {0: 1}}],
+        ids=["float-coordinate", "str-coordinate", "float-pair", "bool-pair"],
+    )
+    def test_product_indices_must_be_ints(self, products):
+        with pytest.raises(DimensionError):
+            Algebra(QQ, ["a", "b"], products)
+
+    @pytest.mark.parametrize(
+        "products",
         [
             {(0, 1): (0, 0), (1, 0): (1, 0)},
             {(1, 0): (1, 0), (0, 1): (0, 0)},

@@ -122,6 +122,19 @@ class TestSplitSpinFactor:
             with pytest.raises(DegenerateParameters):
                 split_spin_factor([[1]], QQ.parse(text))
 
+    @pytest.mark.parametrize("alpha", ["1/3", "1/4", "3"])
+    @pytest.mark.parametrize("e", [(1, 0), (0, 1), (-1, 0)], ids=["e1", "e2", "-e1"])
+    def test_fam_b_is_an_axis_of_the_swapped_law(self, alpha, e):
+        # fam_b(e) has eigenvalue 1 - alpha on E, not alpha
+        alpha = QQ.parse(alpha)
+        ss = split_spin_factor([[1, 0], [0, 1]], alpha)
+        b = ss.fam_b(e)
+        assert ss.algebra.mul(b, b) == b
+        assert check_axis(ss.algebra, b, law_M(QQ, 1 - alpha, "1/2")).passed
+        own = check_axis(ss.algebra, b, ss.algebra.law)
+        assert not own.passed
+        assert own.eigen_dims == (1, 1, 0, 1)
+
 
 class TestDoubleAxes:
     def test_double_axis_fuses_at_doubled_eta(self):

@@ -277,6 +277,36 @@ class TestHighwaterCommands:
         assert "exceeds cap" in result.output
 
 
+class TestIntegerArguments:
+    ELEMENT = json.dumps({"a": {"0": "1", "1": "-2", "2": "1"}, "s": {}})
+
+    @pytest.mark.parametrize("args", [
+        ["build", "matsuo:Sn:0_4:1/4"],
+        ["build", "flip:matsuo:Sn:4:1/4:(1 +2)(3 4)"],
+        ["hw", "quotient", "1_0"],
+        ["hw", "member", "1,-2,1", "-", "--window", " 9"],
+        ["hw", "member", "1,-2,1", "-", "--rounds", "1_0"],
+        ["axet", "-", "--gens", " 0,+1"],
+        ["miyamoto", "-", "--cap", "1_0"],
+        ["miyamoto", "-", "--group-cap", "+6"],
+    ])
+    def test_integer_not_in_str_form_exit_2(self, runner, args):
+        # int() reads each of these; the rule is the loader's, str(k) == text
+        text = self.ELEMENT if args[0] == "hw" else build(runner, "ns:5A")
+        result = runner.invoke(main, args, input=text)
+        _assert_clean(result)
+        assert result.exit_code == 2
+
+    @pytest.mark.parametrize("cap", ["abc", "1_0"])
+    def test_bad_env_group_cap_exit_2(self, runner, monkeypatch, cap):
+        doc = build(runner, "ns:5A")
+        monkeypatch.setenv("AXIAL_CAP", cap)
+        proc = run_process(["miyamoto", "-"], doc)
+        assert proc.returncode == 2
+        assert "AXIAL_CAP" in proc.stderr
+        assert "Traceback" not in proc.stdout + proc.stderr
+
+
 class TestDocumentErrors:
     @pytest.mark.parametrize("order", ["zero-first", "zero-last", "same-pair"])
     def test_conflicting_products_exit_2(self, order):

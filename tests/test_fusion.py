@@ -3,12 +3,12 @@
 import pytest
 
 from axial import GF, QQ, law_A, law_J, law_M
-from axial.errors import DegenerateParameters
+from axial.errors import AxialError, DegenerateParameters
 from axial.fusion import (
+    FusionLaw,
     Grading,
     find_c2_gradings,
     is_seress,
-    is_symmetric,
     law_from_obj,
     law_to_obj,
     unique_adequate_grading,
@@ -74,8 +74,11 @@ def test_degenerate_parameters_rejected():
 
 def test_symmetric_and_seress():
     for law in (law_A(QQ), law_J(QQ, ETA), law_M(QQ, ALPHA, BETA)):
-        assert is_symmetric(law)
         assert is_seress(law)
+    # 1*0 = {} but 0*1 = {0}: not a law
+    table = ((frozenset({0}), frozenset()), (frozenset({0}), frozenset({1})))
+    with pytest.raises(AxialError, match="symmetric"):
+        FusionLaw(QQ, (QQ.one(), QQ.zero()), table, "asymmetric")
 
 
 class TestGradings:

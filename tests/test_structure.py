@@ -26,6 +26,7 @@ from axial.catalog import ThreeTranspositionGroup
 from axial.errors import Unsupported
 from axial.highwater import hw_quotient_weights
 from axial.linalg import Subspace, vadd, vscale
+from axial.structure import UndirectedGraph
 
 
 class TestSeress:
@@ -51,6 +52,11 @@ class TestAnnihilationGraph:
         alg = norton_sakuma("4A")
         g = non_annihilating_graph(alg, alg.axis_vectors())
         assert g.components() == ((0, 1, 2, 3),)
+
+    def test_components_on_arbitrary_vertices(self):
+        g = UndirectedGraph(vertices=(9, 4, 7, 2, 5), edges=((4, 9), (2, 7), (7, 9)))
+        assert g.components() == ((2, 4, 7, 9), (5,))
+        assert UndirectedGraph(vertices=(8, 3, 6), edges=()).components() == ((3,), (6,), (8,))
 
 
 class TestSumDecomposition:
