@@ -18,8 +18,8 @@ except ImportError:  # pragma: no cover - gmpy2 is normally present
     from fractions import Fraction as _rational
 
 _RATIONAL_TYPE = type(_rational(0))
-_SCALAR_RE = re.compile(r"^-?\d+(/\d+)?$")
-_MOD_RE = re.compile(r"^(-?\d+)\s+mod\s+(\d+)$")
+_SCALAR_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
+_MOD_RE = re.compile(r"(-?[0-9]+)\s+mod\s+([0-9]+)")
 
 
 def rational(num, den=1):
@@ -189,17 +189,18 @@ class FieldSpec:
         raise InvalidField(f"not an F_{self.p} scalar: {x!r}")
 
     def parse(self, text: str):
-        """Parse "p/q" (or "r mod p" for prime fields); exact, never floats."""
+        """Parse "p/q" (or "r mod p" for prime fields) in ASCII digits, with blanks
+        around it allowed; exact, never floats."""
         if not isinstance(text, str):
             raise InvalidField(f"scalar literal must be a string, not {text!r}")
         s = text.strip()
         if self.kind == "prime":
-            m = _MOD_RE.match(s)
+            m = _MOD_RE.fullmatch(s)
             if m:
                 if int(m.group(2)) != self.p:
                     raise InvalidField(f"literal {s!r} has wrong modulus for F_{self.p}")
                 return Fp(int(m.group(1)), self.p)
-        if not _SCALAR_RE.match(s):
+        if not _SCALAR_RE.fullmatch(s):
             raise InvalidField(f"bad scalar literal {s!r}")
         if "/" in s:
             a, b = s.split("/")

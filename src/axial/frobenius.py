@@ -2,38 +2,173 @@
 eigenspace orthogonality and projection graphs."""
 
 from dataclasses import dataclass
+from math import gcd, isqrt, lcm
 from typing import List, Optional, Tuple
 
 from .algebra import Algebra, _form
 from .axes import Axet, _projection_functional, eigen_decomposition, projection_functional
 from .errors import ConsistencyFailure, Unsupported
+from .fields import rational
 from .fusion import FusionLaw
 from .linalg import EchelonAccumulator, Matrix, Subspace, combine, dot, kernel, solve_linear, sparse
+
+# Primes for the modular solve over Q, tried in turn (see `_lifted_space`).
+_PRIMES = (2**61 - 1, 2**61 - 31, 2**61 - 45)
 
 
 def frobenius_solution_space(alg: Algebra) -> Subspace:
     """All bilinear forms with (u, vw) = (uv, w), as flat n^2 vectors.
 
     Only associativity is imposed; symmetry of the solutions is a theorem,
-    not a constraint, and is checked downstream.  Equation (i, j, l) reads
-    sum_m c_jl^m X[i, m] - c_ij^m X[m, l] = 0 and is built as a sparse row.
+    not a constraint, and is checked downstream.  The equations are
+    eliminated on plain ints mod p: over F_p that is the field itself; over
+    Q the kernel mod p is lifted and certified exactly (`_lifted_space`),
+    with the exact echelon over Q as the fallback.  Either way the result
+    is the reduced row-echelon basis of the exact solution space.
     """
-    n = alg.dim
-    prod = alg._product_pairs
-    acc = EchelonAccumulator(alg.field, n * n)
+    field = alg.field
+    if field.kind == "rational":
+        space = _lifted_space(alg)
+        return _exact_space(alg) if space is None else space
+    table = {ij: tuple((k, c.v) for k, c in pairs) for ij, pairs in alg.products.items()}
+    _, free = _kernel_mod(alg, table, field.p)
+    rows = ({c: field.from_int(x) for c, x in row.items()} for row in free.values())
+    return EchelonAccumulator.of(field, alg.dim ** 2, rows).subspace()
+
+
+def _adjoints(n: int, table):
+    """ad[j][l] = the (k, c) pairs of e_j e_l, read from a table keyed like `Algebra.products`."""
+    return [[table.get((j, l) if j <= l else (l, j), ()) for l in range(n)] for j in range(n)]
+
+
+def _associativity_rows(n: int, table):
+    """Equation (i, j, l), sum_m c_jl^m X[i, m] - c_ij^m X[m, l] = 0, for every
+    i, j, l, as a sparse row over the n^2 Gram entries.  `table` holds the
+    structure constants c as `Algebra.products` does, as field scalars or ints."""
+    ad = _adjoints(n, table)
     for i in range(n):
         for j in range(n):
-            left = prod(i, j)
+            left, right = ad[i][j], ad[j]
             for l in range(n):
-                row = {i * n + m: c for m, c in prod(j, l)}
+                row = {i * n + m: c for m, c in right[l]}
                 for m, c in left:
                     k = m * n + l
                     t = row.pop(k, None)
                     t = -c if t is None else t - c
                     if t:
                         row[k] = t
-                acc.add_row(row)
-    return acc.kernel()
+                yield row
+
+
+def _exact_space(alg: Algebra) -> Subspace:
+    """The solution space from one exact echelon over the algebra's field."""
+    n = alg.dim
+    return EchelonAccumulator.of(alg.field, n * n, _associativity_rows(n, alg.products)).kernel()
+
+
+def _kernel_mod(alg: Algebra, table, p: int):
+    """(pivot columns, kernel basis by free column) of the equations of an
+    int structure table, eliminated mod p."""
+    table = {ij: tuple((k, r) for k, c in pairs if (r := c % p)) for ij, pairs in table.items()}
+    n = alg.dim
+    acc = EchelonAccumulator.of(alg.field, n * n, _associativity_rows(n, table), p)
+    return tuple(sorted(acc.rows)), acc.kernel_basis()
+
+
+def _lifted_space(alg: Algebra) -> Optional[Subspace]:
+    """The solution space over Q from kernels mod the primes of `_PRIMES`, or None.
+
+    The structure constants are scaled to ints by their common denominator,
+    which does not change the solutions.  A prime whose echelon has a larger
+    rank, or the same rank with earlier pivot columns, than the primes kept
+    so far replaces them; one with the same pivots joins them.  Over Q the
+    rank is largest and the pivots come first, and where a prime has those
+    too, the echelon mod p is the echelon over Q reduced mod p.  The kernel
+    bases of the primes kept are combined by CRT, so each one widens the
+    range in which every entry is lifted to Q by rational reconstruction.
+
+    The lift is reported only if each vector solves every equation over Z.
+    That is exact: rank mod p <= rank over Q, so the nullity mod p is at
+    least the nullity over Q, and the certified vectors are that many
+    independent solutions (each is 1 at its own free column and 0 at the
+    others).  So they span the solution space, whose reduced basis is then
+    one small echelon away.
+    """
+    n = alg.dim
+    den = lcm(*(c.denominator for pairs in alg.products.values() for _, c in pairs))
+    table = {ij: tuple((k, c.numerator * (den // c.denominator)) for k, c in pairs)
+             for ij, pairs in alg.products.items()}
+    kept, residues, modulus = None, None, 1
+    for p in _PRIMES:
+        pivots, free = _kernel_mod(alg, table, p)
+        profile = (-len(pivots), pivots)
+        if kept is None or profile < kept:
+            kept, residues, modulus = profile, free, p
+        elif profile == kept:
+            residues = {f: _crt(residues[f], modulus, free[f], p) for f in free}
+            modulus *= p
+        else:
+            continue
+        lifted = _lift(residues, modulus)
+        if lifted is not None and _certified(n, table, lifted):
+            return EchelonAccumulator.of(alg.field, n * n, lifted).subspace()
+    return None
+
+
+def _crt(a: dict, m: int, b: dict, p: int) -> dict:
+    """The sparse row of ints in [0, m p) congruent to a mod m and to b mod p."""
+    inv = pow(m, -1, p)
+    out = {}
+    for c in a.keys() | b.keys():
+        x = a.get(c, 0)
+        x += m * ((b.get(c, 0) - x) * inv % p)
+        if x:
+            out[c] = x
+    return out
+
+
+def _lift(rows: dict, m: int) -> Optional[list]:
+    """The rows with every entry mod m reconstructed as a fraction, or None
+    if one has no reconstruction."""
+    out = []
+    for row in rows.values():
+        out.append({c: _reconstruct(x, m) for c, x in row.items()})
+        if None in out[-1].values():
+            return None
+    return out
+
+
+def _reconstruct(u: int, m: int):
+    """The fraction a/b = u mod m with |a| and b at most sqrt(m/2), or None
+    (Wang's rational reconstruction by the half extended Euclidean algorithm)."""
+    bound = isqrt(m // 2)
+    r0, r1, s0, s1 = m, u, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+    if abs(s1) > bound or gcd(r1, s1) != 1:
+        return None
+    return rational(r1, s1)
+
+
+def _certified(n: int, table, rows) -> bool:
+    """Whether every row, as an int Gram matrix G with its denominators
+    cleared, solves the equations of the int structure table over Z.  They
+    read G ad_j = ad_j^T G for each j: entry (i, l) is (e_i, e_j e_l) =
+    (e_i e_j, e_l), and column l of ad_j is e_j e_l."""
+    for row in rows:
+        scale = lcm(*(x.denominator for x in row.values()))
+        g = [[0] * n for _ in range(n)]
+        for c, x in row.items():
+            g[c // n][c % n] = x.numerator * (scale // x.denominator)
+        for ad in _adjoints(n, table):
+            for i, gi in enumerate(g):
+                ij_l = [0] * n  # (e_i e_j, e_l) for every l
+                for m, c in ad[i]:
+                    ij_l = [t + c * x for t, x in zip(ij_l, g[m])]
+                if ij_l != [sum(c * gi[m] for m, c in col) for col in ad]:  # (e_i, e_j e_l)
+                    return False
+    return True
 
 
 def _gram_from_flat(alg: Algebra, flat) -> Matrix:

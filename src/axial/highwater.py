@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import Algebra
 from .catalog import check_build_dim
-from .errors import ConsistencyFailure, DegenerateParameters, InvalidField, Unsupported
+from .errors import ConsistencyFailure, DegenerateParameters, DimensionError, InvalidField, Unsupported
 from .fields import QQ, FieldSpec, parse_int, rational
 from .fusion import law_M
 from .linalg import EchelonAccumulator, Matrix, combine, dense, residue
@@ -23,20 +23,24 @@ MAX_WINDOW = 48  # rows of 4w + 1 entries; about 5 s at w = 48 (Fraction backend
 
 
 class HighwaterElement:
-    """Finitely supported element: maps a-indices and s-indices to scalars."""
+    """Finitely supported element: maps a-indices and s-indices to scalars.
+    Every index is an int, never a bool, float or str."""
 
     __slots__ = ("field", "a", "s")
 
     def __init__(self, field: FieldSpec, a=None, s=None):
         self.field = field
+        a, s = a or {}, s or {}
+        for i in (*a, *s):
+            if type(i) is not int:
+                raise DimensionError(f"highwater index {i!r} is not an int")
         aa: Dict[int, object] = {}
         ss: Dict[int, object] = {}
-        for i, c in (a or {}).items():
+        for i, c in a.items():
             c = field.coerce(c)
             if c != field.zero():
-                aa[int(i)] = c
-        for j, c in (s or {}).items():
-            j = int(j)
+                aa[i] = c
+        for j, c in s.items():
             if j < 0:
                 raise InvalidField(f"negative distance index s_{j}")
             c = field.coerce(c)
@@ -106,11 +110,11 @@ class HighwaterElement:
 
 
 def hw_a(i: int, field: FieldSpec = QQ) -> HighwaterElement:
-    return HighwaterElement(field, {int(i): 1})
+    return HighwaterElement(field, {i: 1})
 
 
 def hw_s(j: int, field: FieldSpec = QQ) -> HighwaterElement:
-    return HighwaterElement(field, s={int(j): 1})
+    return HighwaterElement(field, s={j: 1})
 
 
 def _require_odd_char(field: FieldSpec, what: str):

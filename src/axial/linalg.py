@@ -12,6 +12,9 @@ Every routine feeds its rows to `EchelonAccumulator`, which keeps a fully
 reduced row-echelon basis (pivot entries 1) and reduces each new row in one
 pass over the pivot columns it touches.  That form of a row space is unique,
 so results do not depend on row order and equal subspaces store equal rows.
+Given a prime modulus p, the same accumulator works on plain ints mod p:
+rows are reduced with `_eliminate` as they are and brought into [0, p)
+afterwards.
 """
 
 from typing import Optional
@@ -193,7 +196,9 @@ def _eliminate(v, rows):
 
     `rows` maps each pivot column to its row, whose pivot entry is 1.  Every
     row is zero on the other pivot columns, so one pass over the pivot
-    columns v touches clears them all.
+    columns v touches clears them all.  Each factor is an entry of v as it
+    came in, so on ints the result is exact and bounded, and reducing it mod
+    m afterwards (`_mod`) gives the residue mod m.
     """
     hits = [c for c in v if c in rows] if len(v) <= len(rows) else [p for p in rows if p in v]
     for p in hits:
@@ -212,6 +217,11 @@ def _eliminate(v, rows):
                     del v[c]
 
 
+def _mod(v, m) -> dict:
+    """A sparse row of ints brought into [0, m), with the entries that vanish dropped."""
+    return {c: r for c, x in v.items() if (r := x % m)}
+
+
 def residue(row, rows) -> dict:
     """A sparse row reduced against `rows` (see `_eliminate`): empty iff it lies in their span."""
     v = dict(row)
@@ -224,17 +234,20 @@ class EchelonAccumulator:
 
     `rows` maps each pivot column to its row (see `_eliminate`); `order`
     lists the pivots in the order their rows arrived.  After any sequence of
-    rows the basis is the reduced row-echelon form of their span.
+    rows the basis is the reduced row-echelon form of their span.  With a
+    prime `modulus` p the rows are plain ints, any int on entry and in
+    [0, p) once stored, and the basis is that of their span over F_p.
     """
 
-    __slots__ = ("field", "ncols", "rows", "order")
+    __slots__ = ("field", "ncols", "rows", "order", "modulus")
 
-    def __init__(self, field: FieldSpec, ncols: int):
+    def __init__(self, field: FieldSpec, ncols: int, modulus: Optional[int] = None):
         self.field, self.ncols, self.rows, self.order = field, ncols, {}, []
+        self.modulus = modulus
 
     @classmethod
-    def of(cls, field: FieldSpec, ncols: int, rows) -> "EchelonAccumulator":
-        acc = cls(field, ncols)
+    def of(cls, field: FieldSpec, ncols: int, rows, modulus: Optional[int] = None) -> "EchelonAccumulator":
+        acc = cls(field, ncols, modulus)
         for row in rows:
             acc.add_row(row)
         return acc
@@ -245,19 +258,28 @@ class EchelonAccumulator:
         Returns its pivot value before normalisation, or None when the row
         depends on the basis.
         """
-        rows = self.rows
+        rows, m = self.rows, self.modulus
         v = residue(row, rows)
+        if m:
+            v = _mod(v, m)
         if not v:
             return None
         lead = min(v)
         pv = v[lead]
-        one = self.field.one()
-        if pv != one:
-            v = scaled(one / pv, v)
+        if m:
+            if pv != 1:
+                inv = pow(pv, -1, m)
+                v = {c: x * inv % m for c, x in v.items()}
+        else:
+            one = self.field.one()
+            if pv != one:
+                v = scaled(one / pv, v)
         single = {lead: v}
-        for other in rows.values():
+        for q, other in rows.items():
             if lead in other:
                 _eliminate(other, single)
+                if m:
+                    rows[q] = _mod(other, m)
         rows[lead] = v
         self.order.append(lead)
         return pv
@@ -273,16 +295,24 @@ class EchelonAccumulator:
                    for p in sorted(rows) if p >= start}
         return Subspace(self.field, self.ncols - start, shifted)
 
-    def kernel(self, width: Optional[int] = None) -> "Subspace":
-        """Null space of the first `width` columns (all of them by default)."""
+    def kernel_basis(self, width: Optional[int] = None) -> dict:
+        """The null space of the first `width` columns (all of them by default),
+        as one row per free column f: 1 at f, and at each pivot p minus the
+        entry of row p in column f."""
         width = self.ncols if width is None else width
+        m = self.modulus
         neg = {}
         for p, row in self.rows.items():
             for c, x in row.items():
                 if c != p and c < width:
-                    neg.setdefault(c, {})[p] = -x
-        one = self.field.one()
-        free = ({f: one, **neg.get(f, {})} for f in range(width) if f not in self.rows)
+                    neg.setdefault(c, {})[p] = m - x if m else -x
+        one = 1 if m else self.field.one()
+        return {f: {f: one, **neg.get(f, {})} for f in range(width) if f not in self.rows}
+
+    def kernel(self, width: Optional[int] = None) -> "Subspace":
+        """Null space of the first `width` columns (all of them by default)."""
+        width = self.ncols if width is None else width
+        free = self.kernel_basis(width).values()
         return EchelonAccumulator.of(self.field, width, free).subspace()
 
 

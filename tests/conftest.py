@@ -4,6 +4,7 @@ Catalog instances are built once per session; everything here is exact
 arithmetic, so caching is about convenience, not numerics.
 """
 
+import random
 from typing import Dict, List, Tuple
 
 import pytest
@@ -22,6 +23,7 @@ from axial import (
     split_spin_factor,
 )
 from axial.catalog import ThreeTranspositionGroup
+from axial.errors import InvalidField
 from axial.perms import parse_cycles
 
 settings.register_profile("pkg", deadline=None, max_examples=60)
@@ -166,3 +168,45 @@ def kernel_case(request):
     pair = cancelling_pair(alg)
     probes = [alg.zero_vector(), alg.basis_vector(n - 1), tuple(few), full, *(pair or ())]
     return request.param, alg, probes, pair
+
+
+# -- inputs for the Frobenius solve differential tests -----------------------
+
+SOLVE_ALGEBRAS = (
+    tuple(f"ns:{name}" for name in NORTON_SAKUMA_NAMES)
+    + tuple(f"matsuo:S{n}:{field}" for n in (4, 5, 6) for field in ("QQ", "GF(10007)"))
+    + tuple(f"hw:{d}" for d in range(2, 9))
+)
+
+
+def seeded_eta(seed, field=QQ):
+    """A scalar of `field` from a fraction in (0, 1) whose numerator and
+    denominator have 3 to 5 digits, drawn from a fixed seed."""
+    rng = random.Random(seed)
+    while True:
+        den = rng.randint(100, 99_999)
+        num = rng.randint(100, den - 1)
+        try:
+            return field.parse(f"{num}/{den}")
+        except InvalidField:  # the denominator is not invertible in the field
+            continue
+
+
+def solve_algebra(name: str) -> Algebra:
+    family, arg = name.split(":", 1)
+    if family == "ns":
+        return norton_sakuma(arg)
+    if family == "hw":
+        return hw_periodic_quotient(int(arg))
+    degree, field = arg.split(":")
+    field = QQ if field == "QQ" else GF(10007)
+    n = int(degree[1:])
+    return matsuo(ThreeTranspositionGroup.symmetric(n), seeded_eta(f"eta:S{n}", field), field)
+
+
+@pytest.fixture(scope="session", params=SOLVE_ALGEBRAS)
+def solve_case(request):
+    """(name, algebra) for the Frobenius solve differential tests: the
+    Norton-Sakuma algebras, Matsuo S4-S6 at a seeded eta over QQ and
+    GF(10007), and highwater quotients of period 2 to 8."""
+    return request.param, solve_algebra(request.param)

@@ -344,6 +344,16 @@ class TestDocumentErrors:
         assert result.exit_code == 2
         assert "decimal integer" in result.output
 
+    @pytest.mark.parametrize("scalar", ["\u0661", "\u0661/\u0662", "-\u0661"])
+    def test_non_ascii_digits_in_scalar_exit_2(self, runner, scalar):
+        # int() reads these digits, so "\u0661" loaded as 1 before
+        doc = json.loads(build(runner, "ns:2B"))
+        doc["axes"][1]["v"] = {"1": scalar}
+        proc = run_process(["verify", "-"], json.dumps(doc))
+        assert proc.returncode == 2
+        assert "bad scalar literal" in proc.stderr
+        assert "Traceback" not in proc.stdout + proc.stderr
+
     def test_form_survives_a_pipe(self, runner):
         doc = json.loads(build(runner, "ns:3A"))
         assert doc["form"][0] == ["1", "13/256", "13/256", "1/4"]

@@ -46,6 +46,15 @@ class TestRationals:
             with pytest.raises(InvalidField):
                 QQ.parse(text)
 
+    @pytest.mark.parametrize("field,text", [
+        (QQ, "\u0661/\u0662"), (QQ, "\u0663"), (QQ, "1/\u0662"), (QQ, "\uff11"),
+        (GF(7), "\u0663 mod 7"), (GF(7), "3 mod \u0667"), (GF(7), "\u0661/\u0662"),
+    ])
+    def test_parse_rejects_non_ascii_digits(self, field, text):
+        # int() reads these digits; a scalar literal is written in ASCII only
+        with pytest.raises(InvalidField):
+            field.parse(text)
+
 
 class TestPrimeField:
     def test_construction_requires_prime(self):

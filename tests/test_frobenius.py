@@ -1,5 +1,7 @@
 """Frobenius form solver, radicals and projection machinery."""
 
+import random
+
 import pytest
 
 from axial import (
@@ -14,17 +16,23 @@ from axial import (
     norton_sakuma,
     projection_graph,
     radical,
+    rational,
     solve_frobenius,
     split_spin_factor,
 )
+from axial import frobenius
+from axial.axes import check_axis
 from axial.catalog import ThreeTranspositionGroup
 from axial.errors import Unsupported
 from axial.frobenius import (
+    _exact_space,
+    _lifted_space,
+    _reconstruct,
     eigenspace_orthogonality_violations,
     is_symmetric_form,
     projection_functional,
 )
-from axial.linalg import Matrix, vadd
+from axial.linalg import Matrix, invert, vadd
 
 
 def zero_product_pair():
@@ -66,6 +74,82 @@ class TestSolutionSpace:
         assert len(forms) == sol.dim
         for f in forms:
             assert is_symmetric_form(f)
+
+
+class TestModularSolve:
+    """The solve eliminates on ints mod p; over Q it lifts the kernel and
+    certifies it exactly, with the exact echelon as the fallback."""
+
+    def test_matches_exact_engine(self, solve_case):
+        name, alg = solve_case
+        got, want = frobenius_solution_space(alg), _exact_space(alg)
+        assert got == want, name
+        assert got.pivots == want.pivots
+        scalar = type(alg.field.one())
+        assert all(type(x) is scalar for row in got.rows.values() for x in row.values())
+        if alg.field == QQ:
+            # the lift carries it, not the exact fallback
+            assert _lifted_space(alg) == want, name
+
+    def test_prime_dividing_a_denominator_falls_back(self, monkeypatch):
+        # eta = 1/3 puts 3 in the denominators of the structure constants
+        alg = matsuo(ThreeTranspositionGroup.symmetric(4), QQ.parse("1/3"))
+        want = _exact_space(alg)
+        monkeypatch.setattr(frobenius, "_PRIMES", (3,))
+        assert _lifted_space(alg) is None
+        assert frobenius_solution_space(alg) == want
+
+    def test_unlucky_prime_is_set_aside(self, monkeypatch):
+        # mod 3 the echelon has the rank of Q but later pivots; the next
+        # prime replaces it instead of being combined with it
+        alg = matsuo(ThreeTranspositionGroup.symmetric(4), QQ.parse("1/3"))
+        monkeypatch.setattr(frobenius, "_PRIMES", (3, 2**61 - 1))
+        assert _lifted_space(alg) == _exact_space(alg)
+
+    def test_small_primes_combine_until_the_lift_certifies(self, monkeypatch):
+        # the form entries eta/2 = 38975/100854 are beyond what one or two
+        # primes near 10^4 reconstruct; three primes combined by CRT reach them
+        alg = matsuo(ThreeTranspositionGroup.symmetric(4), QQ.parse("38975/50427"))
+        want = _exact_space(alg)
+        for primes, lifted in (((10007,), None), ((10007, 10009), None),
+                               ((10007, 10009, 10037), want)):
+            monkeypatch.setattr(frobenius, "_PRIMES", primes)
+            assert _lifted_space(alg) == lifted, primes
+            assert frobenius_solution_space(alg) == want, primes
+
+    @pytest.mark.parametrize("digits,lifts", [(1, True), (8, False)])
+    @pytest.mark.parametrize("table", [
+        {(0, 0): {0: 1}, (1, 1): {1: 1}, (2, 2): {2: 1}},  # QQ^3
+        {(0, 0): {0: 1}, (0, 1): {1: 1}, (0, 2): {2: 1}, (1, 1): {2: 1}},  # QQ[x]/x^3
+    ])
+    def test_associative_algebra_in_a_random_basis(self, table, digits, lifts):
+        # an associative algebra has a 3-dimensional space of forms (x, y) =
+        # f(xy).  In a random basis with d-digit entries, its reduced basis
+        # has numerators and denominators of up to 9 digits at d = 1, which the
+        # lift reaches, and of over 100 digits at d = 8, past the 27 digits
+        # that the three default primes reach; there the exact echelon answers
+        rng = random.Random(f"{sorted(table)}:{digits}")
+        n = 3
+        change = Matrix(QQ, [[rational(rng.randint(-10**digits, 10**digits), rng.randint(1, 10**digits))
+                              for _ in range(n)] for _ in range(n)])
+        back = invert(change).transpose()
+        base = Algebra(QQ, ("e0", "e1", "e2"), {ij: {k: QQ.from_int(c) for k, c in v.items()}
+                                                 for ij, v in table.items()})
+        rows = change.data
+        alg = Algebra(QQ, ("f0", "f1", "f2"), {
+            (i, j): back.mul_vec(base.mul(rows[i], rows[j])) for i in range(n) for j in range(i, n)})
+        want = _exact_space(alg)
+        assert want.dim == 3
+        assert (_lifted_space(alg) == want) if lifts else (_lifted_space(alg) is None)
+        assert frobenius_solution_space(alg) == want
+
+    def test_reconstruct(self):
+        m = 10007 * 10009
+        for a, b in ((0, 1), (1, 1), (-1, 1), (3, 7), (-38, 91), (7000, 7001), (-1, 7000)):
+            assert _reconstruct(a * pow(b, -1, m) % m, m) == rational(a, b), (a, b)
+        # past sqrt(m/2) the fraction is out of reach
+        u = 38975 * pow(100854, -1, m) % m
+        assert _reconstruct(u, m) != rational(38975, 100854)
 
 
 class TestNormalisation:
@@ -168,6 +252,29 @@ class TestProjection:
             got = sum(c * x for c, x in zip(phi, e))
             want = form_value(sol.canonical, a, e) / form_value(sol.canonical, a, a)
             assert got == want
+
+    @staticmethod
+    def assert_forms_agree_with_projection_functionals(name, alg):
+        # a second derivation of the forms: for a primitive axis a, the
+        # eigenspaces of ad_a are orthogonal under any associating form, so
+        # (a, u) = phi_a(u) (a, a) with phi_a from the eigenspace decomposition
+        sol = solve_frobenius(alg)
+        forms = [sol.canonical] if sol.canonical is not None else []
+        forms += sol.basis_forms(alg)
+        for _, a in alg.axes:
+            assert check_axis(alg, a, alg.law).is_primitive, name
+            phi = projection_functional(alg, a)
+            for form in forms:
+                norm = form_value(form, a, a)
+                for i in range(alg.dim):
+                    assert form_value(form, a, alg.basis_vector(i)) == phi[i] * norm, (name, i)
+
+    def test_forms_agree_with_projection_functionals_on_golden(self, golden):
+        for name, alg in golden:
+            self.assert_forms_agree_with_projection_functionals(name, alg)
+
+    def test_forms_agree_with_projection_functionals(self, solve_case):
+        self.assert_forms_agree_with_projection_functionals(*solve_case)
 
     def test_graph_symmetric_on_golden(self):
         alg = norton_sakuma("3A")

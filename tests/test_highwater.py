@@ -20,7 +20,7 @@ from axial import (
     is_ideal_type,
     rational,
 )
-from axial.errors import DegenerateParameters, InvalidField, Unsupported
+from axial.errors import DegenerateParameters, DimensionError, InvalidField, Unsupported
 
 coeffs = st.integers(min_value=-6, max_value=6).map(rational)
 
@@ -47,6 +47,15 @@ class TestElements:
     def test_negative_distance_rejected(self):
         with pytest.raises(InvalidField):
             HighwaterElement(QQ, s={-1: QQ.one()})
+
+    @pytest.mark.parametrize("make", [
+        lambda: hw_a(0.9), lambda: hw_a(True), lambda: hw_a("1"), lambda: hw_s(2.0),
+        lambda: HighwaterElement(QQ, {"0_1": 1}), lambda: HighwaterElement(QQ, s={False: 1}),
+    ])
+    def test_indices_must_be_ints(self, make):
+        # int() would read each of these as an index
+        with pytest.raises(DimensionError):
+            make()
 
     @given(elements())
     def test_json_roundtrip(self, x):

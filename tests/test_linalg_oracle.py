@@ -26,13 +26,25 @@ def oracle_domain(field):
     return sympy.QQ if field.kind == "rational" else sympy.GF(field.p)
 
 
-def to_oracle(field, rows, ncols):
+def to_oracle_scalar(field):
     dom = oracle_domain(field)
     if field.kind == "rational":
-        conv = [[dom(x.numerator, x.denominator) for x in row] for row in rows]
-    else:
-        conv = [[dom(x.v) for x in row] for row in rows]
-    return DomainMatrix(conv, (len(rows), ncols), dom)
+        return lambda x: dom(x.numerator, x.denominator)
+    return lambda x: dom(x.v)
+
+
+def to_oracle(field, rows, ncols):
+    conv = to_oracle_scalar(field)
+    return DomainMatrix([[conv(x) for x in row] for row in rows], (len(rows), ncols),
+                        oracle_domain(field))
+
+
+def to_sparse_oracle(field, rows, ncols):
+    """The same matrix as `to_oracle`, held sparse; for tall systems of few non-zeros."""
+    conv = to_oracle_scalar(field)
+    entries = {i: {j: conv(x) for j, x in enumerate(row) if x} for i, row in enumerate(rows)}
+    return DomainMatrix({i: row for i, row in entries.items() if row}, (len(rows), ncols),
+                        oracle_domain(field))
 
 
 def from_oracle(field, x):
@@ -211,15 +223,26 @@ def associativity_system(alg):
     return rows
 
 
+def assert_frobenius_space_matches_oracle(alg):
+    n = alg.dim
+    system = to_sparse_oracle(alg.field, associativity_system(alg), n * n)
+    want, pivots = oracle_rref(alg.field, system.nullspace().to_dense())
+    space = frobenius_solution_space(alg)
+    assert space.basis == tuple(r for r in want if any(r))
+    assert space.pivots == pivots
+
+
 @pytest.mark.parametrize("name", list(NORTON_SAKUMA_NAMES) + ["matsuo:S4"])
 def test_frobenius_space_matches_oracle_nullspace(name):
     if name == "matsuo:S4":
         alg = matsuo(ThreeTranspositionGroup.symmetric(4), QQ.parse("1/4"))
     else:
         alg = norton_sakuma(name)
-    n = alg.dim
-    system = to_oracle(alg.field, associativity_system(alg), n * n)
-    want, pivots = oracle_rref(alg.field, system.nullspace())
-    space = frobenius_solution_space(alg)
-    assert space.basis == tuple(r for r in want if any(r))
-    assert space.pivots == pivots
+    assert_frobenius_space_matches_oracle(alg)
+
+
+def test_modular_frobenius_space_matches_oracle_nullspace(solve_case):
+    """The modular solve (mod p, lifted and certified over Q) on the
+    Norton-Sakuma algebras, Matsuo S4-S6 at a seeded eta over QQ and
+    GF(10007) and highwater quotients of period 2 to 8."""
+    assert_frobenius_space_matches_oracle(solve_case[1])
