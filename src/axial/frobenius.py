@@ -21,7 +21,8 @@ def frobenius_solution_space(alg: Algebra) -> Subspace:
 
     Only associativity is imposed; symmetry of the solutions is a theorem,
     not a constraint, and is checked downstream.  The equations are
-    eliminated on plain ints mod p: over F_p that is the field itself; over
+    eliminated on plain ints mod p, block by block until the kernel solves
+    the rest (`_kernel_mod`): over F_p that is the field itself; over
     Q the kernel mod p is lifted and certified exactly (`_lifted_space`),
     with the exact echelon over Q as the fallback.  Either way the result
     is the reduced row-echelon basis of the exact solution space.
@@ -41,38 +42,90 @@ def _adjoints(n: int, table):
     return [[table.get((j, l) if j <= l else (l, j), ()) for l in range(n)] for j in range(n)]
 
 
-def _associativity_rows(n: int, table):
-    """Equation (i, j, l), sum_m c_jl^m X[i, m] - c_ij^m X[m, l] = 0, for every
-    i, j, l, as a sparse row over the n^2 Gram entries.  `table` holds the
-    structure constants c as `Algebra.products` does, as field scalars or ints."""
-    ad = _adjoints(n, table)
+def _block(n: int, ad, j: int):
+    """Block j of the equations: G ad_j = ad_j^T G, as the rows (i, j, l) for
+    every i and l.  Row (i, j, l) is sum_m c_jl^m X[i, m] - c_ij^m X[m, l] = 0,
+    (e_i, e_j e_l) = (e_i e_j, e_l), sparse over the n^2 Gram entries; `ad`
+    is `_adjoints` of the structure constants, as field scalars or ints."""
+    right = ad[j]
     for i in range(n):
-        for j in range(n):
-            left, right = ad[i][j], ad[j]
-            for l in range(n):
-                row = {i * n + m: c for m, c in right[l]}
-                for m, c in left:
-                    k = m * n + l
-                    t = row.pop(k, None)
-                    t = -c if t is None else t - c
-                    if t:
-                        row[k] = t
-                yield row
+        left = ad[i][j]
+        for l in range(n):
+            row = {i * n + m: c for m, c in right[l]}
+            for m, c in left:
+                k = m * n + l
+                t = row.pop(k, None)
+                t = -c if t is None else t - c
+                if t:
+                    row[k] = t
+            yield row
+
+
+def _adjoint_rows(n: int, ad):
+    """rows[j][m] = the (l, c) pairs with c = c_jl^m: row m of ad_j, from `_adjoints`."""
+    out = []
+    for adj in ad:
+        rows = [[] for _ in range(n)]
+        for l, col in enumerate(adj):
+            for m, c in col:
+                rows[m].append((l, c))
+        out.append(rows)
+    return out
+
+
+def _solves(n: int, ad_rows, g: dict, blocks, p: int = 0) -> bool:
+    """Whether the flat int Gram vector g solves every equation of `blocks`,
+    over Z or, with p, mod p.  Block j is checked as the matrix G ad_j -
+    ad_j^T G, scattered from the non-zero entries of g through the rows of
+    ad_j (from `_adjoint_rows`); the check gives up at the first block with
+    a non-zero entry."""
+    for j in blocks:
+        ad_j = ad_rows[j]
+        d = {}
+        for t, x in g.items():
+            a, b = divmod(t, n)
+            for l, c in ad_j[b]:  # (G ad_j)[a, l] gets G[a, b] c_jl^b
+                k = a * n + l
+                d[k] = d.get(k, 0) + x * c
+            for i, c in ad_j[a]:  # (ad_j^T G)[i, b] gets c_ji^a G[a, b]
+                k = i * n + b
+                d[k] = d.get(k, 0) - x * c
+        if any(y % p if p else y for y in d.values()):
+            return False
+    return True
 
 
 def _exact_space(alg: Algebra) -> Subspace:
-    """The solution space from one exact echelon over the algebra's field."""
+    """The solution space from one exact echelon of every equation over the algebra's field."""
     n = alg.dim
-    return EchelonAccumulator.of(alg.field, n * n, _associativity_rows(n, alg.products)).kernel()
+    ad = _adjoints(n, alg.products)
+    rows = (row for j in range(n) for row in _block(n, ad, j))
+    return EchelonAccumulator.of(alg.field, n * n, rows).kernel()
 
 
 def _kernel_mod(alg: Algebra, table, p: int):
     """(pivot columns, kernel basis by free column) of the equations of an
-    int structure table, eliminated mod p."""
+    int structure table, eliminated mod p.
+
+    The blocks j = 0, 1, ... are fed in turn, and the feed stops once every
+    kernel vector of the blocks fed solves the blocks left.  That stop is
+    exact: the kernel of the blocks fed holds the kernel of all of them, so
+    when its basis solves the rest the two kernels, and so their reduced
+    echelon forms, are equal.
+    """
     table = {ij: tuple((k, r) for k, c in pairs if (r := c % p)) for ij, pairs in table.items()}
     n = alg.dim
-    acc = EchelonAccumulator.of(alg.field, n * n, _associativity_rows(n, table), p)
-    return tuple(sorted(acc.rows)), acc.kernel_basis()
+    ad = _adjoints(n, table)
+    ad_rows = _adjoint_rows(n, ad)
+    acc = EchelonAccumulator(alg.field, n * n, p)
+    free = {}
+    for j in range(n):
+        for row in _block(n, ad, j):
+            acc.add_row(row)
+        free = acc.kernel_basis()
+        if all(_solves(n, ad_rows, g, range(j + 1, n), p) for g in free.values()):
+            break
+    return tuple(sorted(acc.rows)), free
 
 
 def _lifted_space(alg: Algebra) -> Optional[Subspace]:
@@ -153,21 +206,13 @@ def _reconstruct(u: int, m: int):
 
 def _certified(n: int, table, rows) -> bool:
     """Whether every row, as an int Gram matrix G with its denominators
-    cleared, solves the equations of the int structure table over Z.  They
-    read G ad_j = ad_j^T G for each j: entry (i, l) is (e_i, e_j e_l) =
-    (e_i e_j, e_l), and column l of ad_j is e_j e_l."""
+    cleared, solves all n^3 equations of the int structure table over Z."""
+    ad_rows = _adjoint_rows(n, _adjoints(n, table))
     for row in rows:
         scale = lcm(*(x.denominator for x in row.values()))
-        g = [[0] * n for _ in range(n)]
-        for c, x in row.items():
-            g[c // n][c % n] = x.numerator * (scale // x.denominator)
-        for ad in _adjoints(n, table):
-            for i, gi in enumerate(g):
-                ij_l = [0] * n  # (e_i e_j, e_l) for every l
-                for m, c in ad[i]:
-                    ij_l = [t + c * x for t, x in zip(ij_l, g[m])]
-                if ij_l != [sum(c * gi[m] for m, c in col) for col in ad]:  # (e_i, e_j e_l)
-                    return False
+        g = {c: x.numerator * (scale // x.denominator) for c, x in row.items()}
+        if not _solves(n, ad_rows, g, range(n)):
+            return False
     return True
 
 

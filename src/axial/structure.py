@@ -8,7 +8,7 @@ from .algebra import Algebra
 from .axes import Axet, _eigen_decomposition
 from .errors import Unsupported
 from .fusion import FusionLaw, is_seress
-from .linalg import EchelonAccumulator, Subspace, close_span, dot, sparse
+from .linalg import EchelonAccumulator, Matrix, Subspace, close_span, dot, sparse
 from .perms import classes
 
 
@@ -33,9 +33,15 @@ def seress_lemma_check(alg: Algebra, a, law: Optional[FusionLaw] = None) -> Sere
     a = alg._row(a)
     spaces = _eigen_decomposition(alg, a, law)[1]
     one_zero = [*spaces[law.one_index].rows.values(), *spaces[law.zero_index].rows.values()]
+    # a(xy) = (ax)y for every basis x is ad_a ad_y = ad_y ad_a, compared
+    # column by column: ta and ty hold v e_j as row j (the transpose of ad_v),
+    # so row j of ty ta is a(e_j y) and row j of ta ty is (a e_j)y.
+    basis = alg._basis_rows()
+    ta = Matrix._of(alg.field, alg.dim, [alg._mul(a, e) for e in basis])
     for y in one_zero:
-        for x in alg._basis_rows():
-            if alg._mul(a, alg._mul(x, y)) != alg._mul(alg._mul(a, x), y):
+        ty = Matrix._of(alg.field, alg.dim, [alg._mul(y, e) for e in basis])
+        for x, left, right in zip(basis, ty.matmul(ta).rows, ta.matmul(ty).rows):
+            if left != right:
                 return SeressCheck(ok=False, witness=(alg._dense(x), alg._dense(y)))
     return SeressCheck(ok=True)
 

@@ -1,10 +1,12 @@
 """Frobenius form solver, radicals and projection machinery."""
 
 import random
+from math import lcm
 
 import pytest
 
 from axial import (
+    GF,
     NORTON_SAKUMA_NAMES,
     QQ,
     Algebra,
@@ -12,6 +14,7 @@ from axial import (
     form_radical,
     form_value,
     frobenius_solution_space,
+    hw_periodic_quotient,
     matsuo,
     norton_sakuma,
     projection_graph,
@@ -32,7 +35,7 @@ from axial.frobenius import (
     is_symmetric_form,
     projection_functional,
 )
-from axial.linalg import Matrix, invert, vadd
+from axial.linalg import EchelonAccumulator, Matrix, invert, vadd
 
 
 def zero_product_pair():
@@ -150,6 +153,91 @@ class TestModularSolve:
         # past sqrt(m/2) the fraction is out of reach
         u = 38975 * pow(100854, -1, m) % m
         assert _reconstruct(u, m) != rational(38975, 100854)
+
+
+def int_table(alg):
+    """(structure constants as ints, prime) as the modular solve takes them:
+    over QQ scaled by their common denominator, with the first prime of the
+    solve; over GF(p) their residues, with p."""
+    if alg.field == QQ:
+        den = lcm(*(c.denominator for pairs in alg.products.values() for _, c in pairs))
+        table = {ij: tuple((k, c.numerator * (den // c.denominator)) for k, c in pairs)
+                 for ij, pairs in alg.products.items()}
+        return table, frobenius._PRIMES[0]
+    return {ij: tuple((k, c.v) for k, c in pairs) for ij, pairs in alg.products.items()}, alg.field.p
+
+
+def full_feed(alg, table, p):
+    """(pivots, kernel basis) of every equation (i, j, l), written out from
+    the table in the order i, j, l, eliminated mod p."""
+    n = alg.dim
+
+    def c(i, j):
+        return table.get((i, j) if i <= j else (j, i), ())
+
+    acc = EchelonAccumulator(alg.field, n * n, p)
+    for i in range(n):
+        for j in range(n):
+            for l in range(n):
+                row = {}
+                for m, x in c(j, l):  # (e_i, e_j e_l)
+                    row[i * n + m] = row.get(i * n + m, 0) + x
+                for m, x in c(i, j):  # (e_i e_j, e_l)
+                    row[m * n + l] = row.get(m * n + l, 0) - x
+                acc.add_row({k: x % p for k, x in row.items() if x % p})
+    return tuple(sorted(acc.rows)), acc.kernel_basis()
+
+
+def blocks_fed(monkeypatch, alg):
+    """The blocks `_kernel_mod` feeds for the algebra, in order, and its result."""
+    fed, block = [], frobenius._block
+    monkeypatch.setattr(frobenius, "_block", lambda n, ad, j: fed.append(j) or block(n, ad, j))
+    table, p = int_table(alg)
+    return fed, frobenius._kernel_mod(alg, table, p)
+
+
+def s_n(n, eta="1/4", field=QQ):
+    return matsuo(ThreeTranspositionGroup.symmetric(n), field.parse(eta), field)
+
+
+class TestBlockSolve:
+    """The equations are fed one block G ad_j = ad_j^T G at a time, and the
+    feed stops once the kernel mod p solves the blocks left; the result is
+    that of feeding every equation."""
+
+    def test_matches_full_feed(self, solve_case):
+        name, alg = solve_case
+        table, p = int_table(alg)
+        assert frobenius._kernel_mod(alg, table, p) == full_feed(alg, table, p), name
+
+    @pytest.mark.parametrize("alg,blocks", [
+        (s_n(4), 3), (s_n(4, field=GF(10007)), 3),
+        (s_n(5), 4), (s_n(5, field=GF(2**31 - 1)), 4),
+        (hw_periodic_quotient(6), 2), (norton_sakuma("6A"), 2),
+    ], ids=["S4:QQ", "S4:GF(10007)", "S5:QQ", "S5:GF(2^31-1)", "hw:6", "ns:6A"])
+    def test_stops_after_the_blocks_it_needs(self, monkeypatch, alg, blocks):
+        fed, got = blocks_fed(monkeypatch, alg)
+        assert fed == list(range(blocks)) and blocks < alg.dim
+        table, p = int_table(alg)
+        assert got == full_feed(alg, table, p)
+
+    @pytest.mark.parametrize("field", [QQ, GF(7)], ids=["QQ", "GF(7)"])
+    def test_dimension_zero(self, monkeypatch, field):
+        alg = Algebra(field, (), {})
+        assert blocks_fed(monkeypatch, alg) == ([], ((), {}))
+        space = frobenius_solution_space(alg)
+        assert space == _exact_space(alg) and space.dim == 0
+        sol = solve_frobenius(alg)
+        assert sol.canonical is None and not sol.ambiguous and sol.axis_norms is None
+
+    @pytest.mark.parametrize("field", [QQ, GF(7)], ids=["QQ", "GF(7)"])
+    def test_zero_product_algebra(self, monkeypatch, field):
+        # every bilinear form is a Frobenius form; the first block shows it
+        alg = Algebra(field, ("x", "y", "z"), {})
+        fed, (pivots, free) = blocks_fed(monkeypatch, alg)
+        assert fed == [0] and pivots == () and len(free) == 9
+        space = frobenius_solution_space(alg)
+        assert space == _exact_space(alg) and space.dim == 9
 
 
 class TestNormalisation:

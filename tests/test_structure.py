@@ -22,6 +22,7 @@ from axial import (
     split_spin_factor,
     sum_decomposition,
 )
+from axial.axes import eigen_decomposition
 from axial.catalog import ThreeTranspositionGroup
 from axial.errors import Unsupported
 from axial.highwater import hw_quotient_weights
@@ -35,6 +36,41 @@ class TestSeress:
         for _, vec in alg.axes:
             chk = seress_lemma_check(alg, vec)
             assert chk.ok and chk.witness is None
+
+    @staticmethod
+    def oracle(alg, a):
+        # a(xy) = (ax)y by four products for each basis x and each y in
+        # A_1(a) + A_0(a), y outer, x inner; the first failure is the witness
+        law = alg.law
+        spaces = eigen_decomposition(alg, a, law)[1]
+        mul = alg.mul
+        for y in (*spaces[law.one_index].basis, *spaces[law.zero_index].basis):
+            for j in range(alg.dim):
+                x = alg.basis_vector(j)
+                if mul(a, mul(x, y)) != mul(mul(a, x), y):
+                    return False, (x, y)
+        return True, None
+
+    @pytest.mark.parametrize("name", NORTON_SAKUMA_NAMES)
+    def test_matches_four_product_oracle(self, name):
+        alg = norton_sakuma(name)
+        n = alg.dim
+        axes = [v for _, v in alg.axes]
+        # the sums e_i + e_j fail the identity somewhere on all but 2B
+        basis = [alg.basis_vector(j) for j in range(n)]
+        probes = axes + [vadd(basis[i], basis[j]) for i in range(n) for j in range(i, n)]
+        checks = [seress_lemma_check(alg, a) for a in probes]
+        for a, chk in zip(probes, checks):
+            assert (chk.ok, chk.witness) == self.oracle(alg, a), (name, a)
+        assert all(chk.ok for chk in checks[:len(axes)])
+        assert name == "2B" or not all(chk.ok for chk in checks)
+
+    def test_witness_off_an_axis(self):
+        alg = norton_sakuma("3A")
+        one = QQ.one()
+        chk = seress_lemma_check(alg, (0, 0, 1, 1))
+        assert not chk.ok
+        assert chk.witness == ((one, 0, 0, 0), (0, 0, one, -one))
 
     def test_requires_law(self):
         alg = norton_sakuma("3A").with_law(None)
