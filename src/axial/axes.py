@@ -20,7 +20,7 @@ from .fusion import FusionLaw, Grading, unique_adequate_grading
 from .linalg import (
     EchelonAccumulator, Matrix, Subspace, dot, invert, kernel, residue, row_key, scaled, sparse,
 )
-from .perms import Perm, classes, dimino
+from .perms import Perm, classes, group_order
 
 DEFAULT_AXIS_CAP = 10_000
 
@@ -471,17 +471,12 @@ def close_axes(
 class GroupInfo:
     order: int
     generators: Tuple[Perm, ...]
-    elements: Tuple[Perm, ...]
 
 
 def miyamoto_group(axet: Axet, cap: Optional[int] = None) -> GroupInfo:
     """Permutation group generated by the tau maps on the closed axis set."""
-    gens: List[Perm] = []
-    for p in axet.tau_perms:
-        if p not in gens:
-            gens.append(p)
-    elements = dimino(axet.size, gens, cap=cap)
-    return GroupInfo(order=len(elements), generators=tuple(gens), elements=tuple(elements))
+    gens = tuple(dict.fromkeys(axet.tau_perms))
+    return GroupInfo(order=group_order(axet.size, gens, cap=cap), generators=gens)
 
 
 @dataclass(frozen=True)
@@ -505,17 +500,10 @@ def classify_2gen_axet(axet: Axet, generators: Tuple[int, int] = (0, 1)) -> Axet
     n = axet.size
     if not (0 <= i < n and 0 <= j < n):
         raise NotTwoGenerated("generator indices out of range")
-    reached = {i, j}
-    while True:
-        fresh = set()
-        for s in reached:
-            p = axet.tau_perms[s]
-            for t in reached:
-                if p[t] not in reached:
-                    fresh.add(p[t])
-        if not fresh:
-            break
-        reached |= fresh
+    # tau_{g(a)} = g tau_a g^-1, so the axes i and j regenerate are their
+    # orbits under <tau_i, tau_j>
+    pairs = ((t, p[t]) for p in (axet.tau_perms[i], axet.tau_perms[j]) for t in range(n))
+    reached = [x for c in classes(range(n), pairs) if i in c or j in c for x in c]
     if len(reached) != n:
         raise NotTwoGenerated(
             f"axes {i},{j} regenerate only {len(reached)} of {n} axes"

@@ -253,7 +253,7 @@ def verify(file, law_text, as_json):
 @click.option("--cap", type=_INT, default=DEFAULT_AXIS_CAP,
               help="Abort if the closed axis set grows past this.")
 @click.option("--group-cap", type=_INT, default=None,
-              help="Abort if the group enumeration grows past this.")
+              help="Abort if the group order is larger than this.")
 @click.option("--json", "as_json", is_flag=True, help="Machine-readable report.")
 def miyamoto(file, cap, group_cap, as_json):
     """Close the designated axes under their tau maps and report the group."""

@@ -50,7 +50,7 @@ class ClosureCapExceeded(AxialError):
 
 
 class GroupCapExceeded(AxialError):
-    """Group element enumeration grew past the configured cap."""
+    """The group order is larger than the configured cap."""
 
 
 class UnknownCatalogEntry(AxialError):

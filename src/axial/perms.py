@@ -1,10 +1,11 @@
-"""Permutations as image tuples on {0..n-1}, cycle notation, Dimino closure.
+"""Permutations as image tuples on {0..n-1}, cycle notation, group orders.
 
 Composition is left-to-right: mul(p, q) applies p first, then q, so
 conjugation a^b = mul(mul(inverse(b), a), b).
 """
 
 import os
+from math import prod
 from typing import Iterable, Tuple
 
 from .errors import GroupCapExceeded, InvalidGroup, MalformedInput
@@ -109,47 +110,58 @@ def format_cycles(p: Perm) -> str:
     return "".join(parts) if parts else "()"
 
 
-def dimino(degree: int, generators: Iterable[Perm], cap=None) -> Tuple[Perm, ...]:
-    """All elements of <generators>, deterministically ordered (Dimino's algorithm)."""
+def group_order(degree: int, generators: Iterable[Perm], cap=None) -> int:
+    """|<generators>| as the product of the basic orbit lengths of a base and
+    strong generating set built by deterministic Schreier-Sims (Sims 1970;
+    Seress, "Permutation Group Algorithms", ch. 4).  The generators of each
+    level fix the earlier base points, so a partial product never exceeds the
+    order: GroupCapExceeded is raised as soon as one passes the cap."""
     limit = group_cap(cap)
     e = identity_perm(degree)
-    gens = []
-    for g in generators:
-        if g != e and g not in gens:
-            gens.append(tuple(g))
-    elements = [e]
-    index = {e: 0}
+    generators = [tuple(g) for g in generators]
+    base, gens, orbits = [], [], []  # per level l: point, generators, {u[base[l]]: u}
 
-    def push(x):
-        if len(elements) >= limit:
+    def sift(g, level):
+        for l in range(level, len(base)):
+            u = orbits[l].get(g[base[l]])
+            if u is None:
+                return g, l
+            g = mul(g, inverse(u))
+        return g, len(base)
+
+    def add(h, top, j):
+        """h fixes base[:top] and sifted to level j: a strong generator of top..j."""
+        if j == len(base):
+            base.append(next(x for x in range(degree) if h[x] != x))
+            gens.append([])
+            orbits.append({base[-1]: e})
+        for l in range(top, j + 1):
+            gens[l].append(h)
+            orbit, points = orbits[l], list(orbits[l])  # points grows while it is walked
+            for p in points:
+                for s in gens[l]:
+                    if s[p] not in orbit:
+                        orbit[s[p]] = mul(orbit[p], s)
+                        points.append(s[p])
+        if prod(map(len, orbits)) > max(limit, 1):
             raise GroupCapExceeded(f"group enumeration exceeded cap {limit}")
-        index[x] = len(elements)
-        elements.append(x)
 
-    for i, s in enumerate(gens):
-        if s in index:
-            continue
-        prev = elements[:]  # the subgroup generated so far
-        push(s)
-        for h in prev[1:]:
-            x = mul(h, s)
-            if x not in index:
-                push(x)
-        reps = [s]
-        qi = 0
-        while qi < len(reps):
-            r = reps[qi]
-            qi += 1
-            for g in gens[: i + 1]:
-                t = mul(r, g)
-                if t not in index:
-                    push(t)
-                    reps.append(t)
-                    for h in prev[1:]:
-                        x = mul(h, t)
-                        if x not in index:
-                            push(x)
-    return tuple(elements)
+    # Schreier's lemma: the chain is complete once every Schreier generator of
+    # each level i sifts through the levels below it, and the generators sift
+    # through all of them (level -1).  A residue stopped at level j joins every
+    # level i + 1..j, not level j alone, and the check resumes at level j.
+    i = -1
+    while i >= -1:
+        orbit = orbits[i] if i >= 0 else {}
+        words = (mul(mul(orbit[p], s), inverse(orbit[s[p]])) for p in orbit for s in gens[i])
+        for h, j in (sift(g, i + 1) for g in (words if i >= 0 else generators)):
+            if h != e:
+                add(h, i + 1, j)
+                i = j
+                break
+        else:
+            i -= 1
+    return prod(map(len, orbits))
 
 
 def classes(items: Iterable[int], pairs: Iterable[Tuple[int, int]]) -> Tuple[Tuple[int, ...], ...]:

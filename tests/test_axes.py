@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from axial import (
     GF,
+    NORTON_SAKUMA_NAMES,
     QQ,
     Algebra,
     axes,
@@ -16,6 +17,7 @@ from axial import (
     close_axes,
     eigen_decomposition,
     eigenspace,
+    flip_subalgebra,
     hw_periodic_quotient,
     is_axial,
     law_A,
@@ -29,6 +31,7 @@ from axial import (
 from axial.axes import _conjugate_tau, _transport, resolve_grading
 from axial.catalog import ThreeTranspositionGroup
 from axial.fusion import _build
+from axial.perms import parse_cycles
 from axial.errors import (
     ClosureCapExceeded,
     ConsistencyFailure,
@@ -184,9 +187,23 @@ class TestClosure:
         axet = close_axes(alg, [alg.axes[0][1], alg.axes[1][1]])
         info = miyamoto_group(axet)
         assert info.order == 10
-        assert len(info.elements) == 10
+        assert info.order == 2 * len(info.generators)  # dihedral: 5 reflections, 5 rotations
         with pytest.raises(GroupCapExceeded):
             miyamoto_group(axet, cap=3)
+
+    def test_group_cap_boundary(self):
+        # the cap is the largest order allowed, and the message names it
+        alg = norton_sakuma("5A")
+        axet = close_axes(alg, [alg.axes[0][1], alg.axes[1][1]])
+        assert miyamoto_group(axet, cap=10).order == 10
+        with pytest.raises(GroupCapExceeded, match=r"^group enumeration exceeded cap 9$"):
+            miyamoto_group(axet, cap=9)
+
+    def test_trivial_group_passes_cap_zero(self):
+        alg = matsuo(ThreeTranspositionGroup.symmetric(4), rational(1, 4))
+        named = dict(alg.axes)
+        axet = close_axes(alg, [named["(1 2)"], named["(3 4)"]])
+        assert miyamoto_group(axet, cap=0).order == 1
 
     def test_closure_is_idempotent_on_closed_input(self):
         alg = norton_sakuma("4A")
@@ -397,7 +414,40 @@ class TestTransport:
             _transport(alg, swapped, tau_c, sparse(b))  # the 1/4 and 1/32 labels swapped
 
 
+def _regenerated(axet, i, j):
+    """The axes i and j regenerate, by closing {i, j} under tau_s(t) for s, t
+    in the set until nothing new appears."""
+    reached = {i, j}
+    while True:
+        fresh = {axet.tau_perms[s][t] for s in reached for t in reached} - reached
+        if not fresh:
+            return reached
+        reached |= fresh
+
+
 class TestClassification:
+    @pytest.mark.parametrize("spec", [f"ns:{name}" for name in NORTON_SAKUMA_NAMES]
+                             + ["matsuo:4:0", "matsuo:5:0", "matsuo:6:0", "flip:(1 2)", "flip:(1 2)(3 4)"])
+    def test_regenerated_set_matches_fixpoint_oracle(self, spec):
+        if spec.startswith("flip:"):
+            sigma = parse_cycles(spec[5:], 5)
+            alg = flip_subalgebra(ThreeTranspositionGroup.symmetric(5), QQ.parse("1/4"), sigma).algebra
+        else:
+            alg = _algebra(spec)
+        axet = close_axes(alg, alg.axis_vectors())
+        n = axet.size
+        for i in range(n):
+            for j in range(n):
+                reached = len(_regenerated(axet, i, j))
+                if reached < n:
+                    with pytest.raises(NotTwoGenerated, match=rf"^axes {i},{j} regenerate only {reached} of {n} axes$"):
+                        classify_2gen_axet(axet, (i, j))
+                else:
+                    try:
+                        classify_2gen_axet(axet, (i, j))
+                    except NotTwoGenerated as exc:
+                        assert str(exc).startswith("orbit sizes")
+
     def test_pair_must_regenerate(self):
         m = matsuo(ThreeTranspositionGroup.symmetric(4), QQ.parse("1/4"))
         full = close_axes(m, m.axis_vectors())

@@ -158,6 +158,28 @@ class TestMiyamoto:
         result = runner.invoke(main, ["miyamoto", "-"], input=doc, env={"AXIAL_CAP": "3"})
         assert result.exit_code == 3
 
+    @pytest.mark.parametrize("cap,code", [("10", 0), ("9", 3)])
+    def test_group_cap_boundary(self, runner, cap, code):
+        # NS 5A has group order 10: the cap is the largest order allowed
+        doc = build(runner, "ns:5A")
+        for kwargs in ({"args": ["miyamoto", "-", "--group-cap", cap]},
+                       {"args": ["miyamoto", "-"], "env": {"AXIAL_CAP": cap}}):
+            result = runner.invoke(main, input=doc, **kwargs)
+            assert result.exit_code == code, result.output
+            if code:
+                assert f"error: group enumeration exceeded cap {cap}\n" in result.output
+
+    def test_trivial_group_passes_cap_zero(self, runner):
+        # (1 2) and (3 4) fix each other: the group is trivial, order 1
+        doc = json.loads(build(runner, "matsuo:Sn:4:1/4"))
+        doc["axes"] = [a for a in doc["axes"] if a["name"] in ("(1 2)", "(3 4)")]
+        doc = json.dumps(doc)
+        for kwargs in ({"args": ["miyamoto", "-", "--json", "--group-cap", "0"]},
+                       {"args": ["miyamoto", "-", "--json"], "env": {"AXIAL_CAP": "0"}}):
+            result = runner.invoke(main, input=doc, **kwargs)
+            assert result.exit_code == 0, result.output
+            assert json.loads(result.output)["group_order"] == 1
+
     def test_axis_cap_exit_3(self, runner):
         # designate only two axes so the closure actually has to grow
         doc = json.loads(build(runner, "ns:5A"))
