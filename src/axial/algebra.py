@@ -118,14 +118,16 @@ class Algebra:
         return self._dense(self._mul(self._row(u), self._row(v)))
 
     def _mul(self, u, v) -> dict:
-        """u v for sparse rows over this algebra's field, as a sparse row."""
+        """u v for sparse rows over this algebra's field, as a sparse row; a
+        coefficient x y with a factor 1 is the other factor, with no product."""
         prods = self.products
         terms = []
         for i, x in u.items():
+            unit = x == 1
             for j, y in v.items():
                 pairs = prods.get((i, j) if i <= j else (j, i))
                 if pairs is not None:
-                    terms.append((x * y, pairs))
+                    terms.append((y if unit else x if y == 1 else x * y, pairs))
         return combine(terms)
 
     def adjoint(self, a) -> Matrix:

@@ -297,7 +297,7 @@ def _tau_from_report(alg: Algebra, report: AxisReport, grading: Grading) -> Matr
 
     if tau.matmul(tau) != Matrix.identity(alg.field, alg.dim):
         raise ConsistencyFailure("Miyamoto map does not square to the identity")
-    tau_cols = tau.transpose().rows
+    tau_cols = tau._columns()
     for i in range(alg.dim):
         for j in range(i, alg.dim):
             lhs = tau._apply(dict(alg._product_pairs(i, j)))

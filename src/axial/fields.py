@@ -46,6 +46,8 @@ class Fp:
         return None
 
     def __add__(self, other):
+        if type(other) is Fp and other.p == self.p:
+            return Fp(self.v + other.v, self.p)
         o = self._lift(other)
         return NotImplemented if o is None else Fp(self.v + o.v, self.p)
 
@@ -60,6 +62,8 @@ class Fp:
         return NotImplemented if o is None else Fp(o.v - self.v, self.p)
 
     def __mul__(self, other):
+        if type(other) is Fp and other.p == self.p:
+            return Fp(self.v * other.v, self.p)
         o = self._lift(other)
         return NotImplemented if o is None else Fp(self.v * o.v, self.p)
 

@@ -15,6 +15,15 @@ so results do not depend on row order and equal subspaces store equal rows.
 Given a prime modulus p, the same accumulator works on plain ints mod p:
 rows are reduced with `_eliminate` as they are and brought into [0, p)
 afterwards.
+
+The kernels skip products by a unit factor.  `combine` adds a row whose
+factor is 1 and subtracts one whose factor is -1 (over F_p the residue p - 1
+is not matched, since an element equals an int only at its own residue), and
+`_eliminate` subtracts the pivot row when the entry it clears is 1.  A
+`Matrix` applies itself to a sparse vector through its column view, built on
+first use: the columns at the vector's non-zeros, combined (Gustavson's
+product by columns), so the cost follows the vector's support, not the
+number of rows.
 """
 
 from typing import Optional
@@ -81,12 +90,22 @@ def row_key(row):
 
 def combine(terms) -> dict:
     """The sparse row sum(f * row) over (f, row) terms, each row an iterable
-    of (index, value) pairs; entries that cancel are dropped."""
+    of (index, value) pairs; entries that cancel are dropped.  A row with
+    factor 1 is added and one with factor -1 subtracted, with no product."""
     acc = {}
     for f, row in terms:
-        for c, x in row:
-            t = acc.get(c)
-            acc[c] = f * x if t is None else t + f * x
+        if f == 1:
+            for c, x in row:
+                t = acc.get(c)
+                acc[c] = x if t is None else t + x
+        elif f == -1:
+            for c, x in row:
+                t = acc.get(c)
+                acc[c] = -x if t is None else t - x
+        else:
+            for c, x in row:
+                t = acc.get(c)
+                acc[c] = f * x if t is None else t + f * x
     return {c: x for c, x in acc.items() if x}
 
 
@@ -101,9 +120,13 @@ def dot(field: FieldSpec, u, v):
 
 class Matrix:
     """Immutable rectangular matrix over one exact field, held as sparse rows;
-    `data` is the dense view.  A matrix without rows has no columns either."""
+    `data` is the dense view.  A matrix without rows has no columns either.
 
-    __slots__ = ("field", "rows", "nrows", "ncols")
+    The column view (`_columns`) is built on first use, and `transpose` takes
+    its dicts as rows.  It stays valid because no row dict of a matrix ever
+    changes once the matrix holds it."""
+
+    __slots__ = ("field", "rows", "nrows", "ncols", "_cols")
 
     def __init__(self, field: FieldSpec, rows):
         data = [tuple(field.coerce(x) for x in row) for row in rows]
@@ -111,13 +134,15 @@ class Matrix:
         if any(len(row) != ncols for row in data):
             raise DimensionError("ragged rows")
         self.field, self.rows = field, tuple(map(sparse, data))
-        self.nrows, self.ncols = len(data), ncols
+        self.nrows, self.ncols, self._cols = len(data), ncols, None
 
     @classmethod
     def _of(cls, field: FieldSpec, ncols: int, rows) -> "Matrix":
-        """A matrix of sparse rows the package built from scalars of `field`: no entry check."""
+        """A matrix of sparse rows the package built from scalars of `field`: no
+        entry check.  The matrix takes the row dicts over: nothing may change
+        them afterwards."""
         m = cls.__new__(cls)
-        m.field, m.rows = field, tuple(rows)
+        m.field, m.rows, m._cols = field, tuple(rows), None
         m.nrows, m.ncols = len(m.rows), ncols if m.rows else 0
         return m
 
@@ -139,18 +164,21 @@ class Matrix:
         v = sparse(as_vector(self.field, v, self.ncols))
         return dense(self.field, self._apply(v), self.nrows)
 
+    def _columns(self):
+        """Column j as a sparse row {i: entry}, for each j."""
+        if self._cols is None:
+            cols = [{} for _ in range(self.ncols)]
+            for i, row in enumerate(self.rows):
+                for j, x in row.items():
+                    cols[j][i] = x
+            self._cols = tuple(cols)
+        return self._cols
+
     def _apply(self, v) -> dict:
-        """self v for a sparse row v, as a sparse row."""
-        out = {}
-        for i, row in enumerate(self.rows):
-            t = None
-            for j, x in v.items():
-                a = row.get(j)
-                if a is not None:
-                    t = a * x if t is None else t + a * x
-            if t:
-                out[i] = t
-        return out
+        """self v for a sparse row v, as a sparse row: the columns of self
+        combined over the non-zeros of v."""
+        cols = self._columns()
+        return combine((x, cols[j].items()) for j, x in v.items())
 
     def matmul(self, other: "Matrix") -> "Matrix":
         """Row i of the product is the combination of other's rows that row i of self gives."""
@@ -163,11 +191,7 @@ class Matrix:
         return Matrix._of(self.field, other.ncols, out)
 
     def transpose(self) -> "Matrix":
-        cols = [{} for _ in range(self.ncols)]
-        for i, row in enumerate(self.rows):
-            for j, x in row.items():
-                cols[j][i] = x
-        return Matrix._of(self.field, self.nrows, cols)
+        return Matrix._of(self.field, self.nrows, self._columns())
 
     def minus_scalar_diag(self, lam) -> "Matrix":
         """self - lam*I (square only) for a scalar lam of the matrix's field."""
@@ -198,19 +222,21 @@ def _eliminate(v, rows):
     row is zero on the other pivot columns, so one pass over the pivot
     columns v touches clears them all.  Each factor is an entry of v as it
     came in, so on ints the result is exact and bounded, and reducing it mod
-    m afterwards (`_mod`) gives the residue mod m.
+    m afterwards (`_mod`) gives the residue mod m.  Where the entry cleared
+    is 1 the pivot row is subtracted, with no product.
     """
     hits = [c for c in v if c in rows] if len(v) <= len(rows) else [p for p in rows if p in v]
     for p in hits:
-        f = -v.pop(p)
+        e = v.pop(p)
+        f = None if e == 1 else -e
         for c, x in rows[p].items():
             if c == p:
                 continue
             t = v.get(c)
             if t is None:
-                v[c] = f * x
+                v[c] = -x if f is None else f * x
             else:
-                t = t + f * x
+                t = t - x if f is None else t + f * x
                 if t:
                     v[c] = t
                 else:

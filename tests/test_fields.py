@@ -1,5 +1,7 @@
 """Scalar layer: rationals, prime fields, parsing and formatting."""
 
+import operator
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -100,6 +102,28 @@ class TestPrimeField:
     def test_mixed_moduli_rejected(self):
         with pytest.raises(InvalidField):
             Fp(1, 5) + Fp(1, 7)
+
+    @pytest.mark.parametrize("op", [operator.add, operator.mul], ids=["add", "mul"])
+    def test_mixed_moduli_rejected_in_either_order(self, op):
+        for x, y in ((Fp(1, 5), Fp(1, 7)), (Fp(1, 7), Fp(1, 5)), (Fp(3, 5), Fp(3, 11))):
+            with pytest.raises(InvalidField):
+                op(x, y)
+
+    @pytest.mark.parametrize("op", [operator.add, operator.mul], ids=["add", "mul"])
+    @given(st.integers(), st.integers())
+    def test_int_operand_in_either_order(self, op, a, b):
+        p = 11
+        for got in (op(Fp(a, p), b), op(b, Fp(a, p))):
+            assert type(got) is Fp and got.p == p
+            assert got.v == op(a, b) % p
+
+    @pytest.mark.parametrize("op", [operator.add, operator.mul], ids=["add", "mul"])
+    @given(st.integers(), st.integers())
+    def test_results_stay_in_range(self, op, a, b):
+        for p in (2, 11, 2**31 - 1):
+            got = op(Fp(a, p), Fp(b, p))
+            assert type(got) is Fp and got.p == p
+            assert 0 <= got.v < p and got.v == op(a, b) % p
 
     def test_int_equality_is_exact_residue(self):
         assert Fp(1, 5) == 1
