@@ -14,7 +14,7 @@ from .errors import InvalidField, MalformedInput
 
 try:
     from gmpy2 import mpq as _rational
-except ImportError:  # pragma: no cover - gmpy2 is normally present
+except ImportError:  # gmpy2 is the optional `fast` extra; without it, Fraction
     from fractions import Fraction as _rational
 
 _RATIONAL_TYPE = type(_rational(0))

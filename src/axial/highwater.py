@@ -1,8 +1,9 @@
 """Sparse arithmetic for the Highwater algebra and its finite periodic quotients.
 
 The algebra lives on an infinite basis: one idempotent a_i per integer i and
-one distance element s_j per integer j >= 1 (s_0 is identically zero).  All
-elements here are finitely supported, so products stay finitely supported and
+one distance element s_j per integer j >= 1 (s_0 is identically zero).  An
+element is one sparse row over the keys ("a", i) and ("s", j), as vectors are
+everywhere in the package; it is finitely supported, so products stay so and
 everything is exact.  Reflections of the index line, the baric weight, the
 ideal-type tuple predicate and a window-bounded ideal membership oracle round
 out the surface; quotients by the translation ideals become ordinary Algebra
@@ -10,97 +11,75 @@ instances with their axes and fusion law attached.
 """
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .algebra import Algebra
 from .catalog import check_build_dim
 from .errors import ConsistencyFailure, DegenerateParameters, DimensionError, InvalidField, Unsupported
 from .fields import QQ, FieldSpec, parse_int, rational
 from .fusion import law_M
-from .linalg import EchelonAccumulator, Matrix, combine, dense, residue
+from .linalg import EchelonAccumulator, Matrix, combine, dense, residue, row_key, scaled
 
-MAX_WINDOW = 48  # rows of 4w + 1 entries; about 5 s at w = 48 (Fraction backend, 2-CPU VM)
+MAX_WINDOW = 48  # rows of 4w + 1 entries; about 4 s at w = 48 (Fraction backend, 2-CPU VM)
 
 
 class HighwaterElement:
-    """Finitely supported element: maps a-indices and s-indices to scalars.
-    Every index is an int, never a bool, float or str."""
+    """Finitely supported element: one sparse row over the basis keys ("a", i)
+    and ("s", j), j >= 1.  Every index is an int, never a bool, float or str."""
 
-    __slots__ = ("field", "a", "s")
+    __slots__ = ("field", "row")
 
     def __init__(self, field: FieldSpec, a=None, s=None):
-        self.field = field
         a, s = a or {}, s or {}
         for i in (*a, *s):
             if type(i) is not int:
                 raise DimensionError(f"highwater index {i!r} is not an int")
-        aa: Dict[int, object] = {}
-        ss: Dict[int, object] = {}
-        for i, c in a.items():
-            c = field.coerce(c)
-            if c != field.zero():
-                aa[i] = c
-        for j, c in s.items():
-            if j < 0:
-                raise InvalidField(f"negative distance index s_{j}")
-            c = field.coerce(c)
-            if j == 0 or c == field.zero():
-                continue  # s_0 = 0 by convention
-            ss[j] = c
-        self.a = aa
-        self.s = ss
+        row = {}
+        for kind, part in (("a", a), ("s", s)):
+            for i, c in part.items():
+                if kind == "s" and i < 0:
+                    raise InvalidField(f"negative distance index s_{i}")
+                c = field.coerce(c)
+                if c != field.zero() and (kind, i) != ("s", 0):  # s_0 = 0 by convention
+                    row[kind, i] = c
+        self.field, self.row = field, row
 
     @classmethod
-    def zero(cls, field: FieldSpec) -> "HighwaterElement":
-        return cls(field)
-
-    def is_zero(self) -> bool:
-        return not self.a and not self.s
+    def _of(cls, field: FieldSpec, row: dict) -> "HighwaterElement":
+        """The element whose row the package built from scalars of `field`,
+        with no zero and no s_0: no check."""
+        x = cls.__new__(cls)
+        x.field, x.row = field, row
+        return x
 
     def __eq__(self, other):
         if not isinstance(other, HighwaterElement):
             return NotImplemented
-        return self.field == other.field and self.a == other.a and self.s == other.s
+        return self.field == other.field and self.row == other.row
 
     def __hash__(self):
-        return hash((tuple(sorted(self.a.items(), key=lambda kv: kv[0])),
-                     tuple(sorted(self.s.items(), key=lambda kv: kv[0]))))
+        return hash(row_key(self.row))
 
     def __add__(self, other: "HighwaterElement") -> "HighwaterElement":
-        a = dict(self.a)
-        s = dict(self.s)
-        for i, c in other.a.items():
-            a[i] = a.get(i, self.field.zero()) + c
-        for j, c in other.s.items():
-            s[j] = s.get(j, self.field.zero()) + c
-        return HighwaterElement(self.field, a, s)
+        if self.field != other.field:
+            raise InvalidField("mixed fields in sum")
+        return HighwaterElement._of(self.field, combine([(1, self.row.items()), (1, other.row.items())]))
 
     def __sub__(self, other: "HighwaterElement") -> "HighwaterElement":
         return self + other.scale(-1)
 
     def scale(self, c) -> "HighwaterElement":
-        c = self.field.coerce(c)
-        return HighwaterElement(
-            self.field,
-            {i: c * v for i, v in self.a.items()},
-            {j: c * v for j, v in self.s.items()},
-        )
+        return HighwaterElement._of(self.field, scaled(self.field.coerce(c), self.row))
 
     def __repr__(self):
-        if self.is_zero():
-            return "0"
-        bits = []
-        for i in sorted(self.a):
-            bits.append(f"{self.field.fmt(self.a[i])}*a{i}")
-        for j in sorted(self.s):
-            bits.append(f"{self.field.fmt(self.s[j])}*s{j}")
-        return " + ".join(bits)
+        fmt = self.field.fmt
+        return " + ".join(f"{fmt(c)}*{kind}{i}" for (kind, i), c in sorted(self.row.items())) or "0"
 
     def to_json(self) -> dict:
-        return {
-            "a": {str(i): self.field.fmt(c) for i, c in sorted(self.a.items())},
-            "s": {str(j): self.field.fmt(c) for j, c in sorted(self.s.items())},
-        }
+        out = {"a": {}, "s": {}}
+        for (kind, i), c in sorted(self.row.items()):
+            out[kind][str(i)] = self.field.fmt(c)
+        return out
 
     @classmethod
     def from_json(cls, field: FieldSpec, obj: dict) -> "HighwaterElement":
@@ -122,54 +101,44 @@ def _require_odd_char(field: FieldSpec, what: str):
         raise Unsupported(f"{what} needs 2 invertible; characteristic 2 is refused")
 
 
-def hw_mul(x: HighwaterElement, y: HighwaterElement) -> HighwaterElement:
-    """Bilinear product from the three basis rules, with s_0 dropped.
+def _product_rule(field: FieldSpec):
+    """The product of two basis keys as (key, coefficient) terms, s_0 dropped:
 
     a_i a_j = (a_i + a_j)/2 + s_|i-j|
     a_i s_j = -(3/4) a_i + (3/8)(a_{i-j} + a_{i+j}) + (3/2) s_j
     s_j s_k = (3/4)(s_j + s_k) - (3/8)(s_|j-k| + s_{j+k})
     """
+    one = field.one()
+    half, q34, q38, q32 = (field.parse(c) for c in ("1/2", "3/4", "3/8", "3/2"))
+    m34, m38 = -q34, -q38
+
+    def rule(p, q):
+        if p[0] > q[0]:
+            p, q = q, p  # an a-key before an s-key
+        (kind_p, i), (kind_q, j) = p, q
+        if kind_p != kind_q:
+            return [(p, m34), (("a", i - j), q38), (("a", i + j), q38), (q, q32)]
+        if kind_p == "a":
+            terms = [(p, half), (q, half), (("s", abs(i - j)), one)]
+        else:
+            terms = [(p, q34), (q, q34), (("s", abs(i - j)), m38), (("s", i + j), m38)]
+        if i == j:
+            del terms[2]  # s_0
+        return terms
+
+    return rule
+
+
+def hw_mul(x: HighwaterElement, y: HighwaterElement) -> HighwaterElement:
+    """Bilinear product: the basis rule (see `_product_rule`) on every pair of
+    terms, summed by `combine`."""
     field = x.field
     if field != y.field:
         raise InvalidField("mixed fields in product")
     _require_odd_char(field, "the product")
-    half = field.parse("1/2")
-    q34 = field.parse("3/4")
-    q38 = field.parse("3/8")
-    q32 = field.parse("3/2")
-    zero = field.zero()
-    a: Dict[int, object] = {}
-    s: Dict[int, object] = {}
-
-    def add_a(i, c):
-        a[i] = a.get(i, zero) + c
-
-    def add_s(j, c):
-        if j != 0:
-            s[j] = s.get(j, zero) + c
-
-    for i, ci in x.a.items():
-        for j, cj in y.a.items():
-            c = ci * cj
-            add_a(i, c * half)
-            add_a(j, c * half)
-            add_s(abs(i - j), c)
-    for xa, xs in ((x.a, y.s), (y.a, x.s)):
-        for i, ci in xa.items():
-            for j, cj in xs.items():
-                c = ci * cj
-                add_a(i, -(c * q34))
-                add_a(i - j, c * q38)
-                add_a(i + j, c * q38)
-                add_s(j, c * q32)
-    for j, cj in x.s.items():
-        for k, ck in y.s.items():
-            c = cj * ck
-            add_s(j, c * q34)
-            add_s(k, c * q34)
-            add_s(abs(j - k), -(c * q38))
-            add_s(j + k, -(c * q38))
-    return HighwaterElement(field, a, s)
+    rule = _product_rule(field)
+    terms = [(c * d, rule(p, q)) for p, c in x.row.items() for q, d in y.row.items()]
+    return HighwaterElement._of(field, combine(terms))
 
 
 def hw_reflect(x: HighwaterElement, center) -> HighwaterElement:
@@ -178,15 +147,13 @@ def hw_reflect(x: HighwaterElement, center) -> HighwaterElement:
     if rational(c2).denominator != 1:
         raise DegenerateParameters(f"reflection center {center} is not a half-integer")
     c2 = int(c2)
-    return HighwaterElement(x.field, {c2 - j: c for j, c in x.a.items()}, dict(x.s))
+    return HighwaterElement._of(
+        x.field, {(kind, c2 - i if kind == "a" else i): c for (kind, i), c in x.row.items()})
 
 
 def hw_baric(x: HighwaterElement):
     """Weight of x under the homomorphism sending every a_i to 1, every s_j to 0."""
-    w = x.field.zero()
-    for c in x.a.values():
-        w = w + c
-    return w
+    return sum((c for (kind, _), c in x.row.items() if kind == "a"), x.field.zero())
 
 
 @dataclass(frozen=True)
@@ -241,29 +208,31 @@ def hw_periodic_quotient(D: int, field: FieldSpec = QQ) -> Algebra:
     check_build_dim(n, f"the period-{D} quotient")
     basis = [f"a{i}" for i in range(D)] + [f"s{j}" for j in range(1, ns + 1)]
     one = field.one()
+    rule = _product_rule(field)
 
-    def reduce_elem(x: HighwaterElement) -> dict:
-        """The sparse row of x's image in the quotient."""
-        terms = [(i % D, c) for i, c in x.a.items()]
-        for j, c in x.s.items():
-            r = min(j % D, D - j % D)
-            if r:
+    def image(x, y) -> dict:
+        """The sparse row in the quotient of the product of basis keys x, y."""
+        terms = []
+        for (kind, i), c in rule(x, y):
+            if kind == "a":
+                terms.append((i % D, c))
+            elif r := min(i % D, D - i % D):
                 terms.append((D + r - 1, c))
         return combine([(one, terms)])
 
-    def lifts(k: int) -> List[HighwaterElement]:
+    def lifts(k: int) -> list:
         if k < D:
-            return [hw_a(k, field), hw_a(k + D, field), hw_a(k - D, field)]
+            return [("a", k), ("a", k + D), ("a", k - D)]
         j = k - D + 1
-        out = [hw_s(j, field), hw_s(j + D, field)]
+        out = [("s", j), ("s", j + D)]
         if D - j != j:
-            out.append(hw_s(D - j, field))
+            out.append(("s", D - j))
         return out
 
     products = {}
     for p in range(n):
         for q in range(p, n):
-            images = [reduce_elem(hw_mul(xl, yl)) for xl in lifts(p) for yl in lifts(q)]
+            images = [image(xl, yl) for xl in lifts(p) for yl in lifts(q)]
             if any(img != images[0] for img in images):
                 raise ConsistencyFailure(
                     f"period-{D} quotient: product of basis {p},{q} differs between lifts"
@@ -291,10 +260,12 @@ def hw_quotient_weights(alg: Algebra) -> Tuple:
 def _window_coords(x: HighwaterElement, window: int):
     """x as a sparse row on a_{-w}..a_w then s_1..s_{2w}, or None when its
     support leaves the window."""
-    if any(abs(i) > window for i in x.a) or any(j > 2 * window for j in x.s):
-        return None
-    row = {i + window: c for i, c in x.a.items()}
-    row.update((2 * window + j, c) for j, c in x.s.items())
+    row = {}
+    for (kind, i), c in x.row.items():
+        bound = window if kind == "a" else 2 * window  # also the column offset
+        if abs(i) > bound:
+            return None
+        row[i + bound] = c
     return row
 
 
@@ -319,10 +290,8 @@ def hw_ideal_window_contains(
     vals = [field.coerce(field.parse(c) if isinstance(c, str) else c) for c in t]
     D = len(vals) - 1
     w = window if window is not None else 3 * D
-    if v.a:
-        w = max(w, max(abs(i) for i in v.a))
-    if v.s:
-        w = max(w, (max(v.s) + 1) // 2)
+    for kind, i in v.row:
+        w = max(w, abs(i) if kind == "a" else (i + 1) // 2)
     if w > MAX_WINDOW:
         raise Unsupported(f"window {w} exceeds cap {MAX_WINDOW}")
     m = 2 * w + 1 + 2 * w  # a_{-w}..a_w then s_1..s_{2w}
@@ -338,9 +307,8 @@ def hw_ideal_window_contains(
     def reached() -> bool:
         return target is not None and not residue(target, acc.rows)
 
-    gen = HighwaterElement(field, {i: vals[i] for i in range(D + 1)})
     for shift in range(-w, w + 1):
-        offer(HighwaterElement(field, {i + shift: c for i, c in gen.a.items()}))
+        offer(HighwaterElement._of(field, {("a", i + shift): c for i, c in enumerate(vals) if c}))
     for _ in range(max(0, rounds)):
         if reached():
             break

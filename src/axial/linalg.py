@@ -110,6 +110,12 @@ def combine(terms) -> dict:
 
 
 def scaled(f, row) -> dict:
+    """The sparse row f * row; as in `combine`, a factor 1 copies the row and
+    a factor -1 negates it, with no product."""
+    if f == 1:
+        return dict(row)
+    if f == -1:
+        return {c: -x for c, x in row.items()}
     return {c: f * x for c, x in row.items()} if f else {}
 
 

@@ -1,5 +1,8 @@
 """Sparse infinite-basis algebra on point and distance generators."""
 
+import json
+import operator
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -7,8 +10,10 @@ from hypothesis import strategies as st
 from axial import (
     GF,
     QQ,
+    Algebra,
     HighwaterElement,
     check_axis,
+    dump_algebra,
     hw_a,
     hw_baric,
     hw_ideal_window_contains,
@@ -20,7 +25,10 @@ from axial import (
     is_ideal_type,
     rational,
 )
-from axial.errors import DegenerateParameters, DimensionError, InvalidField, Unsupported
+from axial import highwater
+from axial.errors import ConsistencyFailure, DegenerateParameters, DimensionError, InvalidField, Unsupported
+from axial.fields import Fp
+from axial.linalg import combine
 
 coeffs = st.integers(min_value=-6, max_value=6).map(rational)
 
@@ -212,3 +220,224 @@ class TestPeriodicQuotient:
         assert alg.law is not None
         for _, vec in alg.axes:
             assert check_axis(alg, vec, alg.law).passed
+
+
+# The element format before elements became sparse rows: two dicts, a-indices
+# and s-indices to scalars, with products by three loops.  These oracles are
+# that code written out; the package must agree with them, scalar types
+# included.
+
+ORACLE_FIELDS = (QQ, GF(3), GF(7))
+ORACLE_IDS = ["QQ", "GF(3)", "GF(7)"]
+
+
+def old_parts(field, a, s):
+    """What the old constructor stored: coerced scalars, zeros and s_0 dropped."""
+    zero = field.zero()
+    aa = {i: c for i, c in ((i, field.coerce(c)) for i, c in a.items()) if c != zero}
+    ss = {j: c for j, c in ((j, field.coerce(c)) for j, c in s.items()) if j != 0 and c != zero}
+    return aa, ss
+
+
+def parts(x):
+    """x's row as the old (a, s) dicts."""
+    return tuple({i: c for (kind, i), c in x.row.items() if kind == k} for k in "as")
+
+
+def typed(parts_):
+    return tuple({i: (type(c), c) for i, c in d.items()} for d in parts_)
+
+
+def oracle_mul(field, x, y):
+    """The three-loop product on (a, s) dict pairs, with its s_0 drop."""
+    (xa, xs), (ya, ys) = x, y
+    half, q34, q38, q32 = (field.parse(c) for c in ("1/2", "3/4", "3/8", "3/2"))
+    zero = field.zero()
+    a, s = {}, {}
+
+    def add_a(i, c):
+        a[i] = a.get(i, zero) + c
+
+    def add_s(j, c):
+        if j != 0:
+            s[j] = s.get(j, zero) + c
+
+    for i, ci in xa.items():
+        for j, cj in ya.items():
+            c = ci * cj
+            add_a(i, c * half)
+            add_a(j, c * half)
+            add_s(abs(i - j), c)
+    for pa, ps in ((xa, ys), (ya, xs)):
+        for i, ci in pa.items():
+            for j, cj in ps.items():
+                c = ci * cj
+                add_a(i, -(c * q34))
+                add_a(i - j, c * q38)
+                add_a(i + j, c * q38)
+                add_s(j, c * q32)
+    for j, cj in xs.items():
+        for k, ck in ys.items():
+            c = cj * ck
+            add_s(j, c * q34)
+            add_s(k, c * q34)
+            add_s(abs(j - k), -(c * q38))
+            add_s(j + k, -(c * q38))
+    return old_parts(field, a, s)
+
+
+def oracle_repr(field, a, s):
+    if not a and not s:
+        return "0"
+    bits = [f"{field.fmt(a[i])}*a{i}" for i in sorted(a)]
+    bits += [f"{field.fmt(s[j])}*s{j}" for j in sorted(s)]
+    return " + ".join(bits)
+
+
+def oracle_to_json(field, a, s):
+    return {
+        "a": {str(i): field.fmt(c) for i, c in sorted(a.items())},
+        "s": {str(j): field.fmt(c) for j, c in sorted(s.items())},
+    }
+
+
+def oracle_products(D, field):
+    """The period-D structure constants by the lift-by-element construction:
+    every pair of lifts multiplied as elements, reduced mod D, and checked to
+    agree."""
+    one = field.one()
+
+    def reduce_elem(a, s):
+        terms = [(i % D, c) for i, c in a.items()]
+        for j, c in s.items():
+            r = min(j % D, D - j % D)
+            if r:
+                terms.append((D + r - 1, c))
+        return combine([(one, terms)])
+
+    def lifts(k):
+        if k < D:
+            return [({k: one}, {}), ({k + D: one}, {}), ({k - D: one}, {})]
+        j = k - D + 1
+        out = [({}, {j: one}), ({}, {j + D: one})]
+        if D - j != j:
+            out.append(({}, {D - j: one}))
+        return out
+
+    products = {}
+    for p in range(D + D // 2):
+        for q in range(p, D + D // 2):
+            images = [reduce_elem(*oracle_mul(field, x, y)) for x in lifts(p) for y in lifts(q)]
+            assert all(img == images[0] for img in images)
+            products[(p, q)] = images[0]
+    return products
+
+
+def scalars(field):
+    return st.builds("{}/{}".format, st.integers(-6, 6), st.sampled_from((1, 1, 2))).map(field.parse)
+
+
+def old_element_dicts(field):
+    """Raw (a, s) constructor arguments: small indices that collide and cancel,
+    large and negative ones, s_0 and zero scalars."""
+    a_keys = st.one_of(st.integers(-4, 4), st.integers(-10**12, 10**12))
+    s_keys = st.one_of(st.integers(0, 4), st.integers(0, 10**12))
+    return st.tuples(
+        st.dictionaries(a_keys, scalars(field), max_size=4),
+        st.dictionaries(s_keys, scalars(field), max_size=3),
+    )
+
+
+class TestOldFormatOracles:
+    @pytest.mark.parametrize("field", ORACLE_FIELDS, ids=ORACLE_IDS)
+    @given(data=st.data())
+    def test_product_matches_three_loops(self, field, data):
+        (xa, xs), (ya, ys) = data.draw(old_element_dicts(field)), data.draw(old_element_dicts(field))
+        got = hw_mul(HighwaterElement(field, xa, xs), HighwaterElement(field, ya, ys))
+        want = oracle_mul(field, old_parts(field, xa, xs), old_parts(field, ya, ys))
+        assert typed(parts(got)) == typed(want)
+        assert ("s", 0) not in got.row
+
+    @pytest.mark.parametrize("field", ORACLE_FIELDS, ids=ORACLE_IDS)
+    @given(data=st.data())
+    def test_linear_operations_match_dict_arithmetic(self, field, data):
+        (xa, xs), (ya, ys) = data.draw(old_element_dicts(field)), data.draw(old_element_dicts(field))
+        c = data.draw(scalars(field))
+        x, y = HighwaterElement(field, xa, xs), HighwaterElement(field, ya, ys)
+        old_x, old_y = old_parts(field, xa, xs), old_parts(field, ya, ys)
+
+        zero = field.zero()
+
+        def entrywise(op):
+            """op on the old dicts entry by entry, a missing entry read as zero."""
+            return old_parts(field, *({k: op(d.get(k, zero), e.get(k, zero)) for k in {*d, *e}}
+                                      for d, e in zip(old_x, old_y)))
+
+        assert typed(parts(x)) == typed(old_x)
+        assert typed(parts(x + y)) == typed(entrywise(operator.add))
+        assert typed(parts(x - y)) == typed(entrywise(operator.sub))
+        assert typed(parts(x.scale(c))) == typed(old_parts(field, *({k: c * v for k, v in d.items()}
+                                                                     for d in old_x)))
+
+    @pytest.mark.parametrize("field", ORACLE_FIELDS, ids=ORACLE_IDS)
+    @given(data=st.data())
+    def test_repr_and_json_match_old_printers(self, field, data):
+        (xa, xs), (ya, ys) = data.draw(old_element_dicts(field)), data.draw(old_element_dicts(field))
+        x, y = HighwaterElement(field, xa, xs), HighwaterElement(field, ya, ys)
+        for z in (x, hw_mul(x, y), hw_reflect(x, rational(data.draw(st.integers(-9, 9)), 2))):
+            old = parts(z)
+            assert repr(z) == oracle_repr(field, *old)
+            assert json.dumps(z.to_json()) == json.dumps(oracle_to_json(field, *old))
+            assert HighwaterElement.from_json(field, z.to_json()) == z
+
+    @pytest.mark.parametrize("field, period", [
+        *((QQ, d) for d in (*range(2, 13), 20)),
+        *((GF(p), d) for p in (3, 7, 10007) for d in (3, 4, 5, 8)),
+    ], ids=lambda v: v if isinstance(v, int) else "QQ" if v == QQ else f"GF({v.p})")
+    def test_quotient_matches_lift_by_element(self, field, period):
+        alg = hw_periodic_quotient(period, field)
+        want = Algebra(field, alg.basis, oracle_products(period, field),
+                       axes=alg.axes, law=alg.law, form=alg.form)
+        assert dump_algebra(alg) == dump_algebra(want)
+        assert {ij: [(k, type(c), c) for k, c in pairs] for ij, pairs in alg.products.items()} == {
+            ij: [(k, type(c), c) for k, c in pairs] for ij, pairs in want.products.items()}
+
+
+class TestChecks:
+    @pytest.mark.parametrize("field, a, s, error, message", [
+        (QQ, {0: 0.5}, {-1: 1, 2.0: 1}, DimensionError, "index 2.0 is not an int"),
+        (QQ, {0: 0.5}, {-1: 1}, InvalidField, "not a rational scalar: 0.5"),
+        (QQ, {}, {-1: 1, 0: 0.5}, InvalidField, "negative distance index s_-1"),
+        (QQ, {}, {0: 0.5, -1: 1}, InvalidField, "not a rational scalar: 0.5"),
+        (QQ, {}, {0: "1"}, InvalidField, "not a rational scalar: '1'"),
+        (GF(7), {}, {0: Fp(1, 5)}, InvalidField, "modulus mismatch: 5 vs 7"),
+    ])
+    def test_error_precedence(self, field, a, s, error, message):
+        # index types first, then the a-scalars, then each distance in order:
+        # its sign, then its scalar, which is checked even at s_0
+        with pytest.raises(error, match=message):
+            HighwaterElement(field, a, s)
+
+    @pytest.mark.parametrize("op", [operator.add, operator.sub, hw_mul], ids=["add", "sub", "mul"])
+    @pytest.mark.parametrize("f, g", [(QQ, GF(7)), (GF(3), GF(7)), (GF(7), QQ)],
+                             ids=["QQ-GF(7)", "GF(3)-GF(7)", "GF(7)-QQ"])
+    def test_mixed_fields_rejected(self, op, f, g):
+        with pytest.raises(InvalidField, match="mixed fields"):
+            op(hw_a(0, f) + hw_s(1, f), hw_a(0, g) + hw_s(2, g))
+
+
+class TestQuotientLiftCheck:
+    @pytest.mark.parametrize("skewed, pair", [
+        (lambda key: key[0] == "a" and key[1] < 0, "0,0"),  # only the lift a_{k-D}
+        (lambda key: key[0] == "s" and key[1] > 2, "0,4"),  # only s_{j+D} and s_{D-j}
+    ])
+    def test_lifts_that_disagree_raise(self, monkeypatch, skewed, pair):
+        rule_of = highwater._product_rule
+
+        def skewed_rule(field):
+            rule = rule_of(field)
+            return lambda p, q: rule(p, q) + [(("a", 0), field.one())] * (skewed(p) or skewed(q))
+
+        monkeypatch.setattr(highwater, "_product_rule", skewed_rule)
+        with pytest.raises(ConsistencyFailure, match=f"period-4 quotient: product of basis {pair} differs"):
+            hw_periodic_quotient(4)

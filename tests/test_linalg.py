@@ -18,6 +18,7 @@ from axial.linalg import (
     kernel,
     residue,
     rref,
+    scaled,
     solve_linear,
     sparse,
     vadd,
@@ -270,6 +271,22 @@ class TestUnitPaths:
         one = QQ.one()
         got = combine([(one, {0: one, 1: one}.items()), (-one, {0: one, 2: one}.items())])
         assert typed(got) == {1: (type(one), one), 2: (type(one), -one)}
+
+    @pytest.mark.parametrize("field", UNIT_FIELDS, ids=FIELD_IDS)
+    @given(data=st.data())
+    def test_scaled_matches_plain_formula(self, field, data):
+        s = field_scalars(field)
+        f = data.draw(st.one_of(s, st.sampled_from((1, -1))))  # sign factors arrive as ints
+        row = data.draw(sparse_rows(s, 5))
+        got = scaled(f, row)
+        assert typed(got) == typed({c: f * x for c, x in row.items()} if f else {})
+        assert got is not row
+
+    @given(int_scalars(), sparse_rows(int_scalars(), 5))
+    def test_scaled_matches_plain_formula_on_ints(self, f, row):
+        got = scaled(f, row)
+        assert typed(got) == typed({c: f * x for c, x in row.items()} if f else {})
+        assert got is not row
 
     @pytest.mark.parametrize("field", UNIT_FIELDS, ids=FIELD_IDS)
     @given(data=st.data())
