@@ -12,7 +12,7 @@ from .fields import rational
 from .fusion import FusionLaw
 from .linalg import EchelonAccumulator, Matrix, Subspace, combine, dot, kernel, solve_linear, sparse
 
-# Primes for the modular solve over Q, tried in turn (see `_lifted_space`).
+# Primes for the modular solve over Q, tried in turn (see `_lifted`).
 _PRIMES = (2**61 - 1, 2**61 - 31, 2**61 - 45)
 
 
@@ -20,20 +20,22 @@ def frobenius_solution_space(alg: Algebra) -> Subspace:
     """All bilinear forms with (u, vw) = (uv, w), as flat n^2 vectors.
 
     Only associativity is imposed; symmetry of the solutions is a theorem,
-    not a constraint, and is checked downstream.  The equations are
-    eliminated on plain ints mod p, block by block until the kernel solves
-    the rest (`_kernel_mod`): over F_p that is the field itself; over
-    Q the kernel mod p is lifted and certified exactly (`_lifted_space`),
-    with the exact echelon over Q as the fallback.  Either way the result
-    is the reduced row-echelon basis of the exact solution space.
+    not a constraint, and is checked downstream.  `_kernel` eliminates the
+    equations block by block: over F_p on ints mod p, the field's residues;
+    over Q on ints mod the primes of `_PRIMES`, lifted and certified exactly
+    (`_lifted`), and if no lift certifies, on the field's own Fractions.
+    One echelon of the kernel vectors gives the reduced row-echelon basis
+    of the exact solution space.
     """
     field = alg.field
     if field.kind == "rational":
-        space = _lifted_space(alg)
-        return _exact_space(alg) if space is None else space
-    table = {ij: tuple((k, c.v) for k, c in pairs) for ij, pairs in alg.products.items()}
-    _, free = _kernel_mod(alg, table, field.p)
-    rows = ({c: field.from_int(x) for c, x in row.items()} for row in free.values())
+        rows = _lifted(alg)
+        if rows is None:
+            rows = _kernel(alg, alg.products)[1].values()
+    else:
+        table = {ij: tuple((k, c.v) for k, c in pairs) for ij, pairs in alg.products.items()}
+        free = _kernel(alg, table, field.p)[1]
+        rows = ({c: field.from_int(x) for c, x in row.items()} for row in free.values())
     return EchelonAccumulator.of(field, alg.dim ** 2, rows).subspace()
 
 
@@ -73,12 +75,13 @@ def _adjoint_rows(n: int, ad):
     return out
 
 
-def _solves(n: int, ad_rows, g: dict, blocks, p: int = 0) -> bool:
-    """Whether the flat int Gram vector g solves every equation of `blocks`,
-    over Z or, with p, mod p.  Block j is checked as the matrix G ad_j -
-    ad_j^T G, scattered from the non-zero entries of g through the rows of
-    ad_j (from `_adjoint_rows`); the check gives up at the first block with
-    a non-zero entry."""
+def _solves(n: int, ad_rows, g: dict, blocks, p: Optional[int] = None) -> bool:
+    """Whether the flat Gram vector g solves every equation of `blocks`:
+    exactly (over Z for ints, over the field for its own scalars) or, with p,
+    on ints mod p.  Block j is checked as the matrix G ad_j - ad_j^T G,
+    scattered from the non-zero entries of g through the rows of ad_j (from
+    `_adjoint_rows`); the check gives up at the first block with a non-zero
+    entry."""
     for j in blocks:
         ad_j = ad_rows[j]
         d = {}
@@ -95,17 +98,10 @@ def _solves(n: int, ad_rows, g: dict, blocks, p: int = 0) -> bool:
     return True
 
 
-def _exact_space(alg: Algebra) -> Subspace:
-    """The solution space from one exact echelon of every equation over the algebra's field."""
-    n = alg.dim
-    ad = _adjoints(n, alg.products)
-    rows = (row for j in range(n) for row in _block(n, ad, j))
-    return EchelonAccumulator.of(alg.field, n * n, rows).kernel()
-
-
-def _kernel_mod(alg: Algebra, table, p: int):
-    """(pivot columns, kernel basis by free column) of the equations of an
-    int structure table, eliminated mod p.
+def _kernel(alg: Algebra, table, p: Optional[int] = None):
+    """(pivot columns, kernel basis by free column) of the equations of a
+    structure table keyed like `Algebra.products`: of ints, eliminated mod a
+    prime p, or without p of the field's own scalars, eliminated exactly.
 
     The blocks j = 0, 1, ... are fed in turn, and the feed stops once every
     kernel vector of the blocks fed solves the blocks left.  That stop is
@@ -113,7 +109,8 @@ def _kernel_mod(alg: Algebra, table, p: int):
     when its basis solves the rest the two kernels, and so their reduced
     echelon forms, are equal.
     """
-    table = {ij: tuple((k, r) for k, c in pairs if (r := c % p)) for ij, pairs in table.items()}
+    if p:
+        table = {ij: tuple((k, r) for k, c in pairs if (r := c % p)) for ij, pairs in table.items()}
     n = alg.dim
     ad = _adjoints(n, table)
     ad_rows = _adjoint_rows(n, ad)
@@ -128,8 +125,9 @@ def _kernel_mod(alg: Algebra, table, p: int):
     return tuple(sorted(acc.rows)), free
 
 
-def _lifted_space(alg: Algebra) -> Optional[Subspace]:
-    """The solution space over Q from kernels mod the primes of `_PRIMES`, or None.
+def _lifted(alg: Algebra) -> Optional[list]:
+    """A basis of the solution space over Q, lifted from kernels mod the
+    primes of `_PRIMES` and certified, or None.
 
     The structure constants are scaled to ints by their common denominator,
     which does not change the solutions.  A prime whose echelon has a larger
@@ -144,8 +142,7 @@ def _lifted_space(alg: Algebra) -> Optional[Subspace]:
     That is exact: rank mod p <= rank over Q, so the nullity mod p is at
     least the nullity over Q, and the certified vectors are that many
     independent solutions (each is 1 at its own free column and 0 at the
-    others).  So they span the solution space, whose reduced basis is then
-    one small echelon away.
+    others).  So they span the solution space.
     """
     n = alg.dim
     den = lcm(*(c.denominator for pairs in alg.products.values() for _, c in pairs))
@@ -153,7 +150,7 @@ def _lifted_space(alg: Algebra) -> Optional[Subspace]:
              for ij, pairs in alg.products.items()}
     kept, residues, modulus = None, None, 1
     for p in _PRIMES:
-        pivots, free = _kernel_mod(alg, table, p)
+        pivots, free = _kernel(alg, table, p)
         profile = (-len(pivots), pivots)
         if kept is None or profile < kept:
             kept, residues, modulus = profile, free, p
@@ -164,7 +161,7 @@ def _lifted_space(alg: Algebra) -> Optional[Subspace]:
             continue
         lifted = _lift(residues, modulus)
         if lifted is not None and _certified(n, table, lifted):
-            return EchelonAccumulator.of(alg.field, n * n, lifted).subspace()
+            return lifted
     return None
 
 
@@ -330,9 +327,6 @@ def eigenspace_orthogonality_violations(
 class ProjectionGraph:
     vertices: Tuple[int, ...]
     edges: Tuple[Tuple[int, int], ...]  # (a, b) means phi_a(b) != 0
-
-    def has_edge(self, a: int, b: int) -> bool:
-        return (a, b) in set(self.edges)
 
     @property
     def is_symmetric(self) -> bool:

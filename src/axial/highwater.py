@@ -11,6 +11,7 @@ instances with their axes and fusion law attached.
 """
 
 from dataclasses import dataclass
+from functools import cache
 from typing import List, Optional, Sequence, Tuple
 
 from .algebra import Algebra
@@ -20,7 +21,7 @@ from .fields import QQ, FieldSpec, parse_int, rational
 from .fusion import law_M
 from .linalg import EchelonAccumulator, Matrix, combine, dense, residue, row_key, scaled
 
-MAX_WINDOW = 48  # rows of 4w + 1 entries; about 4 s at w = 48 (Fraction backend, 2-CPU VM)
+MAX_WINDOW = 48  # rows of 4w + 1 entries; about 3 s at w = 48 (Fraction backend, 2-CPU VM)
 
 
 class HighwaterElement:
@@ -101,6 +102,7 @@ def _require_odd_char(field: FieldSpec, what: str):
         raise Unsupported(f"{what} needs 2 invertible; characteristic 2 is refused")
 
 
+@cache
 def _product_rule(field: FieldSpec):
     """The product of two basis keys as (key, coefficient) terms, s_0 dropped:
 
@@ -131,13 +133,13 @@ def _product_rule(field: FieldSpec):
 
 def hw_mul(x: HighwaterElement, y: HighwaterElement) -> HighwaterElement:
     """Bilinear product: the basis rule (see `_product_rule`) on every pair of
-    terms, summed by `combine`."""
+    terms, summed by `combine`; a coefficient times 1 is not multiplied."""
     field = x.field
     if field != y.field:
         raise InvalidField("mixed fields in product")
     _require_odd_char(field, "the product")
     rule = _product_rule(field)
-    terms = [(c * d, rule(p, q)) for p, c in x.row.items() for q, d in y.row.items()]
+    terms = [(c if d == 1 else c * d, rule(p, q)) for p, c in x.row.items() for q, d in y.row.items()]
     return HighwaterElement._of(field, combine(terms))
 
 
@@ -282,12 +284,14 @@ def hw_ideal_window_contains(
     by axes a_k with |k| <= window and reflecting, always discarding anything
     supported outside the window.  Returns "yes" when v lies in the grown
     span; otherwise "unknown" (the span is a lower bound on the ideal, so a
-    miss proves nothing).  A window past MAX_WINDOW raises Unsupported first.
+    miss proves nothing).  An element over another field raises InvalidField
+    first, and a window past MAX_WINDOW raises Unsupported before the search.
     """
-    info = ideal_type_info(t, field)
-    if not info.ok:
-        raise DegenerateParameters("coefficient tuple is not of ideal type")
+    if v.field != field:
+        raise InvalidField("mixed fields in the window search")
     vals = [field.coerce(field.parse(c) if isinstance(c, str) else c) for c in t]
+    if not ideal_type_info(vals, field).ok:
+        raise DegenerateParameters("coefficient tuple is not of ideal type")
     D = len(vals) - 1
     w = window if window is not None else 3 * D
     for kind, i in v.row:
@@ -309,6 +313,7 @@ def hw_ideal_window_contains(
 
     for shift in range(-w, w + 1):
         offer(HighwaterElement._of(field, {("a", i + shift): c for i, c in enumerate(vals) if c}))
+    points = [hw_a(k, field) for k in range(-w, w + 1)]
     for _ in range(max(0, rounds)):
         if reached():
             break
@@ -316,8 +321,8 @@ def hw_ideal_window_contains(
         if not batch:
             break
         for x in batch:
-            for k in range(-w, w + 1):
-                offer(hw_mul(x, hw_a(k, field)))
+            for a_k in points:
+                offer(hw_mul(x, a_k))
             for c2 in range(-2 * w, 2 * w + 1):
                 offer(hw_reflect(x, rational(c2, 2)))
     return "yes" if reached() else "unknown"

@@ -28,8 +28,7 @@ from axial.axes import check_axis
 from axial.catalog import ThreeTranspositionGroup
 from axial.errors import Unsupported
 from axial.frobenius import (
-    _exact_space,
-    _lifted_space,
+    _lifted,
     _reconstruct,
     eigenspace_orthogonality_violations,
     is_symmetric_form,
@@ -79,27 +78,40 @@ class TestSolutionSpace:
             assert is_symmetric_form(f)
 
 
+def lifted_space(alg):
+    """The reduced basis of the rows `_lifted` certifies, or None."""
+    rows = _lifted(alg)
+    return None if rows is None else EchelonAccumulator.of(alg.field, alg.dim ** 2, rows).subspace()
+
+
+def typed_rows(space):
+    """The basis rows of a subspace with the type of every entry."""
+    return [(p, sorted((c, x, type(x)) for c, x in row.items())) for p, row in space.rows.items()]
+
+
 class TestModularSolve:
     """The solve eliminates on ints mod p; over Q it lifts the kernel and
-    certifies it exactly, with the exact echelon as the fallback."""
+    certifies it exactly, with the same block feed over the field's own
+    scalars as the fallback."""
 
     def test_matches_exact_engine(self, solve_case):
         name, alg = solve_case
-        got, want = frobenius_solution_space(alg), _exact_space(alg)
+        got, want = frobenius_solution_space(alg), exact_space(alg)
         assert got == want, name
         assert got.pivots == want.pivots
         scalar = type(alg.field.one())
         assert all(type(x) is scalar for row in got.rows.values() for x in row.values())
+        assert typed_rows(got) == typed_rows(want), name
         if alg.field == QQ:
             # the lift carries it, not the exact fallback
-            assert _lifted_space(alg) == want, name
+            assert lifted_space(alg) == want, name
 
     def test_prime_dividing_a_denominator_falls_back(self, monkeypatch):
         # eta = 1/3 puts 3 in the denominators of the structure constants
         alg = matsuo(ThreeTranspositionGroup.symmetric(4), QQ.parse("1/3"))
-        want = _exact_space(alg)
+        want = exact_space(alg)
         monkeypatch.setattr(frobenius, "_PRIMES", (3,))
-        assert _lifted_space(alg) is None
+        assert lifted_space(alg) is None
         assert frobenius_solution_space(alg) == want
 
     def test_unlucky_prime_is_set_aside(self, monkeypatch):
@@ -107,17 +119,17 @@ class TestModularSolve:
         # prime replaces it instead of being combined with it
         alg = matsuo(ThreeTranspositionGroup.symmetric(4), QQ.parse("1/3"))
         monkeypatch.setattr(frobenius, "_PRIMES", (3, 2**61 - 1))
-        assert _lifted_space(alg) == _exact_space(alg)
+        assert lifted_space(alg) == exact_space(alg)
 
     def test_small_primes_combine_until_the_lift_certifies(self, monkeypatch):
         # the form entries eta/2 = 38975/100854 are beyond what one or two
         # primes near 10^4 reconstruct; three primes combined by CRT reach them
         alg = matsuo(ThreeTranspositionGroup.symmetric(4), QQ.parse("38975/50427"))
-        want = _exact_space(alg)
+        want = exact_space(alg)
         for primes, lifted in (((10007,), None), ((10007, 10009), None),
                                ((10007, 10009, 10037), want)):
             monkeypatch.setattr(frobenius, "_PRIMES", primes)
-            assert _lifted_space(alg) == lifted, primes
+            assert lifted_space(alg) == lifted, primes
             assert frobenius_solution_space(alg) == want, primes
 
     @pytest.mark.parametrize("digits,lifts", [(1, True), (8, False)])
@@ -130,7 +142,7 @@ class TestModularSolve:
         # f(xy).  In a random basis with d-digit entries, its reduced basis
         # has numerators and denominators of up to 9 digits at d = 1, which the
         # lift reaches, and of over 100 digits at d = 8, past the 27 digits
-        # that the three default primes reach; there the exact echelon answers
+        # that the three default primes reach; there the exact block feed answers
         rng = random.Random(f"{sorted(table)}:{digits}")
         n = 3
         change = Matrix(QQ, [[rational(rng.randint(-10**digits, 10**digits), rng.randint(1, 10**digits))
@@ -141,9 +153,9 @@ class TestModularSolve:
         rows = change.data
         alg = Algebra(QQ, ("f0", "f1", "f2"), {
             (i, j): back.mul_vec(base.mul(rows[i], rows[j])) for i in range(n) for j in range(i, n)})
-        want = _exact_space(alg)
+        want = exact_space(alg)
         assert want.dim == 3
-        assert (_lifted_space(alg) == want) if lifts else (_lifted_space(alg) is None)
+        assert (lifted_space(alg) == want) if lifts else (lifted_space(alg) is None)
         assert frobenius_solution_space(alg) == want
 
     def test_reconstruct(self):
@@ -167,9 +179,10 @@ def int_table(alg):
     return {ij: tuple((k, c.v) for k, c in pairs) for ij, pairs in alg.products.items()}, alg.field.p
 
 
-def full_feed(alg, table, p):
+def full_feed(alg, table, p=None):
     """(pivots, kernel basis) of every equation (i, j, l), written out from
-    the table in the order i, j, l, eliminated mod p."""
+    the table in the order i, j, l, eliminated mod p or, without p, exactly
+    over the algebra's field."""
     n = alg.dim
 
     def c(i, j):
@@ -184,49 +197,88 @@ def full_feed(alg, table, p):
                     row[i * n + m] = row.get(i * n + m, 0) + x
                 for m, x in c(i, j):  # (e_i e_j, e_l)
                     row[m * n + l] = row.get(m * n + l, 0) - x
-                acc.add_row({k: x % p for k, x in row.items() if x % p})
+                if p:
+                    row = {k: x % p for k, x in row.items()}
+                acc.add_row({k: x for k, x in row.items() if x})
     return tuple(sorted(acc.rows)), acc.kernel_basis()
 
 
-def blocks_fed(monkeypatch, alg):
-    """The blocks `_kernel_mod` feeds for the algebra, in order, and its result."""
-    fed, block = [], frobenius._block
-    monkeypatch.setattr(frobenius, "_block", lambda n, ad, j: fed.append(j) or block(n, ad, j))
-    table, p = int_table(alg)
-    return fed, frobenius._kernel_mod(alg, table, p)
+def exact_space(alg):
+    """The oracle: the solution space from one exact echelon of all n^3
+    equations at once, over the algebra's field."""
+    _, free = full_feed(alg, alg.products)
+    return EchelonAccumulator.of(alg.field, alg.dim ** 2, free.values()).subspace()
+
+
+BLOCK = frobenius._block  # the routine `blocks_fed` wraps, taken before any wrapping
+
+
+def feed(alg, exact=False):
+    """The arguments after the algebra for `_kernel` and `full_feed`: an int
+    table and prime as the solve passes them or, with `exact`, the field's
+    own structure constants as the fallback over Q passes them."""
+    return (alg.products,) if exact else int_table(alg)
+
+
+def blocks_fed(monkeypatch, alg, exact=False):
+    """The blocks `_kernel` feeds for the algebra, in order, and its result."""
+    fed = []
+    monkeypatch.setattr(frobenius, "_block", lambda n, ad, j: fed.append(j) or BLOCK(n, ad, j))
+    return fed, frobenius._kernel(alg, *feed(alg, exact))
 
 
 def s_n(n, eta="1/4", field=QQ):
     return matsuo(ThreeTranspositionGroup.symmetric(n), field.parse(eta), field)
 
 
+def over(field, alg):
+    """The algebra with its rational structure constants read in `field`."""
+    return Algebra(field, alg.basis, {ij: {k: field.parse(str(c)) for k, c in pairs}
+                                      for ij, pairs in alg.products.items()})
+
+
 class TestBlockSolve:
     """The equations are fed one block G ad_j = ad_j^T G at a time, and the
-    feed stops once the kernel mod p solves the blocks left; the result is
-    that of feeding every equation."""
+    feed stops once the kernel solves the blocks left; the result is that
+    of feeding every equation, mod p and over the field's own scalars."""
 
     def test_matches_full_feed(self, solve_case):
         name, alg = solve_case
         table, p = int_table(alg)
-        assert frobenius._kernel_mod(alg, table, p) == full_feed(alg, table, p), name
+        assert frobenius._kernel(alg, table, p) == full_feed(alg, table, p), name
 
-    @pytest.mark.parametrize("alg,blocks", [
-        (s_n(4), 3), (s_n(4, field=GF(10007)), 3),
-        (s_n(5), 4), (s_n(5, field=GF(2**31 - 1)), 4),
-        (hw_periodic_quotient(6), 2), (norton_sakuma("6A"), 2),
-    ], ids=["S4:QQ", "S4:GF(10007)", "S5:QQ", "S5:GF(2^31-1)", "hw:6", "ns:6A"])
-    def test_stops_after_the_blocks_it_needs(self, monkeypatch, alg, blocks):
-        fed, got = blocks_fed(monkeypatch, alg)
+    def test_exact_matches_full_feed(self, solve_case):
+        name, alg = solve_case
+        got = frobenius._kernel(alg, alg.products)
+        assert got == full_feed(alg, alg.products), name
+        free = got[1].values()
+        scalar = type(alg.field.one())
+        assert all(type(x) is scalar for row in free for x in row.values())
+        space = EchelonAccumulator.of(alg.field, alg.dim ** 2, free).subspace()
+        assert typed_rows(space) == typed_rows(exact_space(alg)), name
+
+    @pytest.mark.parametrize("alg,blocks,exact", [
+        (s_n(4), 3, False), (s_n(4, field=GF(10007)), 3, False),
+        (s_n(5), 4, False), (s_n(5, field=GF(2**31 - 1)), 4, False),
+        (hw_periodic_quotient(6), 2, False), (norton_sakuma("6A"), 2, False),
+        (s_n(4), 3, True), (s_n(4, field=GF(10007)), 3, True),
+        (s_n(5), 4, True), (s_n(5, field=GF(10007)), 4, True),
+        (norton_sakuma("6A"), 2, True), (over(GF(10007), norton_sakuma("6A")), 2, True),
+    ], ids=["S4:QQ", "S4:GF(10007)", "S5:QQ", "S5:GF(2^31-1)", "hw:6", "ns:6A",
+            "exact:S4:QQ", "exact:S4:GF(10007)", "exact:S5:QQ", "exact:S5:GF(10007)",
+            "exact:ns:6A:QQ", "exact:ns:6A:GF(10007)"])
+    def test_stops_after_the_blocks_it_needs(self, monkeypatch, alg, blocks, exact):
+        fed, got = blocks_fed(monkeypatch, alg, exact)
         assert fed == list(range(blocks)) and blocks < alg.dim
-        table, p = int_table(alg)
-        assert got == full_feed(alg, table, p)
+        assert got == full_feed(alg, *feed(alg, exact))
 
     @pytest.mark.parametrize("field", [QQ, GF(7)], ids=["QQ", "GF(7)"])
     def test_dimension_zero(self, monkeypatch, field):
         alg = Algebra(field, (), {})
         assert blocks_fed(monkeypatch, alg) == ([], ((), {}))
+        assert blocks_fed(monkeypatch, alg, exact=True) == ([], ((), {}))
         space = frobenius_solution_space(alg)
-        assert space == _exact_space(alg) and space.dim == 0
+        assert space == exact_space(alg) and space.dim == 0
         sol = solve_frobenius(alg)
         assert sol.canonical is None and not sol.ambiguous and sol.axis_norms is None
 
@@ -236,8 +288,10 @@ class TestBlockSolve:
         alg = Algebra(field, ("x", "y", "z"), {})
         fed, (pivots, free) = blocks_fed(monkeypatch, alg)
         assert fed == [0] and pivots == () and len(free) == 9
+        fed, got = blocks_fed(monkeypatch, alg, exact=True)
+        assert fed == [0] and got == ((), free) == full_feed(alg, alg.products)
         space = frobenius_solution_space(alg)
-        assert space == _exact_space(alg) and space.dim == 9
+        assert space == exact_space(alg) and space.dim == 9
 
 
 class TestNormalisation:

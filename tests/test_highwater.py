@@ -181,6 +181,28 @@ class TestMembership:
         with pytest.raises(DegenerateParameters):
             hw_ideal_window_contains(("1", "1"), hw_a(0))
 
+    @pytest.mark.parametrize("v", [hw_a(0) + hw_a(1).scale(rational(-2)) + hw_a(2), hw_a(0)],
+                             ids=["generator", "a0"])
+    def test_element_over_another_field_rejected(self, monkeypatch, v):
+        # a QQ element searched over GF(7) is refused before any work, even
+        # before the tuple is read
+        def no_work(*args):
+            raise AssertionError("the search started")
+
+        monkeypatch.setattr(highwater, "ideal_type_info", no_work)
+        with pytest.raises(InvalidField, match="mixed fields"):
+            hw_ideal_window_contains(self.GEN, v, field=GF(7))
+
+    def test_set_up_once_per_search(self, monkeypatch):
+        # the product rule is built once per field and the points a_k once
+        # per search, not once per product
+        made = []
+        monkeypatch.setattr(highwater, "hw_a", lambda k, field=QQ: made.append(k) or hw_a(k, field))
+        highwater._product_rule.cache_clear()
+        assert hw_ideal_window_contains(self.GEN, hw_a(0), window=4) == "unknown"
+        assert made == list(range(-4, 5))
+        assert highwater._product_rule.cache_info().misses == 1
+
 
 class TestPeriodicQuotient:
     def test_small_dimensions(self):
