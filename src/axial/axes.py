@@ -92,18 +92,15 @@ def _check_axis(alg: Algebra, a, law: FusionLaw) -> AxisReport:
             semisimple = False
 
     violations = []
-    target_cache: Dict[frozenset, Subspace] = {}
-
-    def target(cell: frozenset) -> Subspace:
-        got = target_cache.get(cell)
-        if got is None:
-            rows = (b for k in sorted(cell) for b in spaces[k].rows.values())
-            got = target_cache[cell] = EchelonAccumulator.of(alg.field, alg.dim, rows).subspace()
-        return got
-
+    targets = {
+        cell: EchelonAccumulator.of(
+            alg.field, alg.dim, (b for k in sorted(cell) for b in spaces[k].rows.values())
+        ).subspace()
+        for cell in {c for row in law.table for c in row}
+    }
     for i in range(law.size):
         for j in range(i, law.size):  # the law is symmetric, and so is the product
-            tgt = target(law.table[i][j])
+            tgt = targets[law.table[i][j]]
             vs = list(spaces[j].rows.values())
             for r, u in enumerate(spaces[i].rows.values()):
                 for v in vs[r if i == j else 0:]:

@@ -9,7 +9,6 @@ from .algebra import Algebra, form_value
 from .errors import (
     AxialError,
     ConsistencyFailure,
-    DegenerateParameters,
     InvalidGroup,
     NotAFlip,
     NotAnAxis,
@@ -100,8 +99,7 @@ def matsuo(group: ThreeTranspositionGroup, eta, field: FieldSpec = QQ) -> Algebr
     if field.characteristic == 2:
         raise Unsupported("Matsuo algebras need characteristic != 2")
     eta = field.coerce(eta)
-    if eta == field.zero() or eta == field.one():
-        raise DegenerateParameters("eta must avoid 0 and 1")
+    law = law_J(field, eta)
     check_build_dim(len(group.transpositions), "the Matsuo algebra")
     group.validate()
     ds = group.transpositions
@@ -128,7 +126,7 @@ def matsuo(group: ThreeTranspositionGroup, eta, field: FieldSpec = QQ) -> Algebr
         names,
         products,
         axes=axes,
-        law=law_J(field, eta),
+        law=law,
         form=Matrix._of(field, n, gram),
     )
 
@@ -231,8 +229,7 @@ def split_spin_factor(gram, alpha, field: FieldSpec = QQ) -> SplitSpinFactor:
     alpha = field.coerce(alpha)
     one, zero = field.one(), field.zero()
     two = field.from_int(2)
-    if alpha in (zero, one, one / two):
-        raise DegenerateParameters("alpha must avoid 0, 1/2 and 1")
+    law = law_M(field, alpha, one / two)
     g = _check_gram(field, gram)
     m = g.nrows
     n = m + 2
@@ -249,7 +246,6 @@ def split_spin_factor(gram, alpha, field: FieldSpec = QQ) -> SplitSpinFactor:
             if l >= k:
                 products[(k + 2, l + 2)] = {0: -b * z_coef_1, 1: -b * z_coef_2}
     names = ["z1", "z2"] + [f"e{k + 1}" for k in range(m)]
-    law = law_M(field, alpha, one / two)
     alg = Algebra(field, names, products, law=law)
     ssf = SplitSpinFactor(field=field, gram=g, alpha=alpha, algebra=alg)
     z1, z2 = {0: one}, {1: one}

@@ -42,7 +42,7 @@ from .errors import (
 from .fields import QQ, parse_int
 from .frobenius import radical as compute_radical
 from .frobenius import solve_frobenius
-from .fusion import law_A, law_J, law_M, law_to_obj
+from .fusion import LAW_KINDS, law_from_obj, law_to_obj
 from .highwater import (
     HighwaterElement,
     hw_ideal_window_contains,
@@ -111,16 +111,13 @@ _INT = _Integer()
 def _parse_law(field, text):
     head, _, rest = text.partition(":")
     kind = head.strip().upper()
-    try:
-        if kind == "A" and not rest:
-            return law_A(field)
-        if kind == "J":
-            return law_J(field, field.parse(rest))
-        if kind == "M":
-            a, b = rest.split(",")
-            return law_M(field, field.parse(a), field.parse(b))
-    except (ValueError, AxialError) as exc:
-        raise MalformedInput(f"bad law {text!r}: {exc}") from exc
+    params = rest.split(",") if rest else []
+    keys = LAW_KINDS.get(kind)
+    if keys is not None and len(keys) == len(params):
+        try:
+            return law_from_obj(field, {"kind": kind, **dict(zip(keys, params))})
+        except AxialError as exc:
+            raise MalformedInput(f"bad law {text!r}: {exc}") from exc
     raise MalformedInput(f"bad law {text!r} (want A, J:<eta> or M:<alpha>,<beta>)")
 
 

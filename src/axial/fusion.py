@@ -2,7 +2,8 @@
 
 A law is a tuple of distinct scalars (1 always present, listed first) plus a
 symmetric table mapping each index pair to the set of allowed product
-eigenvalue indices.  The three catalog laws:
+eigenvalue indices.  The three catalog laws are one table, that of M(a,b),
+restricted to the elements (1, 0), (1, 0, eta) and (1, 0, a, b):
 
     A          1*1={1}  1*0={}  0*0={0}
     J(eta)     adds eta: 1*eta={eta}, 0*eta={eta}, eta*eta={1,0}
@@ -58,10 +59,6 @@ class FusionLaw:
         return self.table[i][j]
 
 
-def _sc(field: FieldSpec, x):
-    return field.parse(x) if isinstance(x, str) else field.coerce(x)
-
-
 def _build(field, elements, cells, name) -> FusionLaw:
     n = len(elements)
     table = [[frozenset() for _ in range(n)] for _ in range(n)]
@@ -71,48 +68,42 @@ def _build(field, elements, cells, name) -> FusionLaw:
     return FusionLaw(field, tuple(elements), tuple(tuple(row) for row in table), name)
 
 
+# The non-empty cells of M(alpha, beta) on the elements (1, 0, alpha, beta).
+_M_CELLS = {
+    (0, 0): {0},
+    (0, 2): {2},
+    (0, 3): {3},
+    (1, 1): {1},
+    (1, 2): {2},
+    (1, 3): {3},
+    (2, 2): {0, 1},
+    (2, 3): {3},
+    (3, 3): {0, 1, 2},
+}
+
+# Catalog law kind -> its parameters, after the elements 1 and 0.
+LAW_KINDS = {"A": (), "J": ("eta",), "M": ("alpha", "beta")}
+
+
+def _law(field: FieldSpec, kind: str, params) -> FusionLaw:
+    """The catalog law of kind on (1, 0, *params): the M cells on those elements."""
+    params = tuple(field.parse(x) if isinstance(x, str) else field.coerce(x) for x in params)
+    elements = (field.one(), field.zero()) + params
+    cells = {ij: c for ij, c in _M_CELLS.items() if max(ij) < len(elements)}
+    name = f"{kind}({','.join(map(field.fmt, params))})" if params else kind
+    return _build(field, elements, cells, name)
+
+
 def law_A(field: FieldSpec) -> FusionLaw:
-    one, zero = field.one(), field.zero()
-    return _build(field, (one, zero), {(0, 0): {0}, (0, 1): set(), (1, 1): {1}}, "A")
+    return _law(field, "A", ())
 
 
 def law_J(field: FieldSpec, eta) -> FusionLaw:
-    eta = _sc(field, eta)
-    one, zero = field.one(), field.zero()
-    if eta == zero or eta == one:
-        raise DegenerateParameters(f"eta must avoid {{0,1}}, got {field.fmt(eta)}")
-    cells = {
-        (0, 0): {0},
-        (0, 1): set(),
-        (0, 2): {2},
-        (1, 1): {1},
-        (1, 2): {2},
-        (2, 2): {0, 1},
-    }
-    return _build(field, (one, zero, eta), cells, f"J({field.fmt(eta)})")
+    return _law(field, "J", (eta,))
 
 
 def law_M(field: FieldSpec, alpha, beta) -> FusionLaw:
-    alpha, beta = _sc(field, alpha), _sc(field, beta)
-    one, zero = field.one(), field.zero()
-    if len({one, zero, alpha, beta}) != 4:
-        raise DegenerateParameters(
-            f"1, 0, {field.fmt(alpha)}, {field.fmt(beta)} must be pairwise distinct"
-        )
-    cells = {
-        (0, 0): {0},
-        (0, 1): set(),
-        (0, 2): {2},
-        (0, 3): {3},
-        (1, 1): {1},
-        (1, 2): {2},
-        (1, 3): {3},
-        (2, 2): {0, 1},
-        (2, 3): {3},
-        (3, 3): {0, 1, 2},
-    }
-    name = f"M({field.fmt(alpha)},{field.fmt(beta)})"
-    return _build(field, (one, zero, alpha, beta), cells, name)
+    return _law(field, "M", (alpha, beta))
 
 
 def is_seress(law: FusionLaw) -> bool:
@@ -185,17 +176,13 @@ def unique_adequate_grading(law: FusionLaw) -> Optional[Grading]:
 
 
 def law_to_obj(law: FusionLaw) -> dict:
-    field = law.field
-    if law.name == "A":
-        return {"kind": "A"}
-    if law.name.startswith("J("):
-        return {"kind": "J", "eta": field.fmt(law.elements[2])}
-    if law.name.startswith("M("):
-        return {
-            "kind": "M",
-            "alpha": field.fmt(law.elements[2]),
-            "beta": field.fmt(law.elements[3]),
-        }
+    """The JSON form of a catalog law; a law that differs from the catalog law
+    of its size in a cell, an element or the name has none."""
+    field, params = law.field, law.elements[2:]
+    if law.elements[:2] == (field.one(), field.zero()):
+        for kind, keys in LAW_KINDS.items():
+            if len(keys) == len(params) and _law(field, kind, params) == law:
+                return {"kind": kind, **{k: field.fmt(x) for k, x in zip(keys, params)}}
     raise AxialError(f"law {law.name} has no JSON form")
 
 
@@ -203,10 +190,6 @@ def law_from_obj(field: FieldSpec, obj) -> FusionLaw:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise AxialError(f"bad law object {obj!r}")
     kind = obj["kind"]
-    if kind == "A":
-        return law_A(field)
-    if kind == "J":
-        return law_J(field, field.parse(obj["eta"]))
-    if kind == "M":
-        return law_M(field, field.parse(obj["alpha"]), field.parse(obj["beta"]))
-    raise AxialError(f"unknown law kind {kind!r}")
+    if not isinstance(kind, str) or kind not in LAW_KINDS:
+        raise AxialError(f"unknown law kind {kind!r}")
+    return _law(field, kind, [field.parse(obj[k]) for k in LAW_KINDS[kind]])

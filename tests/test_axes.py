@@ -27,8 +27,9 @@ from axial import (
     miyamoto_group,
     norton_sakuma,
     rational,
+    spin_factor,
 )
-from axial.axes import _conjugate_tau, _transport, resolve_grading
+from axial.axes import _conjugate_tau, _transport, projection, projection_functional, resolve_grading
 from axial.catalog import ThreeTranspositionGroup
 from axial.fusion import _build
 from axial.perms import parse_cycles
@@ -38,6 +39,8 @@ from axial.errors import (
     GroupCapExceeded,
     InvalidGrading,
     NotAnAxis,
+    NotPrimitive,
+    NotSemisimple,
     NotTwoGenerated,
 )
 from axial.linalg import sparse, vadd, vscale, vsub
@@ -79,6 +82,20 @@ class TestCheckAxis:
         rep = check_axis(alg, alg.axes[0][1], law_J(QQ, QQ.parse("1/4")))
         assert not rep.is_semisimple
         assert not rep.passed
+
+    def test_projection_needs_a_semisimple_axis(self):
+        alg = norton_sakuma("3A")
+        a, law = alg.axes[0][1], law_J(QQ, QQ.parse("1/4"))
+        with pytest.raises(NotSemisimple):
+            projection_functional(alg, a, law)
+        with pytest.raises(NotSemisimple):
+            projection(alg, a, a, law)
+
+    def test_projection_needs_a_primitive_axis(self):
+        # the identity of a spin factor has the whole algebra as its 1-space
+        alg = spin_factor([[2, 0], [0, 2]]).algebra
+        with pytest.raises(NotPrimitive):
+            projection_functional(alg, alg.basis_vector(0))
 
     def test_two_point_algebra_is_jordan(self, two_a):
         # no 1/32 part at all, so the smaller law also verifies

@@ -3,6 +3,7 @@
 import pytest
 
 from axial import (
+    GF,
     NORTON_SAKUMA_DIMS,
     NORTON_SAKUMA_NAMES,
     QQ,
@@ -20,6 +21,7 @@ from axial.errors import (
     DegenerateParameters,
     InvalidGroup,
     NotAFlip,
+    NotAnAxisCandidate,
     NotOrthogonal,
     UnknownCatalogEntry,
 )
@@ -86,6 +88,13 @@ class TestMatsuo:
                 matsuo(s3, eta)
 
 
+    def test_degenerate_eta_mod_p(self):
+        f = GF(7)
+        for eta in (f.from_int(7), f.from_int(8)):
+            with pytest.raises(DegenerateParameters):
+                matsuo(ThreeTranspositionGroup.symmetric(3), eta, f)
+
+
 class TestSpinFactor:
     def test_shape_and_axes(self):
         sf = spin_factor([[2, 0], [0, 2]])
@@ -95,6 +104,10 @@ class TestSpinFactor:
         assert alg.law.name == "J(1/2)"
         for _, vec in alg.axes:
             assert check_axis(alg, vec, alg.law).passed
+
+    def test_axis_needs_norm_two(self):
+        with pytest.raises(NotAnAxisCandidate):
+            spin_factor([[2, 0], [0, 2]]).axis((1, 1))
 
     def test_norm_two_required_for_axes(self):
         # vectors of the wrong norm give no idempotent halves
@@ -121,6 +134,20 @@ class TestSplitSpinFactor:
         for text in ("0", "1", "1/2"):
             with pytest.raises(DegenerateParameters):
                 split_spin_factor([[1]], QQ.parse(text))
+
+    def test_families_need_unit_norm(self):
+        ss = split_spin_factor([[1, 0], [0, 1]], QQ.parse("1/3"))
+        with pytest.raises(NotAnAxisCandidate):
+            ss.fam_a((1, 1))
+        with pytest.raises(NotAnAxisCandidate):
+            ss.fam_b((1, 1))
+
+    def test_degenerate_alpha_mod_p(self):
+        # 4 = 1/2 and 8 = 1 mod 7
+        f = GF(7)
+        for alpha in (f.from_int(4), f.from_int(8)):
+            with pytest.raises(DegenerateParameters):
+                split_spin_factor([[1]], alpha, f)
 
     @pytest.mark.parametrize("alpha", ["1/3", "1/4", "3"])
     @pytest.mark.parametrize("e", [(1, 0), (0, 1), (-1, 0)], ids=["e1", "e2", "-e1"])

@@ -1,12 +1,16 @@
 """Fusion laws: tables, symmetry, Seress property, C2 gradings."""
 
+from dataclasses import replace
+
 import pytest
 
-from axial import GF, QQ, law_A, law_J, law_M
+from axial import GF, QQ, dump_algebra, law_A, law_J, law_M, norton_sakuma
+from axial.cli import _parse_law
 from axial.errors import AxialError, DegenerateParameters
 from axial.fusion import (
     FusionLaw,
     Grading,
+    _build,
     find_c2_gradings,
     is_seress,
     law_from_obj,
@@ -131,3 +135,119 @@ def test_serialization_roundtrip():
     law = law_J(f, f.parse("1/2"))
     back = law_from_obj(f, law_to_obj(law))
     assert back.elements == law.elements
+
+
+# The cell tables of A, J(eta) and M(alpha, beta) written out by hand, each
+# with its own check of the parameters: the oracle for the one catalog table.
+def oracle_A(field):
+    return _build(field, (field.one(), field.zero()), {(0, 0): {0}, (1, 1): {1}}, "A")
+
+
+def oracle_J(field, eta):
+    one, zero = field.one(), field.zero()
+    if eta in (zero, one):
+        raise DegenerateParameters("eta")
+    cells = {(0, 0): {0}, (0, 2): {2}, (1, 1): {1}, (1, 2): {2}, (2, 2): {0, 1}}
+    return _build(field, (one, zero, eta), cells, f"J({field.fmt(eta)})")
+
+
+def oracle_M(field, alpha, beta):
+    one, zero = field.one(), field.zero()
+    if len({one, zero, alpha, beta}) != 4:
+        raise DegenerateParameters("alpha, beta")
+    cells = {
+        (0, 0): {0},
+        (0, 2): {2},
+        (0, 3): {3},
+        (1, 1): {1},
+        (1, 2): {2},
+        (1, 3): {3},
+        (2, 2): {0, 1},
+        (2, 3): {3},
+        (3, 3): {0, 1, 2},
+    }
+    name = f"M({field.fmt(alpha)},{field.fmt(beta)})"
+    return _build(field, (one, zero, alpha, beta), cells, name)
+
+
+FIELDS = [QQ, GF(7), GF(10007)]
+# Over GF(7), 1/32 = 1/4, and 8 = 1: the oracle raises there, and so must the catalog.
+J_PARAMS = ["1/4", "1/2", "1/3", "-1", "3", "2", "8"]
+M_PARAMS = [("1/4", "1/32"), ("2", "1/2"), ("1/3", "2/3"), ("1/2", "1/4"), ("-1", "3"), ("3", "5")]
+
+
+def _same_as_oracle(oracle, build, field, *texts):
+    params = [field.parse(t) for t in texts]
+    try:
+        want = oracle(field, *params)
+    except DegenerateParameters:
+        with pytest.raises(DegenerateParameters):
+            build(field, *params)
+        return None
+    got = build(field, *params)
+    assert got == want and repr(got) == repr(want)
+    assert law_from_obj(field, law_to_obj(got)) == want
+    return got
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+class TestOneTable:
+    def test_associative(self, field):
+        assert _same_as_oracle(oracle_A, law_A, field) is not None
+
+    def test_jordan(self, field):
+        built = [_same_as_oracle(oracle_J, law_J, field, t) for t in J_PARAMS]
+        assert sum(law is not None for law in built) >= 5
+
+    def test_monster(self, field):
+        built = [_same_as_oracle(oracle_M, law_M, field, a, b) for a, b in M_PARAMS]
+        assert sum(law is not None for law in built) >= 5
+
+    def test_law_option_forms(self, field):
+        q = field.parse
+        assert _parse_law(field, "A") == oracle_A(field)
+        assert _parse_law(field, "A:") == oracle_A(field)
+        assert _parse_law(field, "j:1/3") == oracle_J(field, q("1/3"))
+        assert _parse_law(field, "M:1/3,2/3") == oracle_M(field, q("1/3"), q("2/3"))
+
+    @pytest.mark.parametrize("params", [("0",), ("1",), ("1/2", "1/2"), ("1", "1/2"), ("1/3", "0")])
+    def test_degenerate(self, field, params):
+        with pytest.raises(DegenerateParameters):
+            (law_J if len(params) == 1 else law_M)(field, *params)
+
+
+def test_law_option_forms_over_qq():
+    assert _parse_law(QQ, "j:1/4") == oracle_J(QQ, ETA)
+    assert _parse_law(QQ, "M:1/4,1/32") == oracle_M(QQ, ALPHA, BETA)
+    for text in ("A:1", "J", "J:1/4,1/2", "M:1/4", "Q:7", "J:1"):
+        with pytest.raises(AxialError, match="bad law"):
+            _parse_law(QQ, text)
+
+
+# Laws that the catalog does not build, each under a catalog name: other cells,
+# three elements named A, the cells of J(1/4) named J(1/3), and 0 before 1.
+OTHER_CELLS = {(0, 0): {0}, (1, 1): {1}, (2, 2): {0, 1}, (3, 3): {0, 1, 2}}
+NOT_IN_CATALOG = {
+    "other cells": _build(QQ, (QQ.one(), QQ.zero(), ALPHA, BETA), OTHER_CELLS, "M(1/4,1/32)"),
+    "three named A": _build(QQ, (QQ.one(), QQ.zero(), ETA), {(0, 0): {0}, (1, 1): {1}}, "A"),
+    "renamed": replace(law_J(QQ, ETA), name="J(1/3)"),
+    "0 first": _build(
+        QQ,
+        (QQ.zero(), QQ.one(), ETA),
+        {(0, 0): {1}, (0, 2): {2}, (1, 1): {0}, (1, 2): {2}, (2, 2): {0, 1}},
+        "J(1/4)",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NOT_IN_CATALOG))
+def test_no_json_form(name):
+    with pytest.raises(AxialError, match="has no JSON form"):
+        law_to_obj(NOT_IN_CATALOG[name])
+
+
+def test_algebra_under_a_custom_law_is_not_dumped():
+    alg = norton_sakuma("3A")
+    assert law_to_obj(alg.law) == {"kind": "M", "alpha": "1/4", "beta": "1/32"}
+    with pytest.raises(AxialError, match="has no JSON form"):
+        dump_algebra(alg.with_law(NOT_IN_CATALOG["other cells"]))
