@@ -222,7 +222,6 @@ class Algebra:
         sub: Subspace,
         axes: Iterable[Tuple[str, Sequence]] = (),
         law: Optional[FusionLaw] = None,
-        names: Optional[Sequence[str]] = None,
     ) -> Tuple["Algebra", Matrix]:
         """Algebra structure on a multiplication-closed subspace.
 
@@ -244,8 +243,6 @@ class Algebra:
             if coords is None:
                 raise AxialError(f"designated axis {name!r} lies outside the subspace")
             sub_axes.append((name, dense(self.field, coords, m)))
-        if names is None:
-            names = [f"e{k}" for k in range(m)]
         restricted_form = None
         if self.form is not None:
             gram = []
@@ -253,6 +250,7 @@ class Algebra:
                 values = (_form(self.form, u, v) for v in rows)
                 gram.append({b: g for b, g in enumerate(values) if g})
             restricted_form = Matrix._of(self.field, m, gram)
+        names = [f"e{k}" for k in range(m)]
         alg = Algebra(self.field, names, products, axes=sub_axes, law=law, form=restricted_form)
         return alg, Matrix._of(self.field, self.dim, rows).transpose()
 

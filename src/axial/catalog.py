@@ -2,8 +2,8 @@
 spin factors, split spin factors, the eight Norton-Sakuma algebras, double
 axes and flip subalgebras."""
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, List, Tuple
 
 from .algebra import Algebra, form_value
 from .errors import (
@@ -25,7 +25,6 @@ from .perms import (
     conjugate,
     format_cycles,
     identity_perm,
-    inverse,
     mul,
     perm_order,
 )
@@ -69,12 +68,18 @@ class ThreeTranspositionGroup:
                 ds.append(tuple(p))
         return cls(degree=n, transpositions=tuple(ds))
 
-    def validate(self):
+    def validate(self) -> Dict[Tuple[int, int], int]:
+        """Check the 3-transposition conditions on D and return its braid table
+        {(i, j): k} for i < j: d_i d_j has order 3 and d_k = d_i^{d_j}.
+
+        Pairs i < j suffice: cd and dc = (cd)^-1 have one order; commuting
+        pairs conjugate to themselves; and for order 3, cdc = dcd gives
+        c^d = d^c."""
         ds = self.transpositions
         if not ds:
             raise InvalidGroup("empty transposition set")
-        dset = set(ds)
-        if len(dset) != len(ds):
+        index = {d: k for k, d in enumerate(ds)}
+        if len(index) != len(ds):
             raise InvalidGroup("repeated elements in the transposition set")
         ident = identity_perm(self.degree)
         for d in ds:
@@ -82,12 +87,18 @@ class ThreeTranspositionGroup:
                 raise InvalidGroup("degree mismatch in transposition set")
             if d == ident or mul(d, d) != ident:
                 raise InvalidGroup("transposition set contains a non-involution")
-        for c in ds:
-            for d in ds:
-                if conjugate(c, d) not in dset:
-                    raise InvalidGroup("set is not closed under conjugation")
-                if perm_order(mul(c, d)) > 3:
-                    raise InvalidGroup("product of two transpositions has order > 3")
+        braids = {}
+        for i, c in enumerate(ds):
+            for j in range(i + 1, len(ds)):
+                order = perm_order(mul(c, ds[j]))
+                if order > 2:
+                    k = index.get(conjugate(c, ds[j]))
+                    if k is None:
+                        raise InvalidGroup("set is not closed under conjugation")
+                    if order > 3:
+                        raise InvalidGroup("product of two transpositions has order > 3")
+                    braids[(i, j)] = k
+        return braids
 
     def names(self) -> Tuple[str, ...]:
         return tuple(format_cycles(d) for d in self.transpositions)
@@ -100,27 +111,19 @@ def matsuo(group: ThreeTranspositionGroup, eta, field: FieldSpec = QQ) -> Algebr
         raise Unsupported("Matsuo algebras need characteristic != 2")
     eta = field.coerce(eta)
     law = law_J(field, eta)
-    check_build_dim(len(group.transpositions), "the Matsuo algebra")
-    group.validate()
-    ds = group.transpositions
-    index = {d: i for i, d in enumerate(ds)}
-    n = len(ds)
+    n = len(group.transpositions)
+    check_build_dim(n, "the Matsuo algebra")
+    braids = group.validate()
+    one = field.one()
     half_eta = eta / field.from_int(2)
-    products: Dict[Tuple[int, int], Dict[int, object]] = {}
-    gram = [{i: field.one()} for i in range(n)]
-    for i in range(n):
-        products[(i, i)] = {i: field.one()}
-    for i in range(n):
-        for j in range(i + 1, n):
-            order = perm_order(mul(ds[i], ds[j]))
-            if order == 2:
-                continue
-            k = index[conjugate(ds[i], ds[j])]
-            products[(i, j)] = {i: half_eta, j: half_eta, k: -half_eta}
-            gram[i][j] = half_eta
-            gram[j][i] = half_eta
+    products: Dict[Tuple[int, int], Dict[int, object]] = {(i, i): {i: one} for i in range(n)}
+    gram = [{i: one} for i in range(n)]
+    for (i, j), k in braids.items():
+        products[(i, j)] = {i: half_eta, j: half_eta, k: -half_eta}
+        gram[i][j] = half_eta
+        gram[j][i] = half_eta
     names = group.names()
-    axes = [(names[i], dense(field, {i: field.one()}, n)) for i in range(n)]
+    axes = [(names[i], dense(field, {i: one}, n)) for i in range(n)]
     return Algebra(
         field,
         names,
@@ -166,7 +169,6 @@ def spin_factor(gram, field: FieldSpec = QQ) -> SpinFactor:
         raise Unsupported("spin factors need characteristic != 2")
     g = _check_gram(field, gram)
     m = g.nrows
-    n = m + 1
     half = field.one() / field.from_int(2)
     products: Dict[Tuple[int, int], Dict[int, object]] = {(0, 0): {0: field.one()}}
     for k in range(m):
@@ -175,8 +177,7 @@ def spin_factor(gram, field: FieldSpec = QQ) -> SpinFactor:
             if l >= k:
                 products[(k + 1, l + 1)] = {0: half * b}
     names = ["1"] + [f"v{k + 1}" for k in range(m)]
-    alg = Algebra(field, names, products, law=law_J(field, half))
-    sf = SpinFactor(field=field, gram=g, algebra=alg)
+    sf = SpinFactor(field=field, gram=g, algebra=None)  # axis() reads no algebra
     axes = []
     two = field.from_int(2)
     for k in range(m):
@@ -184,8 +185,8 @@ def spin_factor(gram, field: FieldSpec = QQ) -> SpinFactor:
         if form_value(g, unit, unit) == two:
             axes.append((f"x+{k + 1}", sf.axis(unit)))
             axes.append((f"x-{k + 1}", sf.axis(tuple(-x for x in unit))))
-    alg = alg.with_axes(axes)
-    return SpinFactor(field=field, gram=g, algebra=alg)
+    alg = Algebra(field, names, products, axes=axes, law=law_J(field, half))
+    return replace(sf, algebra=alg)
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +233,6 @@ def split_spin_factor(gram, alpha, field: FieldSpec = QQ) -> SplitSpinFactor:
     law = law_M(field, alpha, one / two)
     g = _check_gram(field, gram)
     m = g.nrows
-    n = m + 2
     z_coef_1 = (alpha - two) * alpha
     z_coef_2 = (alpha - one) * (alpha + one)
     products: Dict[Tuple[int, int], Dict[int, object]] = {
@@ -246,24 +246,20 @@ def split_spin_factor(gram, alpha, field: FieldSpec = QQ) -> SplitSpinFactor:
             if l >= k:
                 products[(k + 2, l + 2)] = {0: -b * z_coef_1, 1: -b * z_coef_2}
     names = ["z1", "z2"] + [f"e{k + 1}" for k in range(m)]
-    alg = Algebra(field, names, products, law=law)
-    ssf = SplitSpinFactor(field=field, gram=g, alpha=alpha, algebra=alg)
-    z1, z2 = {0: one}, {1: one}
-    if alg._mul(z1, z1) != z1 or alg._mul(z2, z2) != z2 or alg._mul(z1, z2):
-        raise ConsistencyFailure("z1, z2 are not orthogonal idempotents")
-    axes: List[Tuple[str, Tuple]] = [("z1", alg.basis_vector(0))]
+    ssf = SplitSpinFactor(field=field, gram=g, alpha=alpha, algebra=None)  # fam_a() reads no algebra
+    axes: List[Tuple[str, Tuple]] = [("z1", dense(field, {0: one}, m + 2))]
     for k in range(m):
         unit = tuple(one if t == k else zero for t in range(m))
         if form_value(g, unit, unit) == one:
-            a = ssf.fam_a(unit)
-            row = sparse(a)
-            if alg._mul(row, row) != row:
-                raise ConsistencyFailure("family (a) vector is not idempotent")
-            axes.append((f"a:e{k + 1}", a))
+            axes.append((f"a:e{k + 1}", ssf.fam_a(unit)))
             if m == 1:
                 axes.append((f"a:-e{k + 1}", ssf.fam_a(tuple(-x for x in unit))))
-    alg = alg.with_axes(axes)
-    return SplitSpinFactor(field=field, gram=g, alpha=alpha, algebra=alg)
+    alg = Algebra(field, names, products, axes=axes, law=law)
+    for _, a in axes[1:]:
+        row = sparse(a)
+        if alg._mul(row, row) != row:
+            raise ConsistencyFailure("family (a) vector is not idempotent")
+    return replace(ssf, algebra=alg)
 
 
 # ---------------------------------------------------------------------------
@@ -425,17 +421,22 @@ NORTON_SAKUMA_DIMS = {
 }
 
 
-def _ns_symbol_key(sym: str, extras: Sequence[str]):
-    if sym in extras:
-        return (1, extras.index(sym))
-    return (0, int(sym[1:]))
-
-
-def _ns_apply(sym: str, eps: int, c: int, n: int, w0: int, extras) -> str:
-    if sym in extras:
-        return sym
-    i = int(sym[1:])
-    return f"a{((eps * i + c - w0) % n) + w0}"
+def _ns_complete(key: str, what: str, entries, maps, symbols, image) -> Dict[Tuple[int, int], object]:
+    """{(i, j): value} for i <= j, from each printed (s, t, value) sent through
+    every index map; two images of a pair must agree, and every pair must be
+    reached."""
+    table = {}
+    for f in maps:
+        for s, t, val in entries:
+            i, j = sorted((f[s], f[t]))
+            v = image(f, val)
+            if table.setdefault((i, j), v) != v:
+                raise ConsistencyFailure(f"{key}: inconsistent {what} at {(symbols[i], symbols[j])}")
+    dim = len(symbols)
+    missing = [(symbols[i], symbols[j]) for i in range(dim) for j in range(i, dim) if (i, j) not in table]
+    if missing:
+        raise ConsistencyFailure(f"{key}: {what} {missing[0]} not determined by the table")
+    return table
 
 
 def norton_sakuma(name: str, field: FieldSpec = QQ) -> Algebra:
@@ -447,57 +448,25 @@ def norton_sakuma(name: str, field: FieldSpec = QQ) -> Algebra:
         raise Unsupported("Norton-Sakuma tables are defined over the rationals")
     spec = _NS_TABLE[key]
     n, window, extras = spec["n"], spec["window"], spec["extras"]
-    w0 = window[0]
     symbols = [f"a{w}" for w in window] + list(extras)
-
-    def pair(s: str, t: str) -> Tuple[str, str]:
-        return tuple(sorted((s, t), key=lambda x: _ns_symbol_key(x, extras)))
-
-    products: Dict[Tuple[str, str], Dict[str, object]] = {}
-    gram: Dict[Tuple[str, str], object] = {}
-    for eps in (1, -1):
-        for c in range(n):
-            for s, t, val in spec["products"]:
-                kp = pair(_ns_apply(s, eps, c, n, w0, extras), _ns_apply(t, eps, c, n, w0, extras))
-                img = {}
-                for sym, coef in val.items():
-                    img[_ns_apply(sym, eps, c, n, w0, extras)] = field.parse(coef)
-                prev = products.get(kp)
-                if prev is not None and prev != img:
-                    raise ConsistencyFailure(f"{key}: inconsistent product at {kp}")
-                products[kp] = img
-            for s, t, coef in spec["gram"]:
-                kp = pair(_ns_apply(s, eps, c, n, w0, extras), _ns_apply(t, eps, c, n, w0, extras))
-                v = field.parse(coef)
-                if kp in gram and gram[kp] != v:
-                    raise ConsistencyFailure(f"{key}: inconsistent form value at {kp}")
-                gram[kp] = v
-
-    for x in range(len(symbols)):
-        for y in range(x, len(symbols)):
-            kp = pair(symbols[x], symbols[y])
-            if kp not in products:
-                raise ConsistencyFailure(f"{key}: product {kp} not determined by the table")
-            if kp not in gram:
-                raise ConsistencyFailure(f"{key}: form value {kp} not determined by the table")
-
-    sym_index = {s: i for i, s in enumerate(symbols)}
-    idx_products = {}
-    for (s, t), val in products.items():
-        idx_products[(sym_index[s], sym_index[t])] = {
-            sym_index[u]: c for u, c in val.items()
-        }
-    gm = [{} for _ in symbols]
-    for (s, t), v in gram.items():
+    fixed = {x: n + k for k, x in enumerate(extras)}
+    # a_i -> a_(eps i + c) as basis indices; the first map is the identity
+    maps = [{f"a{w}": (eps * w + c - window[0]) % n for w in window} | fixed
+            for eps in (1, -1) for c in range(n)]
+    products = _ns_complete(key, "product", spec["products"], maps, symbols,
+                            lambda f, val: {f[u]: field.parse(x) for u, x in val.items()})
+    form_values = _ns_complete(key, "form value", spec["gram"], maps, symbols, lambda f, x: field.parse(x))
+    gram = [{} for _ in symbols]
+    for (i, j), v in form_values.items():
         if v:
-            gm[sym_index[s]][sym_index[t]] = v
-            gm[sym_index[t]][sym_index[s]] = v
+            gram[i][j] = v
+            gram[j][i] = v
 
     axis_order = ["a0", "a1"] + [f"a{w}" for w in window if w not in (0, 1)]
-    axes = [(s, dense(field, {sym_index[s]: field.one()}, len(symbols))) for s in axis_order]
+    axes = [(s, dense(field, {maps[0][s]: field.one()}, len(symbols))) for s in axis_order]
     law = law_M(field, field.parse("1/4"), field.parse("1/32"))
-    form = Matrix._of(field, len(symbols), gm)
-    alg = Algebra(field, symbols, idx_products, axes=axes, law=law, form=form)
+    form = Matrix._of(field, len(symbols), gram)
+    alg = Algebra(field, symbols, products, axes=axes, law=law, form=form)
     if alg.dim != NORTON_SAKUMA_DIMS[key]:
         raise ConsistencyFailure(f"{key}: unexpected dimension {alg.dim}")
     return alg
@@ -549,37 +518,22 @@ def flip_subalgebra(
         induced = tuple(index[conjugate(d, sigma)] for d in ds)
     except KeyError:
         raise NotAFlip("flip does not preserve the transposition set")
-    # explicit diagram-automorphism verification: the commuting relation and
-    # the triple map (c,d) -> c^d must both be preserved
-    for i, c in enumerate(ds):
-        for j, d in enumerate(ds):
-            ci, dj = ds[induced[i]], ds[induced[j]]
-            if perm_order(mul(c, d)) != perm_order(mul(ci, dj)):
-                raise NotAFlip("flip does not preserve product orders on D")
-            if induced[index[conjugate(c, d)]] != index[conjugate(ci, dj)]:
-                raise NotAFlip("flip does not commute with the triple map")
 
     names = group.names()
     singles: List[Tuple[str, Tuple]] = []
     doubles: List[Tuple[str, Tuple]] = []
     extras: List[str] = []
-    seen = set()
-    for i in range(len(ds)):
-        if i in seen:
-            continue
-        j = induced[i]
+    for i, j in enumerate(induced):  # sigma is an involution, so is induced
         if j == i:
             singles.append((f"s:{names[i]}", ambient.basis_vector(i)))
-            seen.add(i)
-            continue
-        seen.update((i, j))
-        pair_name = f"{names[min(i, j)]}+{names[max(i, j)]}"
-        if perm_order(mul(ds[i], ds[j])) == 2:
-            doubles.append(
-                (f"d:{pair_name}", double_axis(m=ambient, a=ambient.basis_vector(i), b=ambient.basis_vector(j)))
-            )
-        else:
-            extras.append(f"x:{pair_name}")
+        elif i < j:
+            pair_name = f"{names[i]}+{names[j]}"
+            if not ambient._product_pairs(i, j):  # d_i, d_j commute
+                doubles.append(
+                    (f"d:{pair_name}", double_axis(m=ambient, a=ambient.basis_vector(i), b=ambient.basis_vector(j)))
+                )
+            else:
+                extras.append(f"x:{pair_name}")
 
     gens = [sparse(v) for _, v in singles + doubles]
     if not gens:

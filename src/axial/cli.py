@@ -403,6 +403,8 @@ def axet(file, gens, as_json):
         raise MalformedInput(f"bad --gens {gens!r}: want two comma-separated indices") from exc
     if not (0 <= i < len(alg.axes) and 0 <= j < len(alg.axes)):
         raise MalformedInput(f"--gens {gens!r} out of range for {len(alg.axes)} axes")
+    if alg.axes[i][1] == alg.axes[j][1]:
+        raise MalformedInput(f"--gens {gens!r} names one axis twice; want two distinct axes")
     closed = close_axes(alg, [alg.axes[i][1], alg.axes[j][1]])
     shape = classify_2gen_axet(closed)
     if as_json:

@@ -192,4 +192,8 @@ def law_from_obj(field: FieldSpec, obj) -> FusionLaw:
     kind = obj["kind"]
     if not isinstance(kind, str) or kind not in LAW_KINDS:
         raise AxialError(f"unknown law kind {kind!r}")
-    return _law(field, kind, [field.parse(obj[k]) for k in LAW_KINDS[kind]])
+    keys = LAW_KINDS[kind]
+    for k in (*keys, *obj):
+        if k not in obj or k not in ("kind", *keys):
+            raise AxialError(f"law {kind} {'needs' if k not in obj else 'takes no'} key {k!r}")
+    return _law(field, kind, [field.parse(obj[k]) for k in keys])

@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .algebra import Algebra
 from .catalog import check_build_dim
-from .errors import ConsistencyFailure, DegenerateParameters, DimensionError, InvalidField, Unsupported
+from .errors import ConsistencyFailure, DegenerateParameters, DimensionError, InvalidField, MalformedInput, Unsupported
 from .fields import QQ, FieldSpec, parse_int, rational
 from .fusion import law_M
 from .linalg import EchelonAccumulator, Matrix, combine, dense, residue, row_key, scaled
@@ -83,9 +83,16 @@ class HighwaterElement:
         return out
 
     @classmethod
-    def from_json(cls, field: FieldSpec, obj: dict) -> "HighwaterElement":
-        a = {parse_int(k, "index key"): field.parse(v) for k, v in (obj.get("a") or {}).items()}
-        s = {parse_int(k, "index key"): field.parse(v) for k, v in (obj.get("s") or {}).items()}
+    def from_json(cls, field: FieldSpec, obj) -> "HighwaterElement":
+        if not isinstance(obj, dict):
+            raise MalformedInput('element must be an object with the keys "a" and "s"')
+        for key, part in obj.items():
+            if key not in ("a", "s"):
+                raise MalformedInput(f'unexpected key {key!r} in element (want "a" and "s")')
+            if not isinstance(part, dict):
+                raise MalformedInput(f"element part {key!r} must be an object of index: scalar")
+        a = {parse_int(k, "index key"): field.parse(v) for k, v in obj.get("a", {}).items()}
+        s = {parse_int(k, "index key"): field.parse(v) for k, v in obj.get("s", {}).items()}
         return cls(field, a, s)
 
 

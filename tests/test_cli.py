@@ -121,6 +121,18 @@ class TestVerify:
         result = runner.invoke(main, ["verify", "-"], input="{not json")
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("law, message", [
+        ({"kind": "J"}, "law J needs key 'eta'"),
+        ({"kind": "A", "eta": "1/2"}, "law A takes no key 'eta'"),
+        ({"kind": "M", "alpha": "1/4", "beta": "1/32", "extra": 1}, "law M takes no key 'extra'"),
+    ])
+    def test_law_object_with_other_keys_exit_2(self, runner, law, message):
+        doc = json.loads(build(runner, "ns:2A"))
+        doc["law"] = law
+        result = runner.invoke(main, ["verify", "-"], input=json.dumps(doc))
+        assert result.exit_code == 2
+        assert message in result.output
+
     def test_bad_law_text_exit_2(self, runner):
         doc = build(runner, "ns:2A")
         result = runner.invoke(main, ["verify", "-", "--law", "Q:7"], input=doc)
@@ -251,6 +263,15 @@ class TestStructureCommands:
         assert result.exit_code == 0
         assert "X(5)" in result.output
 
+    @pytest.mark.parametrize("gens", ["0,0", "1,1", "0,5"])
+    def test_axet_needs_two_distinct_axes(self, runner, gens):
+        # axis 5 is a second copy of axis 0
+        doc = json.loads(build(runner, "ns:5A"))
+        doc["axes"].append(doc["axes"][0])
+        result = runner.invoke(main, ["axet", "--gens", gens, "-"], input=json.dumps(doc))
+        assert result.exit_code == 2
+        assert "two distinct axes" in result.output
+
 
 class TestHighwaterCommands:
     def test_quotient_build_and_verify(self, runner):
@@ -276,6 +297,17 @@ class TestHighwaterCommands:
         result = runner.invoke(main, ["hw", "member", "1,-2,1", str(elem)])
         assert result.exit_code == 0
         assert "yes" in result.output
+
+    @pytest.mark.parametrize("elem, message", [
+        ({"A": {"47": "1"}}, "unexpected key 'A'"),
+        ({"a": {"0": "1"}, "t": {}}, "unexpected key 't'"),
+        ({"a": []}, "element part 'a'"),
+        ([], "must be an object"),
+    ])
+    def test_member_element_outside_the_format_exit_2(self, runner, elem, message):
+        result = runner.invoke(main, ["hw", "member", "--json", "1,-2,1", "-"], input=json.dumps(elem))
+        assert result.exit_code == 2
+        assert message in result.output
 
     @pytest.mark.parametrize("elem", [
         {"a": {"1_0": "1"}}, {"a": {" +1 ": "1"}}, {"s": {"\u0661": "1"}}, {"a": {"-0": "1"}},

@@ -251,3 +251,20 @@ def test_algebra_under_a_custom_law_is_not_dumped():
     assert law_to_obj(alg.law) == {"kind": "M", "alpha": "1/4", "beta": "1/32"}
     with pytest.raises(AxialError, match="has no JSON form"):
         dump_algebra(alg.with_law(NOT_IN_CATALOG["other cells"]))
+
+
+# A law object holds its kind and exactly the parameter keys of that kind.
+BAD_LAW_OBJECTS = [
+    ({"kind": "J"}, "law J needs key 'eta'"),
+    ({"kind": "M", "alpha": "1/4"}, "law M needs key 'beta'"),
+    ({"kind": "A", "eta": "1/2"}, "law A takes no key 'eta'"),
+    ({"kind": "J", "eta": "1/4", "alpha": "1/4"}, "law J takes no key 'alpha'"),
+    ({"kind": "M", "alpha": "1/4", "beta": "1/32", "extra": 1}, "law M takes no key 'extra'"),
+]
+
+
+@pytest.mark.parametrize("obj, message", BAD_LAW_OBJECTS)
+def test_law_object_keys_are_exact(obj, message):
+    with pytest.raises(AxialError) as err:
+        law_from_obj(QQ, obj)
+    assert str(err.value) == message

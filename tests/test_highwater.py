@@ -26,7 +26,14 @@ from axial import (
     rational,
 )
 from axial import highwater
-from axial.errors import ConsistencyFailure, DegenerateParameters, DimensionError, InvalidField, Unsupported
+from axial.errors import (
+    ConsistencyFailure,
+    DegenerateParameters,
+    DimensionError,
+    InvalidField,
+    MalformedInput,
+    Unsupported,
+)
 from axial.fields import Fp
 from axial.linalg import combine
 
@@ -68,6 +75,14 @@ class TestElements:
     @given(elements())
     def test_json_roundtrip(self, x):
         assert HighwaterElement.from_json(QQ, x.to_json()) == x
+
+    @pytest.mark.parametrize("obj", [
+        {"A": {"47": "1"}}, {"a": {"0": "1"}, "t": {}}, {"a": []}, {"s": "1"}, {"a": None}, [], "a", None,
+    ])
+    def test_json_reads_only_parts_a_and_s(self, obj):
+        # at a_47 the misspelt key used to give the element 0, which every ideal contains
+        with pytest.raises(MalformedInput):
+            HighwaterElement.from_json(QQ, obj)
 
     @given(elements(), elements())
     def test_addition_group(self, x, y):
