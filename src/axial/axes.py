@@ -2,7 +2,7 @@
 closure, Miyamoto groups and 2-generated axet classification."""
 
 from dataclasses import dataclass, replace
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .algebra import Algebra
 from .errors import (
@@ -84,13 +84,6 @@ def _check_axis(alg: Algebra, a, law: FusionLaw) -> AxisReport:
     """check_axis for a sparse row a."""
     is_idem = alg._mul(a, a) == a
     dims, spaces = _eigen_decomposition(alg, a, law)
-    semisimple = sum(dims) == alg.dim
-    if semisimple:
-        # independence cross-check: stacked eigenbases must have full rank
-        stacked = (b for s in spaces for b in s.rows.values())
-        if EchelonAccumulator.of(alg.field, alg.dim, stacked).rank != alg.dim:
-            semisimple = False
-
     violations = []
     targets = {
         cell: EchelonAccumulator.of(
@@ -114,7 +107,7 @@ def _check_axis(alg: Algebra, a, law: FusionLaw) -> AxisReport:
         is_idempotent=is_idem,
         eigen_dims=dims,
         eigenspaces=spaces,
-        is_semisimple=semisimple,
+        is_semisimple=sum(dims) == alg.dim,  # distinct eigenvalues: independent spaces
         fusion_violations=tuple(violations),
         is_primitive=primitive,
     )
@@ -205,15 +198,16 @@ def projection_functional(alg: Algebra, a, law: Optional[FusionLaw] = None) -> T
     law = law if law is not None else alg.law
     if law is None:
         raise Unsupported("projection functional needs a fusion law")
-    return alg._dense(_projection_functional(alg, alg._row(a), law))
+    a = alg._row(a)
+    return alg._dense(_projection_functional(alg, a, law, _eigen_decomposition(alg, a, law)[1]))
 
 
-def _projection_functional(alg: Algebra, a, law: FusionLaw) -> dict:
-    """The functional phi_a as a sparse row, for a sparse row a."""
-    dims, spaces = _eigen_decomposition(alg, a, law)
-    if sum(dims) != alg.dim:
+def _projection_functional(alg: Algebra, a, law: FusionLaw, spaces) -> dict:
+    """The functional phi_a as a sparse row, for a sparse row a whose ad_a
+    has the eigenspaces `spaces` at the law's elements."""
+    if sum(s.dim for s in spaces) != alg.dim:
         raise NotSemisimple("adjoint eigenspaces do not span the algebra")
-    if dims[law.one_index] != 1:
+    if spaces[law.one_index].dim != 1:
         raise NotPrimitive("1-eigenspace is not one-dimensional")
     _, owner, inv = _eigenbasis(alg, spaces)
     (b1,) = spaces[law.one_index].rows.values()
@@ -229,7 +223,7 @@ def projection(alg: Algebra, a, v, law: Optional[FusionLaw] = None):
     a, v = alg._row(a), alg._row(v)
     if alg._mul(a, a) != a:
         raise NotAnAxis("projection base vector is not idempotent")
-    return dot(alg.field, _projection_functional(alg, a, law), v)
+    return dot(alg.field, _projection_functional(alg, a, law, _eigen_decomposition(alg, a, law)[1]), v)
 
 
 @dataclass(frozen=True)
@@ -285,15 +279,13 @@ def miyamoto(
 
 def _tau_from_report(alg: Algebra, report: AxisReport, grading: Grading) -> Matrix:
     """The map +-1 on the eigenspaces of a passed report, built from scratch
-    and checked to be an involutive automorphism."""
+    and checked to be an automorphism.  It is P S P^-1 with S = diag(+-1) and
+    P^-1 exact, so it is an involution by construction."""
     if alg.field.characteristic == 2:
         raise Unsupported("no nontrivial C2 character in characteristic 2")
     cols, owner, inv = _eigenbasis(alg, report.eigenspaces)
     signed = [scaled(grading.signs[t], c) for c, t in zip(cols, owner)]
     tau = Matrix._of(alg.field, alg.dim, signed).transpose().matmul(inv)
-
-    if tau.matmul(tau) != Matrix.identity(alg.field, alg.dim):
-        raise ConsistencyFailure("Miyamoto map does not square to the identity")
     tau_cols = tau._columns()
     for i in range(alg.dim):
         for j in range(i, alg.dim):
@@ -401,11 +393,13 @@ def close_axes(
     """Close an axis set under all of its Miyamoto maps.
 
     A seed no admitted map reaches gets a full `check_axis` and a map built
-    from scratch and checked to be an involutive automorphism, as `miyamoto`
-    does.  Any other axis b is tau_c(a) for admitted axes a, c: it gets a's
-    report mapped through tau_c, certified exactly by b w = lam w on each
-    mapped basis vector w, and tau_b = tau_c tau_a tau_c, certified exactly
-    on b's eigenbasis (+-1 as the grading says), which fixes it uniquely.
+    from scratch and checked to be an automorphism, as `miyamoto` does.  Any
+    other axis b is tau_c(a) for admitted axes a, c: it gets a's report
+    mapped through tau_c, certified exactly by b w = lam w on each mapped
+    basis vector w, and tau_b = tau_c tau_a tau_c, certified exactly on b's
+    eigenbasis (+-1 as the grading says), which fixes it uniquely.  So every
+    map is an involutive automorphism: it permutes the closed set, and maps
+    with one permutation agree on the subalgebra the axes generate.
     Each (map, axis) image is computed once, as soon as both are admitted.
     New images are admitted round by round in order of their first (map
     index, axis index) pair, as a sweep of every map over every axis would
@@ -436,21 +430,8 @@ def close_axes(
             adm.offer(dict(img))
             name_list.append(f"x{len(name_list)}")
 
-    vecs, mats, n = adm.vecs, adm.mats, len(adm.vecs)
+    vecs, n = adm.vecs, len(adm.vecs)
     perms: List[Perm] = [tuple(adm.images[c, a] for a in range(n)) for c in range(n)]
-    if any(len(set(p)) != len(vecs) for p in perms):
-        raise ConsistencyFailure("closed set is not permuted by a Miyamoto map")
-    # maps inducing one permutation agree on the subalgebra the axes generate
-    # (not always off it); that subalgebra is built only when two collide
-    seen: Dict[Perm, Matrix] = {}
-    generated = None
-    for p, m in zip(perms, mats):
-        first = seen.setdefault(p, m)
-        if first != m:
-            generated = generated or list(alg._subalgebra(vecs).rows.values())
-            if any(first._apply(u) != m._apply(u) for u in generated):
-                raise ConsistencyFailure("distinct Miyamoto maps induce the same permutation")
-
     return Axet(
         algebra=alg,
         law=law,
@@ -458,7 +439,7 @@ def close_axes(
         axes=tuple(map(alg._dense, vecs)),
         names=tuple(name_list),
         reports=tuple(adm.reports),
-        tau_mats=tuple(mats),
+        tau_mats=tuple(adm.mats),
         tau_perms=tuple(perms),
         orbits=classes(range(len(vecs)), ((i, x) for p in perms for i, x in enumerate(p))),
     )

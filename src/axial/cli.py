@@ -55,6 +55,7 @@ from .serialize import (
     dump_algebra,
     load_algebra,
     load_gram,
+    load_json,
 )
 from .structure import (
     is_slender,
@@ -474,14 +475,10 @@ def check_tuple(csv, as_json):
 def member(csv, element, window, rounds, as_json):
     """Window-bounded ideal membership: answers yes or unknown, never no."""
     items = _parse_tuple(csv)
-    text = element.read()
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise MalformedInput(f"element is not valid JSON: {exc}") from exc
+    obj = load_json(element.read(), "element is not valid JSON")
     try:
         elem = HighwaterElement.from_json(QQ, obj)
-    except (AxialError, ValueError, TypeError, AttributeError) as exc:
+    except AxialError as exc:
         raise MalformedInput(f"bad element document: {exc}") from exc
     answer = hw_ideal_window_contains(items, elem, window=window, rounds=rounds)
     if as_json:

@@ -198,21 +198,24 @@ class FieldSpec:
         if not isinstance(text, str):
             raise InvalidField(f"scalar literal must be a string, not {text!r}")
         s = text.strip()
-        if self.kind == "prime":
-            m = _MOD_RE.fullmatch(s)
-            if m:
-                if int(m.group(2)) != self.p:
-                    raise InvalidField(f"literal {s!r} has wrong modulus for F_{self.p}")
-                return Fp(int(m.group(1)), self.p)
-        if not _SCALAR_RE.fullmatch(s):
-            raise InvalidField(f"bad scalar literal {s!r}")
-        if "/" in s:
-            a, b = s.split("/")
-            num, den = int(a), int(b)
-            if den == 0:
-                raise InvalidField(f"zero denominator in {s!r}")
-        else:
-            num, den = int(s), 1
+        try:
+            if self.kind == "prime":
+                m = _MOD_RE.fullmatch(s)
+                if m:
+                    if int(m.group(2)) != self.p:
+                        raise InvalidField(f"literal {s!r} has wrong modulus for F_{self.p}")
+                    return Fp(int(m.group(1)), self.p)
+            if not _SCALAR_RE.fullmatch(s):
+                raise InvalidField(f"bad scalar literal {s!r}")
+            if "/" in s:
+                a, b = s.split("/")
+                num, den = int(a), int(b)
+                if den == 0:
+                    raise InvalidField(f"zero denominator in {s!r}")
+            else:
+                num, den = int(s), 1
+        except ValueError as exc:  # int() reads at most sys.get_int_max_str_digits() digits
+            raise InvalidField(f"scalar literal of {len(s)} characters has too many digits") from exc
         if self.kind == "rational":
             return _rational(num, den)
         if den % self.p == 0:

@@ -335,9 +335,11 @@ class ProjectionGraph:
 
 
 def projection_graph(alg: Algebra, axet: Axet) -> ProjectionGraph:
-    """Directed graph on axes with an edge a -> b when phi_a(b) is nonzero."""
+    """Directed graph on axes with an edge a -> b when phi_a(b) is nonzero;
+    each phi_a comes from the eigenspaces in a's report in the axet of alg."""
     axes = [sparse(v) for v in axet.axes]
-    functionals = [_projection_functional(alg, v, axet.law) for v in axes]
+    spaces = (r.eigenspaces for r in axet.reports)
+    functionals = [_projection_functional(alg, v, axet.law, s) for v, s in zip(axes, spaces)]
     edges = []
     for ia, w in enumerate(functionals):
         for ib, v in enumerate(axes):

@@ -103,20 +103,22 @@ def dump_algebra(alg: Algebra) -> str:
     return json.dumps(algebra_to_obj(alg), indent=2, sort_keys=False)
 
 
-def load_algebra(text: str) -> Algebra:
+def load_json(text: str, what: str = "not valid JSON"):
+    """json.loads, with any ValueError as MalformedInput "<what>: <reason>": a
+    JSONDecodeError, or an integer past int()'s digit limit."""
     try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise MalformedInput(f"not valid JSON: {exc}") from exc
-    return algebra_from_obj(obj)
+        return json.loads(text)
+    except ValueError as exc:
+        raise MalformedInput(f"{what}: {exc}") from exc
+
+
+def load_algebra(text: str) -> Algebra:
+    return algebra_from_obj(load_json(text))
 
 
 def load_gram(text: str, field: FieldSpec):
     """Parse a gram-matrix file: a JSON array of rows of exact scalar strings."""
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise MalformedInput(f"not valid JSON: {exc}") from exc
+    obj = load_json(text)
     if not isinstance(obj, list) or not obj:
         raise MalformedInput("gram file must be a nonempty JSON array of rows")
     return _scalar_rows(obj, field)

@@ -26,6 +26,7 @@ from axial import (
     miyamoto,
     miyamoto_group,
     norton_sakuma,
+    projection_graph,
     rational,
     spin_factor,
 )
@@ -43,7 +44,7 @@ from axial.errors import (
     NotSemisimple,
     NotTwoGenerated,
 )
-from axial.linalg import sparse, vadd, vscale, vsub
+from axial.linalg import EchelonAccumulator, Matrix, sparse, vadd, vscale, vsub
 
 coeffs = st.integers(min_value=-5, max_value=5).map(rational)
 
@@ -154,6 +155,9 @@ def _algebra(spec):
         return norton_sakuma(arg)
     if kind == "hw":
         return hw_periodic_quotient(int(arg))
+    if kind == "flip":  # a flip of the Matsuo algebra of S5 at eta = 1/4
+        sigma = parse_cycles(arg, 5)
+        return flip_subalgebra(ThreeTranspositionGroup.symmetric(5), QQ.parse("1/4"), sigma).algebra
     n, p = map(int, arg.split(":"))
     field = GF(p) if p else QQ
     return matsuo(ThreeTranspositionGroup.symmetric(n), field.parse("1/4"), field)
@@ -339,6 +343,21 @@ def _same_report(got, fresh):
         assert getattr(got, f.name) == getattr(fresh, f.name), f.name
 
 
+class TestProjectionGraph:
+    @pytest.mark.parametrize("spec", [f"ns:{name}" for name in NORTON_SAKUMA_NAMES] + ["matsuo:4:0", "matsuo:5:0"])
+    def test_reads_the_axet_eigenspaces(self, monkeypatch, spec):
+        alg = _algebra(spec)
+        axet = close_axes(alg, alg.axis_vectors())
+        fresh = [projection_functional(alg, a, axet.law) for a in axet.axes]
+        calls = _counting(monkeypatch, "_eigen_decomposition")
+        graph = projection_graph(alg, axet)
+        assert not calls
+        assert graph.edges == tuple(
+            (ia, ib) for ia, w in enumerate(fresh) for ib, v in enumerate(axet.axes)
+            if ia != ib and sum(c * x for c, x in zip(w, v))
+        )
+
+
 class TestTransport:
     """An axis b = tau_c(a) gets a's report mapped through tau_c, certified by
     b w = lam w on each mapped vector; only other axes get a full check."""
@@ -431,6 +450,60 @@ class TestTransport:
             _transport(alg, swapped, tau_c, sparse(b))  # the 1/4 and 1/32 labels swapped
 
 
+INVARIANT_CASES = (
+    [f"ns:{name}" for name in NORTON_SAKUMA_NAMES]
+    + ["matsuo:4:0", "matsuo:5:0", "matsuo:6:0", "matsuo:5:10007", "flip:(1 2)", "flip:(1 2)(3 4)"]
+)
+
+
+@pytest.fixture(scope="module", params=INVARIANT_CASES)
+def closed(request):
+    alg = _algebra(request.param)
+    return alg, close_axes(alg, alg.axis_vectors())
+
+
+class TestClosureInvariants:
+    """What close_axes does not check at run time because it follows from
+    each map being a verified automorphism built as P S P^-1 (or a product of
+    such maps), and from the law's eigenvalues being distinct."""
+
+    def test_maps_square_to_the_identity(self, closed):
+        alg, axet = closed
+        one = Matrix.identity(alg.field, alg.dim)
+        assert all(m.matmul(m) == one for m in axet.tau_mats)
+
+    def test_maps_permute_the_closed_set(self, closed):
+        _, axet = closed
+        assert all(sorted(p) == list(range(axet.size)) for p in axet.tau_perms)
+
+    @staticmethod
+    def assert_one_permutation_one_map_on_the_axes(alg, axet):
+        generated = alg.subalgebra_gen(axet.axes).basis
+        first = {}
+        for p, m in zip(axet.tau_perms, axet.tau_mats):
+            f = first.setdefault(p, m)
+            assert all(f.mul_vec(u) == m.mul_vec(u) for u in generated)
+
+    def test_maps_with_one_permutation_agree_on_the_generated_subalgebra(self, closed):
+        self.assert_one_permutation_one_map_on_the_axes(*closed)
+
+    def test_distinct_maps_with_one_permutation(self):
+        # the axes of (1 2) and (3 4) annihilate each other, and each map fixes
+        # both, but tau_(1 2) moves the axis of (1 3) and tau_(3 4) does not
+        alg = _algebra("matsuo:4:0")
+        seeds = [v for name, v in alg.axes if name in ("(1 2)", "(3 4)")]
+        axet = close_axes(alg, seeds)
+        assert axet.tau_perms == ((0, 1), (0, 1))
+        assert axet.tau_mats[0] != axet.tau_mats[1]
+        self.assert_one_permutation_one_map_on_the_axes(alg, axet)
+
+    def test_stacked_eigenbases_have_full_rank(self, closed):
+        alg, axet = closed
+        for rep in axet.reports:
+            stacked = (b for s in rep.eigenspaces for b in s.rows.values())
+            assert EchelonAccumulator.of(alg.field, alg.dim, stacked).rank == alg.dim
+
+
 def _regenerated(axet, i, j):
     """The axes i and j regenerate, by closing {i, j} under tau_s(t) for s, t
     in the set until nothing new appears."""
@@ -446,11 +519,7 @@ class TestClassification:
     @pytest.mark.parametrize("spec", [f"ns:{name}" for name in NORTON_SAKUMA_NAMES]
                              + ["matsuo:4:0", "matsuo:5:0", "matsuo:6:0", "flip:(1 2)", "flip:(1 2)(3 4)"])
     def test_regenerated_set_matches_fixpoint_oracle(self, spec):
-        if spec.startswith("flip:"):
-            sigma = parse_cycles(spec[5:], 5)
-            alg = flip_subalgebra(ThreeTranspositionGroup.symmetric(5), QQ.parse("1/4"), sigma).algebra
-        else:
-            alg = _algebra(spec)
+        alg = _algebra(spec)
         axet = close_axes(alg, alg.axis_vectors())
         n = axet.size
         for i in range(n):

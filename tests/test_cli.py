@@ -422,6 +422,55 @@ class TestDocumentErrors:
         assert result.output.startswith("error: ")
 
 
+LONG = "1" * 5000  # more digits than int() reads from a string by default (4300)
+
+
+class TestOverlongLiterals:
+    """An integer too long for int() to read exits 2, in a real process, so
+    that an uncaught ValueError would print its traceback."""
+
+    @staticmethod
+    def assert_exit_2(proc):
+        assert proc.returncode == 2, proc.stderr[-300:]
+        assert "Traceback" not in proc.stdout + proc.stderr
+        assert proc.stderr.startswith("error: ")
+
+    @pytest.mark.parametrize("args", [
+        ["hw", "check-tuple", f"1,{LONG}"],
+        ["build", f"matsuo:Sn:4:1/{LONG}"],
+        ["build", f"matsuo:Sn:4:{LONG}"],
+        ["verify", "--law", f"J:{LONG}", "-"],
+        ["verify", "--law", f"M:1/4,{LONG}", "-"],
+    ], ids=["check-tuple", "matsuo-denominator", "matsuo-eta", "law-J", "law-M"])
+    def test_scalar_argument(self, runner, args):
+        self.assert_exit_2(run_process(args, build(runner, "ns:2A")))
+
+    @pytest.mark.parametrize("spec", ["spin:{}", "splitspin:{}:1/3"], ids=["spin", "splitspin"])
+    @pytest.mark.parametrize("gram", [
+        f"[[{LONG}, 0], [0, 2]]", f'[["2", "0"], ["0", "{LONG}"]]',
+    ], ids=["json-integer", "string"])
+    def test_gram_file(self, tmp_path, spec, gram):
+        path = tmp_path / "gram.json"
+        path.write_text(gram)
+        self.assert_exit_2(run_process(["build", spec.format(path)], ""))
+
+    def test_splitspin_alpha(self, tmp_path):
+        path = tmp_path / "gram.json"
+        path.write_text("[[2, 0], [0, 2]]")
+        self.assert_exit_2(run_process(["build", f"splitspin:{path}:{LONG}"], ""))
+
+    @pytest.mark.parametrize("key", ["dim", "i"])
+    def test_algebra_document_integer(self, runner, key):
+        doc = build(runner, "ns:2B")
+        old = f'"{key}": 0' if key == "i" else '"dim": 2'
+        assert old in doc
+        self.assert_exit_2(run_process(["verify", "-"], doc.replace(old, f'"{key}": {LONG}', 1)))
+
+    def test_member_element_integer(self):
+        text = '{"a": {"0": %s}}' % LONG
+        self.assert_exit_2(run_process(["hw", "member", "1,-2,1", "-"], text))
+
+
 # ---------------------------------------------------------------------------
 # Fuzz: every mutated document ends in an exit code 0-3, never a traceback
 
@@ -429,7 +478,7 @@ BAD_VALUES = [
     None, True, 0, -1, 7, 0.5, float("inf"), float("nan"), -10**30, 10**30, 2**64,
     "", "x", "1/0", "-0", "1/3", "1 mod 7", "3 mod 10007", "0.5", "1e9",
     [], ["1"], [["1", "0"]], {}, {"0": "1"}, {"-1": "1"}, {"0": 0.5},
-    {"99999999999999999999": "1"},
+    {"99999999999999999999": "1"}, "1" * 5000,
 ]
 BAD_KEYS = [
     "-1", "-7", "99999999999999999999", "x", "1.5", " 0", "", "0", "3",
@@ -462,8 +511,8 @@ def _retyped(value):
         out.append(next(iter(value.values())))
     if isinstance(value, list) and value:
         out.append(value[0])
-    if isinstance(value, str):
-        out.append(int(value) if value.lstrip("-").isdigit() else 1.5)
+    if isinstance(value, str):  # json.dumps writes no int past int()'s digit limit
+        out.append(int(value) if value.lstrip("-").isdigit() and len(value) <= 4300 else 1.5)
     if isinstance(value, int):
         out.append(float(value))
     return out

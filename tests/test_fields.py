@@ -57,6 +57,15 @@ class TestRationals:
         with pytest.raises(InvalidField):
             field.parse(text)
 
+    @pytest.mark.parametrize("field,text", [
+        (QQ, "1" * 5000), (QQ, "-" + "1" * 5000), (QQ, "1/" + "1" * 5000),
+        (GF(7), "1" * 5000 + " mod 7"), (GF(7), "1 mod " + "7" * 5000), (GF(7), "1" * 5000 + "/3"),
+    ], ids=["integer", "negative", "denominator", "residue", "modulus", "prime-field-fraction"])
+    def test_parse_rejects_literals_past_the_digit_limit(self, field, text):
+        # int() reads at most 4300 digits from a string by default
+        with pytest.raises(InvalidField, match="too many digits"):
+            field.parse(text)
+
 
 class TestPrimeField:
     def test_construction_requires_prime(self):
