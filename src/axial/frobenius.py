@@ -31,24 +31,31 @@ def frobenius_solution_space(alg: Algebra) -> Subspace:
     if field.kind == "rational":
         rows = _lifted(alg)
         if rows is None:
-            rows = _kernel(alg, alg.products)[1].values()
+            rows = _kernel(alg, _adjoints(alg, ints=False))[1].values()
     else:
-        table = {ij: tuple((k, c.v) for k, c in pairs) for ij, pairs in alg.products.items()}
-        free = _kernel(alg, table, field.p)[1]
+        free = _kernel(alg, _adjoints(alg), field.p)[1]
         rows = ({c: field.from_int(x) for c, x in row.items()} for row in free.values())
     return EchelonAccumulator.of(field, alg.dim ** 2, rows).subspace()
 
 
-def _adjoints(n: int, table):
-    """ad[j][l] = the (k, c) pairs of e_j e_l, read from a table keyed like `Algebra.products`."""
+def _adjoints(alg: Algebra, ints: bool = True):
+    """The one structure layout of a solve: ad[j][l] = the (m, c) pairs of
+    e_j e_l, c = c_jl^m.  With `ints` the scalars are over Q the numerators
+    times the common denominator, which leaves the solutions alone, and over
+    F_p the residues; without, they are the field's own scalars."""
+    table, n, field = alg.products, alg.dim, alg.field
+    if ints:
+        den = lcm(*(c.denominator for ps in table.values() for _, c in ps)) if field.kind == "rational" else 0
+        table = {ij: tuple((m, c.numerator * (den // c.denominator) if den else c.v) for m, c in pairs)
+                 for ij, pairs in table.items()}
     return [[table.get((j, l) if j <= l else (l, j), ()) for l in range(n)] for j in range(n)]
 
 
 def _block(n: int, ad, j: int):
     """Block j of the equations: G ad_j = ad_j^T G, as the rows (i, j, l) for
     every i and l.  Row (i, j, l) is sum_m c_jl^m X[i, m] - c_ij^m X[m, l] = 0,
-    (e_i, e_j e_l) = (e_i e_j, e_l), sparse over the n^2 Gram entries; `ad`
-    is `_adjoints` of the structure constants, as field scalars or ints."""
+    (e_i, e_j e_l) = (e_i e_j, e_l), sparse over the n^2 Gram entries, from
+    the layout `_adjoints`."""
     right = ad[j]
     for i in range(n):
         left = ad[i][j]
@@ -63,45 +70,35 @@ def _block(n: int, ad, j: int):
             yield row
 
 
-def _adjoint_rows(n: int, ad):
-    """rows[j][m] = the (l, c) pairs with c = c_jl^m: row m of ad_j, from `_adjoints`."""
-    out = []
-    for adj in ad:
-        rows = [[] for _ in range(n)]
-        for l, col in enumerate(adj):
-            for m, c in col:
-                rows[m].append((l, c))
-        out.append(rows)
-    return out
-
-
-def _solves(n: int, ad_rows, g: dict, blocks, p: Optional[int] = None) -> bool:
+def _solves(n: int, ad, g: dict, blocks, p: Optional[int] = None) -> bool:
     """Whether the flat Gram vector g solves every equation of `blocks`:
     exactly (over Z for ints, over the field for its own scalars) or, with p,
-    on ints mod p.  Block j is checked as the matrix G ad_j - ad_j^T G,
-    scattered from the non-zero entries of g through the rows of ad_j (from
-    `_adjoint_rows`); the check gives up at the first block with a non-zero
-    entry."""
+    on ints mod p.  Block j is the matrix G ad_j - ad_j^T G, read from the
+    layout and from G by columns and rows, and the first non-zero fails."""
+    cols, rows = {}, {}
+    for t, x in g.items():
+        a, b = divmod(t, n)
+        cols.setdefault(b, []).append((a, x))
+        rows.setdefault(a, []).append((b, x))
     for j in blocks:
-        ad_j = ad_rows[j]
         d = {}
-        for t, x in g.items():
-            a, b = divmod(t, n)
-            for l, c in ad_j[b]:  # (G ad_j)[a, l] gets G[a, b] c_jl^b
-                k = a * n + l
-                d[k] = d.get(k, 0) + x * c
-            for i, c in ad_j[a]:  # (ad_j^T G)[i, b] gets c_ji^a G[a, b]
-                k = i * n + b
-                d[k] = d.get(k, 0) - x * c
+        for l, pairs in enumerate(ad[j]):
+            for m, c in pairs:
+                for a, x in cols.get(m, ()):  # (G ad_j)[a, l] gets G[a, m] c_jl^m
+                    k = a * n + l
+                    d[k] = d.get(k, 0) + x * c
+                for b, x in rows.get(m, ()):  # (ad_j^T G)[l, b] gets c_jl^m G[m, b]
+                    k = l * n + b
+                    d[k] = d.get(k, 0) - x * c
         if any(y % p if p else y for y in d.values()):
             return False
     return True
 
 
-def _kernel(alg: Algebra, table, p: Optional[int] = None):
-    """(pivot columns, kernel basis by free column) of the equations of a
-    structure table keyed like `Algebra.products`: of ints, eliminated mod a
-    prime p, or without p of the field's own scalars, eliminated exactly.
+def _kernel(alg: Algebra, ad, p: Optional[int] = None):
+    """(pivot columns, kernel basis by free column) of the equations of the
+    layout `ad` (see `_adjoints`): of ints, eliminated mod a prime p, or
+    without p of the field's own scalars, eliminated exactly.
 
     The blocks j = 0, 1, ... are fed in turn, and the feed stops once every
     kernel vector of the blocks fed solves the blocks left.  That stop is
@@ -109,48 +106,40 @@ def _kernel(alg: Algebra, table, p: Optional[int] = None):
     when its basis solves the rest the two kernels, and so their reduced
     echelon forms, are equal.
     """
-    if p:
-        table = {ij: tuple((k, r) for k, c in pairs if (r := c % p)) for ij, pairs in table.items()}
     n = alg.dim
-    ad = _adjoints(n, table)
-    ad_rows = _adjoint_rows(n, ad)
     acc = EchelonAccumulator(alg.field, n * n, p)
     free = {}
     for j in range(n):
         for row in _block(n, ad, j):
             acc.add_row(row)
         free = acc.kernel_basis()
-        if all(_solves(n, ad_rows, g, range(j + 1, n), p) for g in free.values()):
+        if all(_solves(n, ad, g, range(j + 1, n), p) for g in free.values()):
             break
     return tuple(sorted(acc.rows)), free
 
 
 def _lifted(alg: Algebra) -> Optional[list]:
     """A basis of the solution space over Q, lifted from kernels mod the
-    primes of `_PRIMES` and certified, or None.
+    primes of `_PRIMES` and certified, or None; all read one int layout.
 
-    The structure constants are scaled to ints by their common denominator,
-    which does not change the solutions.  A prime whose echelon has a larger
-    rank, or the same rank with earlier pivot columns, than the primes kept
-    so far replaces them; one with the same pivots joins them.  Over Q the
-    rank is largest and the pivots come first, and where a prime has those
-    too, the echelon mod p is the echelon over Q reduced mod p.  The kernel
-    bases of the primes kept are combined by CRT, so each one widens the
-    range in which every entry is lifted to Q by rational reconstruction.
+    A prime whose echelon has a larger rank, or the same rank with earlier
+    pivot columns, than the primes kept so far replaces them; one with the
+    same pivots joins them.  Over Q the rank is largest and the pivots come
+    first, and where a prime has those too, the echelon mod p is the echelon
+    over Q reduced mod p.  The kernel bases of the primes kept are combined
+    by CRT, so each one widens the range in which every entry is lifted to Q
+    by rational reconstruction.
 
-    The lift is reported only if each vector solves every equation over Z.
-    That is exact: rank mod p <= rank over Q, so the nullity mod p is at
-    least the nullity over Q, and the certified vectors are that many
-    independent solutions (each is 1 at its own free column and 0 at the
-    others).  So they span the solution space.
+    The lift is reported only if each vector, its denominators cleared,
+    solves every equation over Z.  That is exact: rank mod p <= rank over Q,
+    so the nullity mod p is at least the nullity over Q, and the certified
+    vectors are that many independent solutions (each is 1 at its own free
+    column and 0 at the others).  So they span the solution space.
     """
-    n = alg.dim
-    den = lcm(*(c.denominator for pairs in alg.products.values() for _, c in pairs))
-    table = {ij: tuple((k, c.numerator * (den // c.denominator)) for k, c in pairs)
-             for ij, pairs in alg.products.items()}
+    n, ad = alg.dim, _adjoints(alg)
     kept, residues, modulus = None, None, 1
     for p in _PRIMES:
-        pivots, free = _kernel(alg, table, p)
+        pivots, free = _kernel(alg, ad, p)
         profile = (-len(pivots), pivots)
         if kept is None or profile < kept:
             kept, residues, modulus = profile, free, p
@@ -160,7 +149,7 @@ def _lifted(alg: Algebra) -> Optional[list]:
         else:
             continue
         lifted = _lift(residues, modulus)
-        if lifted is not None and _certified(n, table, lifted):
+        if lifted is not None and all(_solves(n, ad, _cleared(row), range(n)) for row in lifted):
             return lifted
     return None
 
@@ -201,16 +190,10 @@ def _reconstruct(u: int, m: int):
     return rational(r1, s1)
 
 
-def _certified(n: int, table, rows) -> bool:
-    """Whether every row, as an int Gram matrix G with its denominators
-    cleared, solves all n^3 equations of the int structure table over Z."""
-    ad_rows = _adjoint_rows(n, _adjoints(n, table))
-    for row in rows:
-        scale = lcm(*(x.denominator for x in row.values()))
-        g = {c: x.numerator * (scale // x.denominator) for c, x in row.items()}
-        if not _solves(n, ad_rows, g, range(n)):
-            return False
-    return True
+def _cleared(row: dict) -> dict:
+    """The sparse row of fractions times the lcm of their denominators, as ints."""
+    scale = lcm(*(x.denominator for x in row.values()))
+    return {c: x.numerator * (scale // x.denominator) for c, x in row.items()}
 
 
 def _gram_from_flat(alg: Algebra, flat) -> Matrix:

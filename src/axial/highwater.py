@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .algebra import Algebra
 from .catalog import check_build_dim
-from .errors import ConsistencyFailure, DegenerateParameters, DimensionError, InvalidField, MalformedInput, Unsupported
+from .errors import DegenerateParameters, DimensionError, InvalidField, MalformedInput, Unsupported
 from .fields import QQ, FieldSpec, parse_int, rational
 from .fusion import law_M
 from .linalg import EchelonAccumulator, Matrix, combine, dense, residue, row_key, scaled
@@ -205,9 +205,13 @@ def hw_periodic_quotient(D: int, field: FieldSpec = QQ) -> Algebra:
     """Finite quotient identifying a_i with a_{i+D}, on D axes and floor(D/2)
     distance elements.
 
-    Every structure constant is recomputed along several lifts of each basis
-    element and the reductions must agree; a mismatch means the quotient is
-    not well defined and raises ConsistencyFailure.
+    The product of basis elements p, q is the product of the lifts a_i and
+    s_j, 0 <= i < D and 1 <= j <= D/2, reduced once: a_i -> a_{i mod D}, and
+    s_j -> s_r with r the lesser of j mod D and D - j mod D (s_0 and s_D go
+    to 0).  Other lifts give the same image: under j -> j + D or j -> D - j
+    the terms a_{i-j}, a_{i+j} of the rule trade places, as do s_|j-k|,
+    s_{j+k}, each pair with equal coefficients, and the reduction agrees
+    with every term.
     """
     if D < 2:
         raise DegenerateParameters(f"period {D} is below 2")
@@ -215,7 +219,8 @@ def hw_periodic_quotient(D: int, field: FieldSpec = QQ) -> Algebra:
     ns = D // 2
     n = D + ns
     check_build_dim(n, f"the period-{D} quotient")
-    basis = [f"a{i}" for i in range(D)] + [f"s{j}" for j in range(1, ns + 1)]
+    keys = [("a", i) for i in range(D)] + [("s", j) for j in range(1, ns + 1)]
+    basis = [f"{kind}{i}" for kind, i in keys]
     one = field.one()
     rule = _product_rule(field)
 
@@ -229,24 +234,7 @@ def hw_periodic_quotient(D: int, field: FieldSpec = QQ) -> Algebra:
                 terms.append((D + r - 1, c))
         return combine([(one, terms)])
 
-    def lifts(k: int) -> list:
-        if k < D:
-            return [("a", k), ("a", k + D), ("a", k - D)]
-        j = k - D + 1
-        out = [("s", j), ("s", j + D)]
-        if D - j != j:
-            out.append(("s", D - j))
-        return out
-
-    products = {}
-    for p in range(n):
-        for q in range(p, n):
-            images = [image(xl, yl) for xl in lifts(p) for yl in lifts(q)]
-            if any(img != images[0] for img in images):
-                raise ConsistencyFailure(
-                    f"period-{D} quotient: product of basis {p},{q} differs between lifts"
-                )
-            products[(p, q)] = images[0]
+    products = {(p, q): image(keys[p], keys[q]) for p in range(n) for q in range(p, n)}
 
     axes = [(f"a{i}", dense(field, {i: one}, n)) for i in range(D)]
     # Frobenius form induced by the baric weight: (x, y) = w(x) w(y)

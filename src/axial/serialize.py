@@ -20,6 +20,7 @@ floating point.
 """
 
 import json
+import sys
 
 from .algebra import Algebra
 from .errors import InvalidField, MalformedInput
@@ -103,11 +104,23 @@ def dump_algebra(alg: Algebra) -> str:
     return json.dumps(algebra_to_obj(alg), indent=2, sort_keys=False)
 
 
-def load_json(text: str, what: str = "not valid JSON"):
-    """json.loads, with any ValueError as MalformedInput "<what>: <reason>": a
-    JSONDecodeError, or an integer past int()'s digit limit."""
+def _json_int(literal: str) -> int:
+    """int(literal); past int()'s digit limit, a ValueError naming its digits and the limit."""
     try:
-        return json.loads(text)
+        return int(literal)
+    except ValueError:
+        digits, limit = len(literal.lstrip("-")), sys.get_int_max_str_digits()
+        raise ValueError(f"integer of {digits} digits is past the limit of {limit} digits") from None
+
+
+def load_json(text: str, what: str = "not valid JSON"):
+    """json.loads, with every refusal as MalformedInput "<what>: <reason>": a
+    JSONDecodeError, an integer past int()'s digit limit, or nesting deeper
+    than the recursion limit."""
+    try:
+        return json.loads(text, parse_int=_json_int)
+    except RecursionError as exc:
+        raise MalformedInput(f"{what}: nested too deeply") from exc
     except ValueError as exc:
         raise MalformedInput(f"{what}: {exc}") from exc
 

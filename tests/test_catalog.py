@@ -149,6 +149,20 @@ class TestSplitSpinFactor:
             with pytest.raises(DegenerateParameters):
                 split_spin_factor([[1]], alpha, f)
 
+    @pytest.mark.parametrize("field", [QQ, GF(7), GF(10007)], ids=["QQ", "GF(7)", "GF(10007)"])
+    @pytest.mark.parametrize("alpha", ["1/3", "3", "-1", "2", "2/5"])
+    @pytest.mark.parametrize("gram", [[[1]], [[1, 0], [0, 1]], [[1, 2], [2, 1]]],
+                             ids=["[[1]]", "I2", "[[1,2],[2,1]]"])
+    def test_family_a_axes_are_idempotent(self, field, alpha, gram):
+        # (e + alpha z1 + (alpha+1) z2)/2 squares to itself whenever b(e, e) = 1
+        ss = split_spin_factor(gram, field.parse(alpha), field)
+        m = len(gram)
+        units = [tuple(int(t == k) for t in range(m)) for k in range(m)] + [(-1,)] * (m == 1)
+        fam_a = [v for name, v in ss.algebra.axes if name.startswith("a:")]
+        assert fam_a == [ss.fam_a(e) for e in units]
+        for a in fam_a:
+            assert ss.algebra.mul(a, a) == a
+
     @pytest.mark.parametrize("alpha", ["1/3", "1/4", "3"])
     @pytest.mark.parametrize("e", [(1, 0), (0, 1), (-1, 0)], ids=["e1", "e2", "-e1"])
     def test_fam_b_is_an_axis_of_the_swapped_law(self, alpha, e):

@@ -471,6 +471,44 @@ class TestOverlongLiterals:
         self.assert_exit_2(run_process(["hw", "member", "1,-2,1", "-"], text))
 
 
+class TestJsonRefusals:
+    """JSON that `json.loads` refuses other than by a syntax error exits 2 with
+    a pinned message, in a real process, so that an uncaught RecursionError
+    or ValueError would print its traceback."""
+
+    DEEP = "[" * 100_000  # past the recursion limit of the decoder
+    DEEP_MESSAGE = "nested too deeply"
+    LONG_MESSAGE = "integer of 5000 digits is past the limit of 4300 digits"
+
+    @staticmethod
+    def assert_refused(proc, message):
+        assert proc.returncode == 2, proc.stderr[-300:]
+        assert "Traceback" not in proc.stdout + proc.stderr
+        assert proc.stderr == f"error: {message}\n"
+
+    @pytest.mark.parametrize("kind", ["deep", "long"])
+    def test_verify_file(self, runner, tmp_path, kind):
+        path = tmp_path / "doc.json"
+        doc = build(runner, "ns:2B").replace('"dim": 2', f'"dim": {LONG}')
+        path.write_text(self.DEEP if kind == "deep" else doc)
+        message = self.DEEP_MESSAGE if kind == "deep" else self.LONG_MESSAGE
+        self.assert_refused(run_process(["verify", str(path)], ""), f"not valid JSON: {message}")
+
+    @pytest.mark.parametrize("kind", ["deep", "long"])
+    def test_build_spin_file(self, tmp_path, kind):
+        path = tmp_path / "gram.json"
+        path.write_text(self.DEEP if kind == "deep" else f"[[{LONG}, 0], [0, 2]]")
+        message = self.DEEP_MESSAGE if kind == "deep" else self.LONG_MESSAGE
+        self.assert_refused(run_process(["build", f"spin:{path}"], ""), f"not valid JSON: {message}")
+
+    @pytest.mark.parametrize("kind", ["deep", "long"])
+    def test_member_element(self, kind):
+        text = '{"a": ' * 100_000 if kind == "deep" else '{"a": {"0": %s}}' % LONG
+        message = self.DEEP_MESSAGE if kind == "deep" else self.LONG_MESSAGE
+        self.assert_refused(run_process(["hw", "member", "1,-2,1", "-"], text),
+                            f"element is not valid JSON: {message}")
+
+
 # ---------------------------------------------------------------------------
 # Fuzz: every mutated document ends in an exit code 0-3, never a traceback
 

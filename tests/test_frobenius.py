@@ -214,17 +214,44 @@ BLOCK = frobenius._block  # the routine `blocks_fed` wraps, taken before any wra
 
 
 def feed(alg, exact=False):
-    """The arguments after the algebra for `_kernel` and `full_feed`: an int
-    table and prime as the solve passes them or, with `exact`, the field's
-    own structure constants as the fallback over Q passes them."""
+    """The arguments after the algebra for `full_feed`: an int table and prime
+    as the solve passes them or, with `exact`, the field's own structure
+    constants as the fallback over Q passes them."""
     return (alg.products,) if exact else int_table(alg)
+
+
+def layout_feed(alg, exact=False):
+    """The arguments after the algebra for `_kernel`, as the solve passes them:
+    the int layout and prime or, with `exact`, the layout of the field's own
+    structure constants."""
+    if exact:
+        return (frobenius._adjoints(alg, ints=False),)
+    return frobenius._adjoints(alg), int_table(alg)[1]
 
 
 def blocks_fed(monkeypatch, alg, exact=False):
     """The blocks `_kernel` feeds for the algebra, in order, and its result."""
     fed = []
     monkeypatch.setattr(frobenius, "_block", lambda n, ad, j: fed.append(j) or BLOCK(n, ad, j))
-    return fed, frobenius._kernel(alg, *feed(alg, exact))
+    return fed, frobenius._kernel(alg, *layout_feed(alg, exact))
+
+
+def solves_block(alg, table, g, j, p=None):
+    """Whether the flat Gram vector g solves every equation (i, j, l) of
+    block j, each written out from the table and evaluated on G entry by
+    entry, mod p or, without p, exactly."""
+    n = alg.dim
+
+    def c(i, j):
+        return table.get((i, j) if i <= j else (j, i), ())
+
+    for i in range(n):
+        for l in range(n):
+            lhs = sum((x * g.get(i * n + m, 0) for m, x in c(j, l)), 0)  # (e_i, e_j e_l)
+            rhs = sum((x * g.get(m * n + l, 0) for m, x in c(i, j)), 0)  # (e_i e_j, e_l)
+            if (lhs - rhs) % p if p else lhs - rhs:
+                return False
+    return True
 
 
 def s_n(n, eta="1/4", field=QQ):
@@ -245,17 +272,37 @@ class TestBlockSolve:
     def test_matches_full_feed(self, solve_case):
         name, alg = solve_case
         table, p = int_table(alg)
-        assert frobenius._kernel(alg, table, p) == full_feed(alg, table, p), name
+        assert frobenius._kernel(alg, *layout_feed(alg)) == full_feed(alg, table, p), name
 
     def test_exact_matches_full_feed(self, solve_case):
         name, alg = solve_case
-        got = frobenius._kernel(alg, alg.products)
+        got = frobenius._kernel(alg, *layout_feed(alg, exact=True))
         assert got == full_feed(alg, alg.products), name
         free = got[1].values()
         scalar = type(alg.field.one())
         assert all(type(x) is scalar for row in free for x in row.values())
         space = EchelonAccumulator.of(alg.field, alg.dim ** 2, free).subspace()
         assert typed_rows(space) == typed_rows(exact_space(alg)), name
+
+    @pytest.mark.parametrize("exact", [False, True], ids=["ints", "exact"])
+    def test_solves_matches_the_equations(self, solve_case, exact):
+        # the kernel vectors of one block, most of them not symmetric, checked
+        # on that block and the next against the equations written out
+        name, alg = solve_case
+        n = alg.dim
+        table, p = (alg.products, None) if exact else int_table(alg)
+        ad = frobenius._adjoints(alg, ints=not exact)
+        seen = set()
+        for j in range(min(n, 2)):
+            free = EchelonAccumulator.of(alg.field, n * n, BLOCK(n, ad, j), p).kernel_basis()
+            for g in list(free.values())[:40]:
+                transposed = {(t % n) * n + t // n: x for t, x in g.items()}
+                for k in (j, (j + 1) % n):
+                    want = solves_block(alg, table, g, k, p)
+                    assert frobenius._solves(n, ad, g, [k], p) == want, (name, j, k)
+                    seen.add((want, g != transposed))
+        if n >= 5:  # below, every kernel vector of a block is symmetric in these cases
+            assert {(True, True), (False, True)} <= seen, name
 
     @pytest.mark.parametrize("alg,blocks,exact", [
         (s_n(4), 3, False), (s_n(4, field=GF(10007)), 3, False),

@@ -35,6 +35,8 @@ PIPELINES = {
     "cli_matsuo5_gf10007_frobenius.json": (EXPECTED / "matsuo5_gf10007.json", ["frobenius", "--json", "-"]),
     "cli_qq3_random_basis_frobenius.json": (EXPECTED / "qq3_random_basis.json", ["frobenius", "--json", "-"]),
     "cli_ns6a_build.json": (None, ["build", "ns:6A"]),
+    "cli_hw5_quotient.json": (None, ["hw", "quotient", "5"]),
+    "cli_hw6_quotient.json": (None, ["hw", "quotient", "6"]),
     "cli_flip5_build.json": (None, ["build", "flip:matsuo:Sn:5:1/4:(1 2)(3 4)"]),
     "cli_spin_build.json": (None, ["build", f"spin:{EXPECTED / 'spin_gram.json'}"]),
     "cli_splitspin_build.json": (None, ["build", f"splitspin:{EXPECTED / 'splitspin_gram.json'}:1/3"]),
