@@ -14,8 +14,6 @@ import sys
 from dataclasses import dataclass
 
 from axial import (
-    HighwaterElement,
-    QQ,
     baric_map_check,
     close_axes,
     form_radical,

@@ -11,11 +11,10 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from axial import (
     NORTON_SAKUMA_NAMES,
-    check_axis,
     classify_2gen_axet,
     close_axes,
     form_radical,

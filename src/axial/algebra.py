@@ -12,7 +12,7 @@ go straight to the unchecked kernels.
 
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
-from .errors import AxialError, DimensionError, NotAnIdeal
+from .errors import AxialError, DimensionError, NotAnIdeal, brief
 from .fields import FieldSpec
 from .fusion import FusionLaw
 from .linalg import (
@@ -62,7 +62,7 @@ class Algebra:
         table: Dict[Tuple[int, int], Tuple] = {}
         for (i, j), vec in products.items():
             if not (type(i) is type(j) is int and 0 <= i < n and 0 <= j < n):
-                raise DimensionError(f"product index ({i!r},{j!r}) is not an int pair in 0..{n - 1}")
+                raise DimensionError(f"product index ({brief(i)},{brief(j)}) is not an int pair in 0..{n - 1}")
             if i > j:
                 i, j = j, i
             pairs = self._pairs(vec)
@@ -80,7 +80,7 @@ class Algebra:
         entries = {}
         for k, val in vec.items():
             if type(k) is not int or not 0 <= k < self.dim:
-                raise DimensionError(f"product coordinate {k!r} is not an int in 0..{self.dim - 1}")
+                raise DimensionError(f"product coordinate {brief(k)} is not an int in 0..{self.dim - 1}")
             entries[k] = self.field.coerce(val)
         return tuple(sorted((k, c) for k, c in entries.items() if c))
 
@@ -236,7 +236,7 @@ class Algebra:
         for name, v in axes:
             coords = sub._coords(self._row(v))
             if coords is None:
-                raise AxialError(f"designated axis {name!r} lies outside the subspace")
+                raise AxialError(f"designated axis {brief(name)} lies outside the subspace")
             sub_axes.append((name, dense(self.field, coords, m)))
         restricted_form = None
         if self.form is not None:

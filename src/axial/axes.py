@@ -2,7 +2,7 @@
 closure, Miyamoto groups and 2-generated axet classification."""
 
 from dataclasses import dataclass, replace
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from .algebra import Algebra
 from .errors import (
@@ -371,7 +371,6 @@ class Axet:
     law: FusionLaw
     grading: Grading
     axes: Tuple[Tuple, ...]
-    names: Tuple[str, ...]
     reports: Tuple[AxisReport, ...]
     tau_mats: Tuple[Matrix, ...]
     tau_perms: Tuple[Perm, ...]
@@ -381,6 +380,10 @@ class Axet:
     def size(self) -> int:
         return len(self.axes)
 
+    @property
+    def names(self) -> Tuple[str, ...]:
+        return tuple(f"x{k}" for k in range(self.size))
+
 
 def close_axes(
     alg: Algebra,
@@ -388,7 +391,6 @@ def close_axes(
     law: Optional[FusionLaw] = None,
     grading: Optional[Grading] = None,
     cap: Optional[int] = None,
-    names: Optional[Sequence[str]] = None,
 ) -> Axet:
     """Close an axis set under all of its Miyamoto maps.
 
@@ -403,32 +405,28 @@ def close_axes(
     Each (map, axis) image is computed once, as soon as both are admitted.
     New images are admitted round by round in order of their first (map
     index, axis index) pair, as a sweep of every map over every axis would
-    find them.
+    find them.  The cap bounds the number of closed axes, seeds included.
     """
     law = law if law is not None else alg.law
     if law is None:
         raise Unsupported("axis closure needs a fusion law")
     grading = resolve_grading(law, grading)
     limit = DEFAULT_AXIS_CAP if cap is None else cap
-
     adm = _Admission(alg, law, grading, maps=True)
-    name_list: List[str] = []
-    seed_list = [alg._row(v) for v in axes]
-    if names is not None and len(names) != len(seed_list):
-        raise ValueError("names must match the seed axes")
-    for k, v in enumerate(seed_list):
-        if row_key(v) not in adm.index:
-            name_list.append(names[k] if names is not None else f"x{len(name_list)}")
-            rep = adm.offer(v)
-            if not rep.passed:
-                raise NotAnAxis(f"{name_list[-1]}: {rep.describe()}")
 
+    def admit(v) -> AxisReport:
+        if len(adm.vecs) >= limit:
+            raise ClosureCapExceeded(f"axis closure exceeded cap {limit}")
+        return adm.offer(v)
+
+    for v in [alg._row(v) for v in axes]:
+        if row_key(v) not in adm.index:
+            rep = admit(v)
+            if not rep.passed:
+                raise NotAnAxis(f"x{len(adm.vecs)}: {rep.describe()}")
     while adm.pending:
         for img in sorted(adm.pending, key=lambda v: min(adm.pending[v])):
-            if len(name_list) >= limit:
-                raise ClosureCapExceeded(f"axis closure exceeded cap {limit}")
-            adm.offer(dict(img))
-            name_list.append(f"x{len(name_list)}")
+            admit(dict(img))
 
     vecs, n = adm.vecs, len(adm.vecs)
     perms: List[Perm] = [tuple(adm.images[c, a] for a in range(n)) for c in range(n)]
@@ -437,7 +435,6 @@ def close_axes(
         law=law,
         grading=grading,
         axes=tuple(map(alg._dense, vecs)),
-        names=tuple(name_list),
         reports=tuple(adm.reports),
         tau_mats=tuple(adm.mats),
         tau_perms=tuple(perms),

@@ -16,9 +16,10 @@ from .errors import (
     NotOrthogonal,
     UnknownCatalogEntry,
     Unsupported,
+    brief,
 )
 from .fields import QQ, FieldSpec
-from .fusion import FusionLaw, law_J, law_M
+from .fusion import law_J, law_M
 from .linalg import Matrix, as_vector, combine, dense, sparse
 from .perms import (
     Perm,
@@ -39,7 +40,7 @@ MAX_BUILD_DIM = 100
 
 def check_build_dim(dim: int, what: str):
     if dim > MAX_BUILD_DIM:
-        raise Unsupported(f"{what} would have dimension {dim}, past the build cap {MAX_BUILD_DIM}")
+        raise Unsupported(f"{what} would have dimension {brief(dim)}, past the build cap {MAX_BUILD_DIM}")
 
 
 # ---------------------------------------------------------------------------
@@ -58,7 +59,7 @@ class ThreeTranspositionGroup:
         """S_n acting on n points, D = the transposition class."""
         if n < 2:
             raise InvalidGroup("need at least two points for transpositions")
-        check_build_dim(n * (n - 1) // 2, f"the Matsuo algebra of S_{n}")
+        check_build_dim(n * (n - 1) // 2, f"the Matsuo algebra of S_{brief(n)}")
         ident = list(identity_perm(n))
         ds = []
         for i in range(n):
@@ -438,7 +439,7 @@ def norton_sakuma(name: str, field: FieldSpec = QQ) -> Algebra:
     """One of the eight 2-generated algebras of Monster type (1/4, 1/32)."""
     key = name.strip().upper()
     if key not in _NS_TABLE:
-        raise UnknownCatalogEntry(f"unknown Norton-Sakuma label {name!r}")
+        raise UnknownCatalogEntry(f"unknown Norton-Sakuma label {brief(name)}")
     if field.kind != "rational":
         raise Unsupported("Norton-Sakuma tables are defined over the rationals")
     spec = _NS_TABLE[key]

@@ -23,7 +23,6 @@ from .axes import (
     miyamoto_group,
 )
 from .catalog import (
-    NORTON_SAKUMA_NAMES,
     ThreeTranspositionGroup,
     flip_subalgebra,
     matsuo,
@@ -38,6 +37,7 @@ from .errors import (
     GroupCapExceeded,
     MalformedInput,
     Unsupported,
+    brief,
 )
 from .fields import QQ, parse_int
 from .frobenius import radical as compute_radical
@@ -118,8 +118,8 @@ def _parse_law(field, text):
         try:
             return law_from_obj(field, {"kind": kind, **dict(zip(keys, params))})
         except AxialError as exc:
-            raise MalformedInput(f"bad law {text!r}: {exc}") from exc
-    raise MalformedInput(f"bad law {text!r} (want A, J:<eta> or M:<alpha>,<beta>)")
+            raise MalformedInput(f"bad law {brief(text)}: {exc}") from exc
+    raise MalformedInput(f"bad law {brief(text)} (want A, J:<eta> or M:<alpha>,<beta>)")
 
 
 def _read_algebra(handle, law=False, law_text=None, axes=False):
@@ -167,12 +167,12 @@ def _build_catalog(spec: str):
         inner = parts[1:-1]
         matsuo_spec = _matsuo_spec(inner)
         if matsuo_spec is None:
-            raise MalformedInput(f"flip needs a matsuo:Sn spec, got {':'.join(inner)!r}")
+            raise MalformedInput(f"flip needs a matsuo:Sn spec, got {brief(':'.join(inner))}")
         group, eta = matsuo_spec
         sigma = parse_cycles(parts[-1], group.degree)
         return flip_subalgebra(group, QQ.parse(eta), sigma).algebra
     raise MalformedInput(
-        f"unknown catalog spec {spec!r} (want ns:<name>, matsuo:Sn:<n>:<eta>, "
+        f"unknown catalog spec {brief(spec)} (want ns:<name>, matsuo:Sn:<n>:<eta>, "
         f"spin:<gram-file>, splitspin:<gram-file>:<alpha>, "
         f"flip:matsuo:Sn:<n>:<eta>:<cycles>)"
     )
@@ -249,7 +249,7 @@ def verify(file, law_text, as_json):
 @main.command()
 @click.argument("file", type=click.File("r"), default="-")
 @click.option("--cap", type=_INT, default=DEFAULT_AXIS_CAP,
-              help="Abort if the closed axis set grows past this.")
+              help="Abort if the closed axis set, seeds included, grows past this.")
 @click.option("--group-cap", type=_INT, default=None,
               help="Abort if the group order is larger than this.")
 @click.option("--json", "as_json", is_flag=True, help="Machine-readable report.")
@@ -401,11 +401,11 @@ def axet(file, gens, as_json):
     try:
         i, j = (parse_int(x) for x in gens.split(","))
     except (ValueError, MalformedInput) as exc:
-        raise MalformedInput(f"bad --gens {gens!r}: want two comma-separated indices") from exc
+        raise MalformedInput(f"bad --gens {brief(gens)}: want two comma-separated indices") from exc
     if not (0 <= i < len(alg.axes) and 0 <= j < len(alg.axes)):
-        raise MalformedInput(f"--gens {gens!r} out of range for {len(alg.axes)} axes")
+        raise MalformedInput(f"--gens {brief(gens)} out of range for {len(alg.axes)} axes")
     if alg.axes[i][1] == alg.axes[j][1]:
-        raise MalformedInput(f"--gens {gens!r} names one axis twice; want two distinct axes")
+        raise MalformedInput(f"--gens {brief(gens)} names one axis twice; want two distinct axes")
     closed = close_axes(alg, [alg.axes[i][1], alg.axes[j][1]])
     shape = classify_2gen_axet(closed)
     if as_json:
@@ -440,7 +440,7 @@ def _parse_tuple(csv):
     try:
         return [QQ.parse(x) for x in csv.split(",")]
     except AxialError as exc:
-        raise MalformedInput(f"bad tuple {csv!r}: {exc}") from exc
+        raise MalformedInput(f"bad tuple {brief(csv)}: {exc}") from exc
 
 
 @hw.command("check-tuple")
@@ -470,9 +470,8 @@ def check_tuple(csv, as_json):
 @click.argument("element", type=click.File("r"), default="-")
 @click.option("--window", type=_INT, default=None,
               help="Index bound for the generated span (default 3x tuple degree).")
-@click.option("--rounds", type=_INT, default=10, show_default=True)
 @click.option("--json", "as_json", is_flag=True, help="Machine-readable report.")
-def member(csv, element, window, rounds, as_json):
+def member(csv, element, window, as_json):
     """Window-bounded ideal membership: answers yes or unknown, never no."""
     items = _parse_tuple(csv)
     obj = load_json(element.read(), "element is not valid JSON")
@@ -480,7 +479,7 @@ def member(csv, element, window, rounds, as_json):
         elem = HighwaterElement.from_json(QQ, obj)
     except AxialError as exc:
         raise MalformedInput(f"bad element document: {exc}") from exc
-    answer = hw_ideal_window_contains(items, elem, window=window, rounds=rounds)
+    answer = hw_ideal_window_contains(items, elem, window=window)
     if as_json:
         click.echo(json.dumps({"answer": answer}))
     else:

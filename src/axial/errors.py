@@ -4,6 +4,18 @@ Every failure mode that callers are expected to catch has its own class;
 the CLI maps them onto exit codes (invalid input -> 2, unsupported -> 3).
 """
 
+import reprlib
+
+
+def brief(x) -> str:
+    """repr(x) for quoting a value from outside in a message, in at most 80
+    characters: reprlib abbreviates long strings, containers and nesting."""
+    try:
+        text = reprlib.repr(x)
+    except ValueError:  # an int past the digit limit of str()
+        text = f"<{type(x).__name__} too long to show>"
+    return text if len(text) <= 80 else text[:77] + "..."
+
 
 class AxialError(Exception):
     """Base class for all errors raised by this package."""

@@ -10,7 +10,7 @@ import re
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import InvalidField, MalformedInput
+from .errors import InvalidField, MalformedInput, brief
 
 try:
     from gmpy2 import mpq as _rational
@@ -143,7 +143,7 @@ def parse_int(text: str, what: str = "integer") -> int:
             return k
     except ValueError:
         pass
-    raise MalformedInput(f"{what} {text!r} is not a decimal integer")
+    raise MalformedInput(f"{what} {brief(text)} is not a decimal integer")
 
 
 @dataclass(frozen=True)
@@ -159,9 +159,9 @@ class FieldSpec:
                 raise InvalidField("rational field takes no modulus")
         elif self.kind == "prime":
             if not isinstance(self.p, int) or not _is_prime(self.p):
-                raise InvalidField(f"modulus {self.p!r} is not prime")
+                raise InvalidField(f"modulus {brief(self.p)} is not prime")
         else:
-            raise InvalidField(f"unknown field kind {self.kind!r}")
+            raise InvalidField(f"unknown field kind {brief(self.kind)}")
 
     @property
     def characteristic(self) -> int:
@@ -185,33 +185,33 @@ class FieldSpec:
         if self.kind == "rational":
             if isinstance(x, _RATIONAL_TYPE):
                 return x
-            raise InvalidField(f"not a rational scalar: {x!r}")
+            raise InvalidField(f"not a rational scalar: {brief(x)}")
         if isinstance(x, Fp):
             if x.p != self.p:
                 raise InvalidField(f"modulus mismatch: {x.p} vs {self.p}")
             return x
-        raise InvalidField(f"not an F_{self.p} scalar: {x!r}")
+        raise InvalidField(f"not an F_{self.p} scalar: {brief(x)}")
 
     def parse(self, text: str):
         """Parse "p/q" (or "r mod p" for prime fields) in ASCII digits, with blanks
         around it allowed; exact, never floats."""
         if not isinstance(text, str):
-            raise InvalidField(f"scalar literal must be a string, not {text!r}")
+            raise InvalidField(f"scalar literal must be a string, not {brief(text)}")
         s = text.strip()
         try:
             if self.kind == "prime":
                 m = _MOD_RE.fullmatch(s)
                 if m:
                     if int(m.group(2)) != self.p:
-                        raise InvalidField(f"literal {s!r} has wrong modulus for F_{self.p}")
+                        raise InvalidField(f"literal {brief(s)} has wrong modulus for F_{self.p}")
                     return Fp(int(m.group(1)), self.p)
             if not _SCALAR_RE.fullmatch(s):
-                raise InvalidField(f"bad scalar literal {s!r}")
+                raise InvalidField(f"bad scalar literal {brief(s)}")
             if "/" in s:
                 a, b = s.split("/")
                 num, den = int(a), int(b)
                 if den == 0:
-                    raise InvalidField(f"zero denominator in {s!r}")
+                    raise InvalidField(f"zero denominator in {brief(s)}")
             else:
                 num, den = int(s), 1
         except ValueError as exc:  # int() reads at most sys.get_int_max_str_digits() digits
@@ -219,7 +219,7 @@ class FieldSpec:
         if self.kind == "rational":
             return _rational(num, den)
         if den % self.p == 0:
-            raise InvalidField(f"denominator of {s!r} is not invertible mod {self.p}")
+            raise InvalidField(f"denominator of {brief(s)} is not invertible mod {self.p}")
         return Fp(num * pow(den, -1, self.p), self.p)
 
     def fmt(self, x) -> str:
@@ -236,12 +236,12 @@ class FieldSpec:
     @classmethod
     def from_json(cls, obj) -> "FieldSpec":
         if not isinstance(obj, dict) or "kind" not in obj:
-            raise InvalidField(f"bad field descriptor {obj!r}")
+            raise InvalidField(f"bad field descriptor {brief(obj)}")
         if obj["kind"] == "rational":
             return cls("rational")
         if obj["kind"] == "prime":
             return cls("prime", obj.get("p"))
-        raise InvalidField(f"unknown field kind {obj.get('kind')!r}")
+        raise InvalidField(f"unknown field kind {brief(obj.get('kind'))}")
 
 
 QQ = FieldSpec("rational")

@@ -6,7 +6,7 @@ from math import gcd, isqrt, lcm
 from typing import List, Optional, Tuple
 
 from .algebra import Algebra, _form
-from .axes import Axet, _projection_functional, eigen_decomposition, projection_functional
+from .axes import Axet, _projection_functional, eigen_decomposition
 from .errors import ConsistencyFailure, Unsupported
 from .fields import rational
 from .fusion import FusionLaw

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import product as iproduct
 from typing import Optional, Tuple
 
-from .errors import AxialError, DegenerateParameters, InvalidGrading
+from .errors import AxialError, DegenerateParameters, InvalidGrading, brief
 from .fields import FieldSpec
 
 Table = Tuple[Tuple[frozenset, ...], ...]
@@ -188,12 +188,12 @@ def law_to_obj(law: FusionLaw) -> dict:
 
 def law_from_obj(field: FieldSpec, obj) -> FusionLaw:
     if not isinstance(obj, dict) or "kind" not in obj:
-        raise AxialError(f"bad law object {obj!r}")
+        raise AxialError(f"bad law object {brief(obj)}")
     kind = obj["kind"]
     if not isinstance(kind, str) or kind not in LAW_KINDS:
-        raise AxialError(f"unknown law kind {kind!r}")
+        raise AxialError(f"unknown law kind {brief(kind)}")
     keys = LAW_KINDS[kind]
     for k in (*keys, *obj):
         if k not in obj or k not in ("kind", *keys):
-            raise AxialError(f"law {kind} {'needs' if k not in obj else 'takes no'} key {k!r}")
+            raise AxialError(f"law {kind} {'needs' if k not in obj else 'takes no'} key {brief(k)}")
     return _law(field, kind, [field.parse(obj[k]) for k in keys])

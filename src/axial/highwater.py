@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .algebra import Algebra
 from .catalog import check_build_dim
-from .errors import DegenerateParameters, DimensionError, InvalidField, MalformedInput, Unsupported
+from .errors import DegenerateParameters, DimensionError, InvalidField, MalformedInput, Unsupported, brief
 from .fields import QQ, FieldSpec, parse_int, rational
 from .fusion import law_M
 from .linalg import EchelonAccumulator, Matrix, combine, dense, residue, row_key, scaled
@@ -34,12 +34,12 @@ class HighwaterElement:
         a, s = a or {}, s or {}
         for i in (*a, *s):
             if type(i) is not int:
-                raise DimensionError(f"highwater index {i!r} is not an int")
+                raise DimensionError(f"highwater index {brief(i)} is not an int")
         row = {}
         for kind, part in (("a", a), ("s", s)):
             for i, c in part.items():
                 if kind == "s" and i < 0:
-                    raise InvalidField(f"negative distance index s_{i}")
+                    raise InvalidField(f"negative distance index s_{brief(i)}")
                 c = field.coerce(c)
                 if c != field.zero() and (kind, i) != ("s", 0):  # s_0 = 0 by convention
                     row[kind, i] = c
@@ -88,9 +88,9 @@ class HighwaterElement:
             raise MalformedInput('element must be an object with the keys "a" and "s"')
         for key, part in obj.items():
             if key not in ("a", "s"):
-                raise MalformedInput(f'unexpected key {key!r} in element (want "a" and "s")')
+                raise MalformedInput(f'unexpected key {brief(key)} in element (want "a" and "s")')
             if not isinstance(part, dict):
-                raise MalformedInput(f"element part {key!r} must be an object of index: scalar")
+                raise MalformedInput(f"element part {brief(key)} must be an object of index: scalar")
         a = {parse_int(k, "index key"): field.parse(v) for k, v in obj.get("a", {}).items()}
         s = {parse_int(k, "index key"): field.parse(v) for k, v in obj.get("s", {}).items()}
         return cls(field, a, s)
@@ -214,11 +214,11 @@ def hw_periodic_quotient(D: int, field: FieldSpec = QQ) -> Algebra:
     with every term.
     """
     if D < 2:
-        raise DegenerateParameters(f"period {D} is below 2")
+        raise DegenerateParameters(f"period {brief(D)} is below 2")
     _require_odd_char(field, "the quotient")
     ns = D // 2
     n = D + ns
-    check_build_dim(n, f"the period-{D} quotient")
+    check_build_dim(n, f"the period-{brief(D)} quotient")
     keys = [("a", i) for i in range(D)] + [("s", j) for j in range(1, ns + 1)]
     basis = [f"{kind}{i}" for kind, i in keys]
     one = field.one()
@@ -266,24 +266,20 @@ def _window_coords(x: HighwaterElement, window: int):
     return row
 
 
-def hw_ideal_window_contains(
-    t: Sequence,
-    v: HighwaterElement,
-    window: Optional[int] = None,
-    rounds: int = 10,
-    field: FieldSpec = QQ,
-) -> str:
-    """Window-bounded membership in the ideal generated by sum(alpha_i a_i).
+def hw_ideal_window_contains(t: Sequence, v: HighwaterElement, window: Optional[int] = None) -> str:
+    """Window-bounded membership in the ideal generated by sum(alpha_i a_i),
+    over the field of v.
 
     Grows a subspace of the ideal by translating the generator, multiplying
     by axes a_k with |k| <= window and reflecting, always discarding anything
-    supported outside the window.  Returns "yes" when v lies in the grown
-    span; otherwise "unknown" (the span is a lower bound on the ideal, so a
-    miss proves nothing).  An element over another field raises InvalidField
-    first, and a window past MAX_WINDOW raises Unsupported before the search.
+    supported outside the window, until v lies in the span or no new element
+    arrives.  Each element that enlarges the span is expanded once, so the
+    search makes at most 4w + 1 expansions.  Returns "yes" when v lies in
+    the grown span; otherwise "unknown" (the span is a lower bound on the
+    ideal, so a miss proves nothing).  A window past MAX_WINDOW raises
+    Unsupported before the search.
     """
-    if v.field != field:
-        raise InvalidField("mixed fields in the window search")
+    field = v.field
     vals = [field.coerce(field.parse(c) if isinstance(c, str) else c) for c in t]
     if not ideal_type_info(vals, field).ok:
         raise DegenerateParameters("coefficient tuple is not of ideal type")
@@ -292,7 +288,7 @@ def hw_ideal_window_contains(
     for kind, i in v.row:
         w = max(w, abs(i) if kind == "a" else (i + 1) // 2)
     if w > MAX_WINDOW:
-        raise Unsupported(f"window {w} exceeds cap {MAX_WINDOW}")
+        raise Unsupported(f"window {brief(w)} exceeds cap {MAX_WINDOW}")
     m = 2 * w + 1 + 2 * w  # a_{-w}..a_w then s_1..s_{2w}
     target = _window_coords(v, w)
     acc = EchelonAccumulator(field, m)
@@ -309,12 +305,8 @@ def hw_ideal_window_contains(
     for shift in range(-w, w + 1):
         offer(HighwaterElement._of(field, {("a", i + shift): c for i, c in enumerate(vals) if c}))
     points = [hw_a(k, field) for k in range(-w, w + 1)]
-    for _ in range(max(0, rounds)):
-        if reached():
-            break
+    while frontier and not reached():
         batch, frontier = frontier, []
-        if not batch:
-            break
         for x in batch:
             for a_k in points:
                 offer(hw_mul(x, a_k))

@@ -4,23 +4,15 @@ Composition is left-to-right: mul(p, q) applies p first, then q, so
 conjugation a^b = mul(mul(inverse(b), a), b).
 """
 
-import os
-from math import prod
+from math import lcm, prod
 from typing import Iterable, Tuple
 
-from .errors import GroupCapExceeded, InvalidGroup, MalformedInput
+from .errors import GroupCapExceeded, InvalidGroup, MalformedInput, brief
 from .fields import parse_int
 
 Perm = Tuple[int, ...]
 
 DEFAULT_GROUP_CAP = 1_000_000
-
-
-def group_cap(override=None) -> int:
-    if override is not None:
-        return override
-    env = os.environ.get("AXIAL_CAP")
-    return parse_int(env, "AXIAL_CAP") if env else DEFAULT_GROUP_CAP
 
 
 def identity_perm(n: int) -> Perm:
@@ -45,25 +37,15 @@ def conjugate(a: Perm, b: Perm) -> Perm:
 
 
 def perm_order(p: Perm) -> int:
-    n = len(p)
-    seen = [False] * n
-    order = 1
-    for i in range(n):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
+    """The lcm of the cycle lengths of p."""
+    seen, lengths = [False] * len(p), []
+    for i in range(len(p)):
+        j, length = i, 0
         while not seen[j]:
             seen[j] = True
-            j = p[j]
-            length += 1
-        if length > 1:
-            # lcm accumulate
-            a, b = order, length
-            while b:
-                a, b = b, a % b
-            order = order * length // a
-    return order
+            j, length = p[j], length + 1
+        lengths.append(length or 1)  # 0 when i lies on a cycle already counted
+    return lcm(*lengths)
 
 
 def parse_cycles(text: str, degree: int) -> Perm:
@@ -73,21 +55,21 @@ def parse_cycles(text: str, degree: int) -> Perm:
     if s in ("", "()"):
         return tuple(images)
     if not (s.startswith("(") and s.endswith(")")):
-        raise InvalidGroup(f"bad cycle notation {text!r}")
+        raise InvalidGroup(f"bad cycle notation {brief(text)}")
     for chunk in s[1:-1].split(")("):
         pts = [tok for tok in chunk.replace(",", " ").split() if tok]
         try:
             cyc = [parse_int(tok) - 1 for tok in pts]
         except MalformedInput:
-            raise InvalidGroup(f"bad cycle notation {text!r}") from None
+            raise InvalidGroup(f"bad cycle notation {brief(text)}") from None
         if len(cyc) < 2 or len(set(cyc)) != len(cyc):
-            raise InvalidGroup(f"bad cycle {chunk!r} in {text!r}")
+            raise InvalidGroup(f"bad cycle {brief(chunk)} in {brief(text)}")
         for x in cyc:
             if not 0 <= x < degree:
-                raise InvalidGroup(f"point {x + 1} out of range 1..{degree}")
+                raise InvalidGroup(f"point {brief(x + 1)} out of range 1..{degree}")
         for a, b in zip(cyc, cyc[1:] + cyc[:1]):
             if images[a] != a:
-                raise InvalidGroup(f"point {a + 1} repeated across cycles in {text!r}")
+                raise InvalidGroup(f"point {a + 1} repeated across cycles in {brief(text)}")
             images[a] = b
     return tuple(images)
 
@@ -116,7 +98,7 @@ def group_order(degree: int, generators: Iterable[Perm], cap=None) -> int:
     Seress, "Permutation Group Algorithms", ch. 4).  The generators of each
     level fix the earlier base points, so a partial product never exceeds the
     order: GroupCapExceeded is raised as soon as one passes the cap."""
-    limit = group_cap(cap)
+    limit = DEFAULT_GROUP_CAP if cap is None else cap
     e = identity_perm(degree)
     generators = [tuple(g) for g in generators]
     base, gens, orbits = [], [], []  # per level l: point, generators, {u[base[l]]: u}

@@ -23,7 +23,7 @@ import json
 import sys
 
 from .algebra import Algebra
-from .errors import InvalidField, MalformedInput
+from .errors import InvalidField, MalformedInput, brief
 from .fields import FieldSpec, parse_int
 from .fusion import law_from_obj, law_to_obj
 from .linalg import Matrix, sparse
@@ -35,12 +35,12 @@ def vec_to_obj(field: FieldSpec, v) -> dict:
 
 def vec_from_obj(field: FieldSpec, obj, dim: int):
     if not isinstance(obj, dict):
-        raise MalformedInput(f"vector must be an object of index: scalar, not {obj!r}")
+        raise MalformedInput(f"vector must be an object of index: scalar, not {brief(obj)}")
     vec = [field.zero()] * dim
     for k, lit in obj.items():
         k = parse_int(k, "index key")
         if not 0 <= k < dim:
-            raise MalformedInput(f"coordinate index {k} out of range for dim {dim}")
+            raise MalformedInput(f"coordinate index {brief(k)} out of range for dim {dim}")
         vec[k] = field.parse(lit)
     return tuple(vec)
 
@@ -73,12 +73,12 @@ def algebra_from_obj(obj) -> Algebra:
         dim = obj["dim"]  # "dim", "i" and "j" take JSON integers only, never floats or booleans
         basis = [str(b) for b in obj["basis"]]
         if type(dim) is not int or len(basis) != dim:
-            raise MalformedInput(f"dim {dim!r} is not a JSON integer equal to the basis size {len(basis)}")
+            raise MalformedInput(f"dim {brief(dim)} is not a JSON integer equal to the basis size {len(basis)}")
         products = {}
         for entry in obj.get("products", ()):
             i, j = entry["i"], entry["j"]
             if not (type(i) is type(j) is int and 0 <= i < dim and 0 <= j < dim):
-                raise MalformedInput(f"product index ({i!r}, {j!r}) is not a JSON integer pair in 0..{dim - 1}")
+                raise MalformedInput(f"product index ({brief(i)}, {brief(j)}) is not a JSON integer pair in 0..{dim - 1}")
             vec = vec_from_obj(field, entry["v"], dim)
             if products.setdefault((i, j), vec) != vec:
                 raise MalformedInput(f"conflicting products for pair ({i}, {j})")
@@ -143,7 +143,7 @@ def _scalar_rows(obj, field: FieldSpec):
         raise MalformedInput("matrix rows must be arrays")
     for x in (x for row in obj for x in row):
         if isinstance(x, bool) or not isinstance(x, (str, int)):
-            raise MalformedInput(f"scalar must be an exact string or an integer, not {x!r}")
+            raise MalformedInput(f"scalar must be an exact string or an integer, not {brief(x)}")
     return [[field.parse(x) if isinstance(x, str) else field.from_int(x) for x in row]
             for row in obj]
 

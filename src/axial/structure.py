@@ -106,10 +106,10 @@ def is_slender(alg: Algebra, axes: Union[Axet, Iterable]) -> bool:
     return spine(alg, axes).dim == alg.dim
 
 
-def baric_map_check(alg: Algebra, weights, require_nonzero: bool = True) -> bool:
-    """Is v -> sum_k v_k w_k an algebra homomorphism to the base field?"""
+def baric_map_check(alg: Algebra, weights) -> bool:
+    """Is v -> sum_k v_k w_k a nonzero algebra homomorphism to the base field?"""
     w = alg._row(weights)
-    if require_nonzero and not w:
+    if not w:
         return False
     zero = alg.field.zero()
     for i in range(alg.dim):

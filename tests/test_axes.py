@@ -203,6 +203,14 @@ class TestClosure:
             close_axes(alg, seeds, cap=5)
         assert close_axes(alg, seeds, cap=6).size == 6
 
+    def test_closure_cap_counts_the_seeds(self):
+        # six seeds that are already closed pass cap 6 but not cap 5
+        alg = norton_sakuma("6A")
+        seeds = alg.axis_vectors()
+        with pytest.raises(ClosureCapExceeded, match=r"^axis closure exceeded cap 5$"):
+            close_axes(alg, seeds, cap=5)
+        assert close_axes(alg, seeds, cap=6).size == 6
+
     def test_group_order_and_cap(self):
         alg = norton_sakuma("5A")
         axet = close_axes(alg, [alg.axes[0][1], alg.axes[1][1]])
@@ -306,8 +314,8 @@ class TestClosureDifferential:
 
     def test_matsuo_s4_pinned(self):
         m = matsuo(ThreeTranspositionGroup.symmetric(4), QQ.parse("1/4"))
-        axet = close_axes(m, m.axis_vectors(), names=[n for n, _ in m.axes])
-        assert axet.names == ("(1 2)", "(1 3)", "(1 4)", "(2 3)", "(2 4)", "(3 4)")
+        axet = close_axes(m, m.axis_vectors())
+        assert axet.names == ("x0", "x1", "x2", "x3", "x4", "x5")
         assert axet.tau_perms == (
             (0, 3, 4, 1, 2, 5),
             (3, 1, 5, 0, 4, 2),

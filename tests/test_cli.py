@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import axial
@@ -166,31 +166,29 @@ class TestMiyamoto:
         assert report["group_order"] == 6
 
     def test_env_group_cap(self, runner):
+        # --group-cap is the one way to set the group cap; AXIAL_CAP is not read
         doc = build(runner, "ns:5A")
-        result = runner.invoke(main, ["miyamoto", "-"], input=doc, env={"AXIAL_CAP": "3"})
-        assert result.exit_code == 3
+        result = runner.invoke(main, ["miyamoto", "-", "--json"], input=doc, env={"AXIAL_CAP": "3"})
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.output)["group_order"] == 10
 
     @pytest.mark.parametrize("cap,code", [("10", 0), ("9", 3)])
     def test_group_cap_boundary(self, runner, cap, code):
         # NS 5A has group order 10: the cap is the largest order allowed
         doc = build(runner, "ns:5A")
-        for kwargs in ({"args": ["miyamoto", "-", "--group-cap", cap]},
-                       {"args": ["miyamoto", "-"], "env": {"AXIAL_CAP": cap}}):
-            result = runner.invoke(main, input=doc, **kwargs)
-            assert result.exit_code == code, result.output
-            if code:
-                assert f"error: group enumeration exceeded cap {cap}\n" in result.output
+        result = runner.invoke(main, ["miyamoto", "-", "--group-cap", cap], input=doc)
+        assert result.exit_code == code, result.output
+        if code:
+            assert f"error: group enumeration exceeded cap {cap}\n" in result.output
 
     def test_trivial_group_passes_cap_zero(self, runner):
         # (1 2) and (3 4) fix each other: the group is trivial, order 1
         doc = json.loads(build(runner, "matsuo:Sn:4:1/4"))
         doc["axes"] = [a for a in doc["axes"] if a["name"] in ("(1 2)", "(3 4)")]
-        doc = json.dumps(doc)
-        for kwargs in ({"args": ["miyamoto", "-", "--json", "--group-cap", "0"]},
-                       {"args": ["miyamoto", "-", "--json"], "env": {"AXIAL_CAP": "0"}}):
-            result = runner.invoke(main, input=doc, **kwargs)
-            assert result.exit_code == 0, result.output
-            assert json.loads(result.output)["group_order"] == 1
+        result = runner.invoke(main, ["miyamoto", "-", "--json", "--group-cap", "0"],
+                               input=json.dumps(doc))
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.output)["group_order"] == 1
 
     def test_axis_cap_exit_3(self, runner):
         # designate only two axes so the closure actually has to grow
@@ -206,6 +204,14 @@ class TestMiyamoto:
         result = runner.invoke(main, args + ["6"], input=json.dumps(doc))
         assert result.exit_code == 0
         assert len(json.loads(result.output)["axes"]) == 6
+
+    def test_axis_cap_counts_the_seeds(self, runner):
+        # NS 3A designates three axes, already closed: cap 2 is too small
+        doc = build(runner, "ns:3A")
+        result = runner.invoke(main, ["miyamoto", "-", "--cap", "2"], input=doc)
+        assert result.exit_code == 3, result.output
+        assert result.stderr == "error: axis closure exceeded cap 2\n"
+        assert runner.invoke(main, ["miyamoto", "-", "--cap", "3"], input=doc).exit_code == 0
 
     def test_commuting_axes_give_trivial_group(self, runner):
         doc = json.loads(build(runner, "matsuo:Sn:4:1/4"))
@@ -339,7 +345,7 @@ class TestIntegerArguments:
         ["build", "flip:matsuo:Sn:4:1/4:(1 +2)(3 4)"],
         ["hw", "quotient", "1_0"],
         ["hw", "member", "1,-2,1", "-", "--window", " 9"],
-        ["hw", "member", "1,-2,1", "-", "--rounds", "1_0"],
+        ["hw", "member", "1,-2,1", "-", "--window", "09"],
         ["axet", "-", "--gens", " 0,+1"],
         ["miyamoto", "-", "--cap", "1_0"],
         ["miyamoto", "-", "--group-cap", "+6"],
@@ -352,13 +358,14 @@ class TestIntegerArguments:
         assert result.exit_code == 2
 
     @pytest.mark.parametrize("cap", ["abc", "1_0"])
-    def test_bad_env_group_cap_exit_2(self, runner, monkeypatch, cap):
+    def test_bad_env_group_cap_ignored(self, runner, monkeypatch, cap):
+        # AXIAL_CAP is not read, so a value no integer reader accepts changes nothing
         doc = build(runner, "ns:5A")
         monkeypatch.setenv("AXIAL_CAP", cap)
-        proc = run_process(["miyamoto", "-"], doc)
-        assert proc.returncode == 2
-        assert "AXIAL_CAP" in proc.stderr
-        assert "Traceback" not in proc.stdout + proc.stderr
+        proc = run_process(["miyamoto", "-", "--json"], doc)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["group_order"] == 10
+        assert proc.stderr == ""
 
 
 class TestDocumentErrors:
@@ -509,6 +516,77 @@ class TestJsonRefusals:
                             f"element is not valid JSON: {message}")
 
 
+HUGE = "x" * 100_000
+HUGE_LIST = [0] * 33_334  # its repr is 100,000 characters
+NS3A = json.loads(dump_algebra(norton_sakuma("3A")))
+
+
+def _ns3a(**parts):
+    return json.dumps({**NS3A, **parts})
+
+
+def _ns3a_axis(v):
+    return _ns3a(axes=[{"name": "a0", "v": v}])
+
+
+class TestLongValues:
+    """A message quotes a value from outside in a few dozen characters, so a
+    100,000-character value exits 2 with a short diagnostic."""
+
+    @pytest.mark.parametrize("args,text", [
+        (["verify", "-"], _ns3a_axis({"0": HUGE})),
+        (["verify", "-"], _ns3a_axis({"0": HUGE_LIST})),
+        (["verify", "-"], _ns3a_axis({HUGE: "1"})),
+        (["verify", "-"], _ns3a_axis(HUGE_LIST)),
+        (["verify", "-"], _ns3a(field={"kind": HUGE})),
+        (["verify", "-"], _ns3a(field=HUGE_LIST)),
+        (["verify", "-"], _ns3a(field={"kind": "prime", "p": HUGE_LIST})),
+        (["verify", "-"], _ns3a(dim=HUGE_LIST)),
+        (["verify", "-"], _ns3a(products=[{"i": HUGE_LIST, "j": 0, "v": {}}])),
+        (["verify", "-"], _ns3a(form=[[HUGE_LIST]])),
+        (["verify", "-"], _ns3a(law={"kind": HUGE})),
+        (["verify", "-"], _ns3a(law=HUGE_LIST)),
+        (["verify", "-"], _ns3a(law={"kind": "A", HUGE: "1"})),
+        (["verify", "-", "--law", HUGE], _ns3a()),
+        (["verify", "-", "--law", f"J:{HUGE}"], _ns3a()),
+        (["axet", "-", "--gens", HUGE], _ns3a()),
+        (["hw", "quotient", HUGE], ""),
+        (["hw", "check-tuple", HUGE], ""),
+        (["hw", "member", "1,-2,1", "-"], json.dumps({HUGE: {}})),
+        (["hw", "member", "1,-2,1", "-"], json.dumps({"a": {HUGE: "1"}})),
+        (["build", f"flip:matsuo:Sn:4:1/4:({HUGE})"], ""),
+        (["build", f"flip:{HUGE}:(1 2)"], ""),
+        (["build", f"ns:{HUGE}"], ""),
+        (["build", HUGE], ""),
+    ], ids=[
+        "scalar", "scalar-type", "index-key", "vector", "field-kind", "field", "modulus", "dim",
+        "product-index", "form", "law-kind", "law", "law-key", "--law", "--law-param", "--gens",
+        "integer", "tuple", "element-part", "element-index", "cycles", "flip-spec", "ns-label",
+        "spec",
+    ])
+    def test_short_diagnostic(self, runner, args, text):
+        result = runner.invoke(main, args, input=text)
+        assert result.exit_code == 2, result.stderr[:400]
+        assert len(result.stderr) < 400, result.stderr[:400]
+
+    NINES = "9" * 4000  # an integer that int() still reads
+
+    @pytest.mark.parametrize("args,text,code", [
+        (["build", f"matsuo:Sn:{NINES}:1/4"], "", 3),
+        (["hw", "quotient", NINES], "", 3),
+        (["build", f"flip:matsuo:Sn:4:1/4:(1 {NINES})"], "", 2),
+        (["hw", "member", "1,-2,1", "-"], json.dumps({"a": {NINES: "1"}}), 3),
+        (["hw", "member", "1,-2,1", "-"], json.dumps({"s": {f"-{NINES}": "1"}}), 2),
+        (["hw", "member", "1,-2,1", "-", "--window", NINES], json.dumps({"a": {"0": "1"}}), 3),
+        (["verify", "-"], _ns3a_axis({NINES: "1"}), 2),
+    ], ids=["matsuo-degree", "period", "cycle-point", "element-index", "distance-index",
+            "--window", "index-key"])
+    def test_long_integer(self, runner, args, text, code):
+        result = runner.invoke(main, args, input=text)
+        _assert_clean(result)
+        assert result.exit_code == code, result.stderr[:400]
+
+
 # ---------------------------------------------------------------------------
 # Fuzz: every mutated document ends in an exit code 0-3, never a traceback
 
@@ -589,6 +667,7 @@ def _assert_clean(result):
         repr(result.exception)
     )
     assert "Traceback" not in result.output
+    assert len(result.stderr) < 400, result.stderr[:400]
 
 
 def _fuzz_documents():
@@ -624,6 +703,8 @@ class TestFuzz:
             {"a": {"-1": "1/2", "3": "-1"}, "s": {"2": "3/4"}},
         ]).flatmap(lambda d: mutated(d, BAD_VALUES, ELEMENT_KEYS)),
     )
+    @example(elem={"a": {"1" * 5000: "1"}, "s": {}})
+    @example(elem={"a": {"0": "1" * 5000}, "s": {}})
     def test_highwater_elements(self, elem):
         result = CliRunner().invoke(main, ["hw", "member", "1,-2,1", "-"], input=json.dumps(elem))
         _assert_clean(result)
@@ -636,6 +717,7 @@ class TestFuzz:
         ]).flatmap(lambda d: mutated(d, BAD_VALUES, BAD_KEYS)),
         family=st.sampled_from(["spin:{}", "splitspin:{}:1/3"]),
     )
+    @example(gram=[["1" * 5000, "0"], ["0", "2"]], family="spin:{}")
     def test_gram_files(self, tmp_path_factory, gram, family):
         path = tmp_path_factory.mktemp("gram") / "gram.json"
         path.write_text(json.dumps(gram))

@@ -24,7 +24,7 @@ from axial import (
     split_spin_factor,
 )
 from axial import frobenius
-from axial.axes import check_axis
+from axial.axes import check_axis, projection_functional
 from axial.catalog import ThreeTranspositionGroup
 from axial.errors import Unsupported
 from axial.frobenius import (
@@ -32,7 +32,6 @@ from axial.frobenius import (
     _reconstruct,
     eigenspace_orthogonality_violations,
     is_symmetric_form,
-    projection_functional,
 )
 from axial.linalg import EchelonAccumulator, Matrix, invert, vadd
 

@@ -195,17 +195,11 @@ class TestMembership:
         with pytest.raises(DegenerateParameters):
             hw_ideal_window_contains(("1", "1"), hw_a(0))
 
-    @pytest.mark.parametrize("v", [hw_a(0) + hw_a(1).scale(rational(-2)) + hw_a(2), hw_a(0)],
+    @pytest.mark.parametrize("a,want", [({0: 1, 1: -2, 2: 1}, "yes"), ({0: 1}, "unknown")],
                              ids=["generator", "a0"])
-    def test_element_over_another_field_rejected(self, monkeypatch, v):
-        # a QQ element searched over GF(7) is refused before any work, even
-        # before the tuple is read
-        def no_work(*args):
-            raise AssertionError("the search started")
-
-        monkeypatch.setattr(highwater, "ideal_type_info", no_work)
-        with pytest.raises(InvalidField, match="mixed fields"):
-            hw_ideal_window_contains(self.GEN, v, field=GF(7))
+    def test_element_searched_over_its_own_field(self, a, want):
+        # the search runs over the element's field: GF(7), with no field named
+        assert hw_ideal_window_contains(self.GEN, HighwaterElement(GF(7), a)) == want
 
     def test_set_up_once_per_search(self, monkeypatch):
         # the product rule is built once per field and the points a_k once

@@ -13,7 +13,7 @@ from axial import GF, NORTON_SAKUMA_NAMES, QQ, close_axes, flip_subalgebra, mats
 from axial import norton_sakuma
 from axial.catalog import ThreeTranspositionGroup
 from axial.errors import GroupCapExceeded
-from axial.perms import group_order, identity_perm, mul, parse_cycles
+from axial.perms import group_order, identity_perm, mul, parse_cycles, perm_order
 
 
 def sympy_order(degree, gens):
@@ -158,21 +158,26 @@ def test_random_generators_match_sympy(seed):
         assert group_order(n, gens, cap=10**12) == sympy_order(n, gens)
 
 
-@given(groups(), st.integers(min_value=-2, max_value=3), st.booleans())
-def test_cap_raises_exactly_above_it(group, offset, from_env):
-    # the cap is the largest order allowed, whether given or read from AXIAL_CAP,
-    # and the message names it
+@given(groups(), st.integers(min_value=-2, max_value=3))
+def test_cap_raises_exactly_above_it(group, offset):
+    # the cap is the largest order allowed, and the message names it
     n, gens = group
     order = group_order(n, gens, cap=10**12)
     cap = order + offset
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setenv("AXIAL_CAP", str(cap))
-        args = () if from_env else (cap,)
-        if order > max(cap, 1):
-            with pytest.raises(GroupCapExceeded, match=rf"^group enumeration exceeded cap {cap}$"):
-                group_order(n, gens, *args)
-        else:
-            assert group_order(n, gens, *args) == order
+    if order > max(cap, 1):
+        with pytest.raises(GroupCapExceeded, match=rf"^group enumeration exceeded cap {cap}$"):
+            group_order(n, gens, cap)
+    else:
+        assert group_order(n, gens, cap) == order
+
+
+@given(st.integers(0, 12).flatmap(lambda n: st.permutations(range(n))))
+def test_perm_order_is_the_first_power_that_is_the_identity(p):
+    p, e = tuple(p), identity_perm(len(p))
+    power, k = p, 1
+    while power != e:
+        power, k = mul(power, p), k + 1
+    assert perm_order(p) == k
 
 
 def test_symmetric_group_stops_at_the_cap():
