@@ -22,7 +22,10 @@ from .linalg import (
 )
 from .perms import Perm, classes, group_order
 
-DEFAULT_AXIS_CAP = 10_000
+# The one bound of the Miyamoto pipeline: the closed set is the degree of the
+# group, which Schreier-Sims costs by.  128 admits Matsuo S14 (91 axes), the
+# largest that builds, and stops an infinite closure within seconds.
+DEFAULT_AXIS_CAP = 128
 
 
 def eigenspace(alg: Algebra, a, lam) -> Subspace:
@@ -448,10 +451,11 @@ class GroupInfo:
     generators: Tuple[Perm, ...]
 
 
-def miyamoto_group(axet: Axet, cap: Optional[int] = None) -> GroupInfo:
-    """Permutation group generated by the tau maps on the closed axis set."""
+def miyamoto_group(axet: Axet) -> GroupInfo:
+    """Permutation group generated by the tau maps on the closed axis set,
+    whose size the closure cap bounds."""
     gens = tuple(dict.fromkeys(axet.tau_perms))
-    return GroupInfo(order=group_order(axet.size, gens, cap=cap), generators=gens)
+    return GroupInfo(order=group_order(axet.size, gens), generators=gens)
 
 
 @dataclass(frozen=True)

@@ -31,16 +31,16 @@ from .perms import (
 )
 
 
-# Largest dimension of a Matsuo algebra or highwater quotient to build; past
-# it a build raises Unsupported before any work.  About twice the largest size
-# in use (Matsuo S10, dim 45); the quotient of dim 99 builds in about 0.35 s
-# (Fraction backend, 2-CPU VM).
+# Largest dimension of an algebra to build or to load from a document; past
+# it a build or a load raises Unsupported before any work.  About twice the
+# largest size in use (Matsuo S10, dim 45); the quotient of dim 99 builds in
+# about 0.35 s (Fraction backend, 2-CPU VM).
 MAX_BUILD_DIM = 100
 
 
 def check_build_dim(dim: int, what: str):
     if dim > MAX_BUILD_DIM:
-        raise Unsupported(f"{what} would have dimension {brief(dim)}, past the build cap {MAX_BUILD_DIM}")
+        raise Unsupported(f"{what} has dimension {brief(dim)}, past the build cap {MAX_BUILD_DIM}")
 
 
 # ---------------------------------------------------------------------------

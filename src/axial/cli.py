@@ -34,7 +34,6 @@ from .errors import (
     AxialError,
     ClosureCapExceeded,
     ConsistencyFailure,
-    GroupCapExceeded,
     MalformedInput,
     Unsupported,
     brief,
@@ -73,7 +72,7 @@ def _diag(msg: str):
 
 
 def _exit_code(exc) -> int:
-    if isinstance(exc, (Unsupported, ClosureCapExceeded, GroupCapExceeded)):
+    if isinstance(exc, (Unsupported, ClosureCapExceeded)):
         return _UNSUPPORTED
     if isinstance(exc, ConsistencyFailure):
         return 1
@@ -248,16 +247,15 @@ def verify(file, law_text, as_json):
 
 @main.command()
 @click.argument("file", type=click.File("r"), default="-")
-@click.option("--cap", type=_INT, default=DEFAULT_AXIS_CAP,
-              help="Abort if the closed axis set, seeds included, grows past this.")
-@click.option("--group-cap", type=_INT, default=None,
-              help="Abort if the group order is larger than this.")
+@click.option("--cap", type=_INT, default=DEFAULT_AXIS_CAP, show_default=True,
+              help="Abort if the closed axis set, seeds included, grows past this; "
+                   "it is also the degree of the group.")
 @click.option("--json", "as_json", is_flag=True, help="Machine-readable report.")
-def miyamoto(file, cap, group_cap, as_json):
+def miyamoto(file, cap, as_json):
     """Close the designated axes under their tau maps and report the group."""
     alg = _read_algebra(file, axes=True)
     axet = close_axes(alg, alg.axis_vectors(), cap=cap)
-    group = miyamoto_group(axet, cap=group_cap)
+    group = miyamoto_group(axet)
     if as_json:
         payload = {
             "axes": [
@@ -425,7 +423,7 @@ def hw():
     """Infinite-basis arithmetic: periodic quotients, tuples, membership."""
 
 
-@hw.command()
+@hw.command(context_settings={"ignore_unknown_options": True})  # PERIOD may be -5
 @click.argument("period", type=_INT)
 @click.option("-o", "--out", type=click.File("w"), default="-",
               help="Destination file (default stdout).")

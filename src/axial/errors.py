@@ -61,10 +61,6 @@ class ClosureCapExceeded(AxialError):
     """Axis-set closure grew past the configured cap."""
 
 
-class GroupCapExceeded(AxialError):
-    """The group order is larger than the configured cap."""
-
-
 class UnknownCatalogEntry(AxialError):
     """No catalog constructor matches the requested name."""
 

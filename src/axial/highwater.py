@@ -276,9 +276,12 @@ def hw_ideal_window_contains(t: Sequence, v: HighwaterElement, window: Optional[
     arrives.  Each element that enlarges the span is expanded once, so the
     search makes at most 4w + 1 expansions.  Returns "yes" when v lies in
     the grown span; otherwise "unknown" (the span is a lower bound on the
-    ideal, so a miss proves nothing).  A window past MAX_WINDOW raises
-    Unsupported before the search.
+    ideal, so a miss proves nothing).  A negative window raises
+    DegenerateParameters, and one past MAX_WINDOW raises Unsupported, before
+    the search.
     """
+    if window is not None and window < 0:
+        raise DegenerateParameters(f"window {brief(window)} is below 0")
     field = v.field
     vals = [field.coerce(field.parse(c) if isinstance(c, str) else c) for c in t]
     if not ideal_type_info(vals, field).ok:

@@ -7,12 +7,10 @@ conjugation a^b = mul(mul(inverse(b), a), b).
 from math import lcm, prod
 from typing import Iterable, Tuple
 
-from .errors import GroupCapExceeded, InvalidGroup, MalformedInput, brief
+from .errors import InvalidGroup, MalformedInput, brief
 from .fields import parse_int
 
 Perm = Tuple[int, ...]
-
-DEFAULT_GROUP_CAP = 1_000_000
 
 
 def identity_perm(n: int) -> Perm:
@@ -92,13 +90,11 @@ def format_cycles(p: Perm) -> str:
     return "".join(parts) if parts else "()"
 
 
-def group_order(degree: int, generators: Iterable[Perm], cap=None) -> int:
+def group_order(degree: int, generators: Iterable[Perm]) -> int:
     """|<generators>| as the product of the basic orbit lengths of a base and
     strong generating set built by deterministic Schreier-Sims (Sims 1970;
-    Seress, "Permutation Group Algorithms", ch. 4).  The generators of each
-    level fix the earlier base points, so a partial product never exceeds the
-    order: GroupCapExceeded is raised as soon as one passes the cap."""
-    limit = DEFAULT_GROUP_CAP if cap is None else cap
+    Seress, "Permutation Group Algorithms", ch. 4).  Its cost is polynomial in
+    the degree, whatever the order; callers bound the degree."""
     e = identity_perm(degree)
     generators = [tuple(g) for g in generators]
     base, gens, orbits = [], [], []  # per level l: point, generators, {u[base[l]]: u}
@@ -125,8 +121,6 @@ def group_order(degree: int, generators: Iterable[Perm], cap=None) -> int:
                     if s[p] not in orbit:
                         orbit[s[p]] = mul(orbit[p], s)
                         points.append(s[p])
-        if prod(map(len, orbits)) > max(limit, 1):
-            raise GroupCapExceeded(f"group enumeration exceeded cap {limit}")
 
     # Schreier's lemma: the chain is complete once every Schreier generator of
     # each level i sifts through the levels below it, and the generators sift

@@ -23,6 +23,7 @@ import json
 import sys
 
 from .algebra import Algebra
+from .catalog import check_build_dim
 from .errors import InvalidField, MalformedInput, brief
 from .fields import FieldSpec, parse_int
 from .fusion import law_from_obj, law_to_obj
@@ -74,6 +75,7 @@ def algebra_from_obj(obj) -> Algebra:
         basis = [str(b) for b in obj["basis"]]
         if type(dim) is not int or len(basis) != dim:
             raise MalformedInput(f"dim {brief(dim)} is not a JSON integer equal to the basis size {len(basis)}")
+        check_build_dim(dim, "the algebra document")
         products = {}
         for entry in obj.get("products", ()):
             i, j = entry["i"], entry["j"]

@@ -37,7 +37,6 @@ from axial.perms import parse_cycles
 from axial.errors import (
     ClosureCapExceeded,
     ConsistencyFailure,
-    GroupCapExceeded,
     InvalidGrading,
     NotAnAxis,
     NotPrimitive,
@@ -217,22 +216,16 @@ class TestClosure:
         info = miyamoto_group(axet)
         assert info.order == 10
         assert info.order == 2 * len(info.generators)  # dihedral: 5 reflections, 5 rotations
-        with pytest.raises(GroupCapExceeded):
-            miyamoto_group(axet, cap=3)
+        # the closure cap is the group's degree, and the one cap of the pipeline
+        assert miyamoto_group(close_axes(alg, _seeds(alg, "two"), cap=5)).order == 10
+        with pytest.raises(ClosureCapExceeded, match=r"^axis closure exceeded cap 4$"):
+            close_axes(alg, _seeds(alg, "two"), cap=4)
 
-    def test_group_cap_boundary(self):
-        # the cap is the largest order allowed, and the message names it
-        alg = norton_sakuma("5A")
-        axet = close_axes(alg, [alg.axes[0][1], alg.axes[1][1]])
-        assert miyamoto_group(axet, cap=10).order == 10
-        with pytest.raises(GroupCapExceeded, match=r"^group enumeration exceeded cap 9$"):
-            miyamoto_group(axet, cap=9)
-
-    def test_trivial_group_passes_cap_zero(self):
+    def test_trivial_group_has_order_one(self):
         alg = matsuo(ThreeTranspositionGroup.symmetric(4), rational(1, 4))
         named = dict(alg.axes)
         axet = close_axes(alg, [named["(1 2)"], named["(3 4)"]])
-        assert miyamoto_group(axet, cap=0).order == 1
+        assert miyamoto_group(axet).order == 1
 
     def test_closure_is_idempotent_on_closed_input(self):
         alg = norton_sakuma("4A")
@@ -562,6 +555,19 @@ class TestIsAxial:
         assert verdict.passed and verdict.axes_pass and verdict.generates
         assert verdict.generated_dim == alg.dim
         assert "axial" in verdict.describe()
+
+    def test_describe_names_the_failing_axes(self):
+        alg = norton_sakuma("3A")
+        (na, a), (nb, b) = alg.axes[:2]
+        verdict = is_axial(alg.with_axes([(na, a), ("bad", vsub(a, b)), *alg.axes[1:]]))
+        assert verdict.generates and not verdict.passed
+        assert verdict.describe() == "not axial: axes failing the law: bad"
+
+    def test_describe_names_the_generated_dim(self):
+        alg = norton_sakuma("3A")
+        verdict = is_axial(alg.with_axes(alg.axes[:1]))
+        assert verdict.axes_pass and not verdict.passed
+        assert verdict.describe() == "not axial: axes generate dim 1 < 4"
 
     def test_requires_axes(self):
         alg = norton_sakuma("3A").with_axes([])

@@ -24,6 +24,7 @@ from axial import (
     matsuo,
     norton_sakuma,
 )
+from axial.axes import DEFAULT_AXIS_CAP
 from axial.cli import main
 from axial.highwater import MAX_WINDOW
 
@@ -39,12 +40,13 @@ def build(runner, spec: str) -> str:
     return result.output
 
 
-def run_process(args, text):
+def run_process(args, text, timeout=None):
     """`axial ARGS` in a real process, so that an uncaught error would print its traceback."""
     src = str(Path(axial.__file__).resolve().parents[1])
     return subprocess.run(
         [sys.executable, "-c", "from axial.cli import main; main()", *args],
         input=text, capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+        timeout=timeout,
     )
 
 
@@ -166,29 +168,32 @@ class TestMiyamoto:
         assert report["group_order"] == 6
 
     def test_env_group_cap(self, runner):
-        # --group-cap is the one way to set the group cap; AXIAL_CAP is not read
+        # the group has no cap of its own, and AXIAL_CAP is not read
         doc = build(runner, "ns:5A")
         result = runner.invoke(main, ["miyamoto", "-", "--json"], input=doc, env={"AXIAL_CAP": "3"})
         assert result.exit_code == 0, result.output
         assert json.loads(result.output)["group_order"] == 10
 
-    @pytest.mark.parametrize("cap,code", [("10", 0), ("9", 3)])
-    def test_group_cap_boundary(self, runner, cap, code):
-        # NS 5A has group order 10: the cap is the largest order allowed
-        doc = build(runner, "ns:5A")
-        result = runner.invoke(main, ["miyamoto", "-", "--group-cap", cap], input=doc)
-        assert result.exit_code == code, result.output
-        if code:
-            assert f"error: group enumeration exceeded cap {cap}\n" in result.output
-
-    def test_trivial_group_passes_cap_zero(self, runner):
+    def test_trivial_group_has_order_one(self, runner):
         # (1 2) and (3 4) fix each other: the group is trivial, order 1
         doc = json.loads(build(runner, "matsuo:Sn:4:1/4"))
         doc["axes"] = [a for a in doc["axes"] if a["name"] in ("(1 2)", "(3 4)")]
-        result = runner.invoke(main, ["miyamoto", "-", "--json", "--group-cap", "0"],
-                               input=json.dumps(doc))
+        result = runner.invoke(main, ["miyamoto", "-", "--json"], input=json.dumps(doc))
         assert result.exit_code == 0, result.output
         assert json.loads(result.output)["group_order"] == 1
+
+    @pytest.mark.parametrize("args", [["miyamoto", "-"], ["axet", "--gens", "0,2", "-"]])
+    def test_infinite_closure_stops_at_the_default_cap(self, args, tmp_path):
+        # cos(theta) = 1/6 is no rational multiple of pi, so the closure of the
+        # spin factor on this gram is infinite; it stops at cap 128 in seconds
+        gram = tmp_path / "gram.json"
+        gram.write_text('[["2", "1/3"], ["1/3", "2"]]')
+        doc = build(CliRunner(), f"spin:{gram}")
+        start = time.perf_counter()
+        proc = run_process(args, doc, timeout=30)
+        assert time.perf_counter() - start < 10
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr == "error: axis closure exceeded cap 128\n"
 
     def test_axis_cap_exit_3(self, runner):
         # designate only two axes so the closure actually has to grow
@@ -336,6 +341,25 @@ class TestHighwaterCommands:
         assert result.exit_code == 3
         assert "exceeds cap" in result.output
 
+    def test_member_negative_window_exit_2(self, runner):
+        result = runner.invoke(main, ["hw", "member", "1,-2,1", "-", "--window", "-3"],
+                               input=json.dumps({"a": {"0": "1"}}))
+        assert result.exit_code == 2
+        assert result.output == "error: window -3 is below 0\n"
+
+    @pytest.mark.parametrize("period", ["-5", "0", "1"])
+    def test_quotient_period_below_2_exit_2(self, runner, period):
+        # a negative PERIOD is read as a number, not as an option
+        result = runner.invoke(main, ["hw", "quotient", period])
+        assert result.exit_code == 2
+        assert result.output == f"error: period {period} is below 2\n"
+
+    def test_quotient_help_and_unknown_options(self, runner):
+        assert runner.invoke(main, ["hw", "quotient", "--help"]).exit_code == 0
+        result = runner.invoke(main, ["hw", "quotient", "5", "--bogus"])
+        assert result.exit_code == 2
+        assert "--bogus" in result.output
+
 
 class TestIntegerArguments:
     ELEMENT = json.dumps({"a": {"0": "1", "1": "-2", "2": "1"}, "s": {}})
@@ -348,7 +372,7 @@ class TestIntegerArguments:
         ["hw", "member", "1,-2,1", "-", "--window", "09"],
         ["axet", "-", "--gens", " 0,+1"],
         ["miyamoto", "-", "--cap", "1_0"],
-        ["miyamoto", "-", "--group-cap", "+6"],
+        ["miyamoto", "-", "--cap", "+6"],
     ])
     def test_integer_not_in_str_form_exit_2(self, runner, args):
         # int() reads each of these; the rule is the loader's, str(k) == text
@@ -427,6 +451,33 @@ class TestDocumentErrors:
         result = runner.invoke(main, ["frobenius", "-"], input=json.dumps(doc))
         assert result.exit_code == 2
         assert result.output.startswith("error: ")
+
+    @staticmethod
+    def diagonal(n):
+        """The algebra document of e_i e_i = e_i, e_i e_j = 0, every e_i an axis."""
+        return json.dumps({
+            "field": {"kind": "rational"}, "dim": n, "basis": [f"e{i}" for i in range(n)],
+            "products": [{"i": i, "j": i, "v": {str(i): "1"}} for i in range(n)],
+            "axes": [{"name": f"e{i}", "v": {str(i): "1"}} for i in range(n)],
+            "law": {"kind": "A"},
+        })
+
+    @pytest.mark.parametrize("command", ["verify", "miyamoto", "frobenius", "radical", "decompose", "axet"])
+    def test_document_past_the_build_cap_exit_3(self, command):
+        start = time.perf_counter()
+        proc = run_process([command, "-"], self.diagonal(101), timeout=30)
+        assert time.perf_counter() - start < 10
+        assert proc.returncode == 3
+        assert proc.stderr == "error: the algebra document has dimension 101, past the build cap 100\n"
+
+    def test_document_at_the_build_cap_loads(self, runner):
+        assert load_algebra(self.diagonal(100)).dim == 100
+        # the dim/basis check comes first, so a malformed document still exits 2
+        doc = json.loads(self.diagonal(101))
+        doc["basis"].pop()
+        result = runner.invoke(main, ["verify", "-"], input=json.dumps(doc))
+        assert result.exit_code == 2
+        assert "not a JSON integer equal to the basis size 100" in result.output
 
 
 LONG = "1" * 5000  # more digits than int() reads from a string by default (4300)
@@ -607,6 +658,11 @@ ELEMENT_KEYS = [
     str(MAX_WINDOW + 1), "-1000000000", "1000000000", "99999999999999999999",
     "1_0", " +1 ", "\u0661",
 ]
+# Values for --window, --cap and PERIOD: either side of zero, of each cap and of a huge value.
+OPTION_VALUES = [
+    -10**30, -5, -1, 0, 1, 2, MAX_WINDOW, MAX_WINDOW + 1, 66, 67,
+    DEFAULT_AXIS_CAP, DEFAULT_AXIS_CAP + 1, 10**30,
+]
 FUZZ = dict(
     derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow],
     database=None,
@@ -708,6 +764,20 @@ class TestFuzz:
     def test_highwater_elements(self, elem):
         result = CliRunner().invoke(main, ["hw", "member", "1,-2,1", "-"], input=json.dumps(elem))
         _assert_clean(result)
+
+    @settings(max_examples=100, **FUZZ)
+    @given(
+        args=st.sampled_from([
+            ["hw", "member", "1,-2,1", "-", "--window"],
+            ["miyamoto", "-", "--cap"],
+            ["hw", "quotient"],
+        ]),
+        value=st.one_of(st.sampled_from(OPTION_VALUES), st.integers(-10**6, 10**6)),
+    )
+    def test_option_values(self, args, value):
+        # negative, zero and past-cap windows, closure caps and periods
+        text = FUZZ_DOCS[0] if args[0] == "miyamoto" else {"a": {"0": "1", "1": "-2", "2": "1"}}
+        _assert_clean(CliRunner().invoke(main, args + [str(value)], input=json.dumps(text)))
 
     @settings(max_examples=100, **FUZZ)
     @given(

@@ -5,10 +5,11 @@ import operator
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from sympy import isprime
 
 from axial import GF, QQ, rational
 from axial.errors import InvalidField
-from axial.fields import FieldSpec, Fp
+from axial.fields import FieldSpec, Fp, _is_prime
 
 nonzero = st.integers(min_value=-10**6, max_value=10**6).filter(lambda n: n != 0)
 ints = st.integers(min_value=-10**6, max_value=10**6)
@@ -168,3 +169,34 @@ class TestFieldSpec:
     def test_from_int(self):
         assert QQ.from_int(-2) == rational(-2)
         assert GF(5).from_int(7) == Fp(2, 5)
+
+
+# Strong pseudoprimes to the first 4, 5, 6, 7 and 9 prime bases: each passes
+# every Miller-Rabin round but the last ones of _is_prime.
+STRONG_PSEUDOPRIMES = (3215031751, 2152302898747, 3474749660383, 341550071728321,
+                       3825123056546413051)
+# Chernick's Carmichael numbers (6k + 1)(12k + 1)(18k + 1), all three factors
+# prime: every base prime to them is a Fermat liar.
+CARMICHAEL = tuple((6 * k + 1) * (12 * k + 1) * (18 * k + 1) for k in range(1, 400)
+                   if all(isprime(m * k + 1) for m in (6, 12, 18)))
+
+
+class TestIsPrime:
+    @pytest.mark.parametrize("n", STRONG_PSEUDOPRIMES + CARMICHAEL)
+    def test_pseudoprimes_are_composite(self, n):
+        assert not isprime(n)
+        assert not _is_prime(n)
+
+    def test_carmichael_numbers_reach_miller_rabin(self):
+        # past the trial divisors up to 37, so the Miller-Rabin rounds decide
+        assert len(CARMICHAEL) == 16
+        small = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+        assert sum(all(n % q for q in small) for n in CARMICHAEL) == 14
+
+    @given(st.sampled_from(STRONG_PSEUDOPRIMES + CARMICHAEL), st.integers(-200, 200))
+    def test_matches_sympy_near_pseudoprimes(self, n, offset):
+        assert _is_prime(n + offset) == isprime(n + offset)
+
+    @given(st.integers(-10, 10**30))
+    def test_matches_sympy(self, n):
+        assert _is_prime(n) == isprime(n)

@@ -120,6 +120,22 @@ class TestModularSolve:
         monkeypatch.setattr(frobenius, "_PRIMES", (3, 2**61 - 1))
         assert lifted_space(alg) == exact_space(alg)
 
+    def test_later_prime_with_a_lower_rank_is_set_aside(self, monkeypatch):
+        # mod 7 the echelon has rank 32, below the 35 of Q and of 10007: 7 is
+        # passed over, and 10009 and 10037 join 10007 until the lift certifies
+        alg = matsuo(ThreeTranspositionGroup.symmetric(4), QQ.parse("38975/50427"))
+        kernel, ranks = frobenius._kernel, {}
+
+        def counted(alg, ad, p=None):
+            pivots, free = kernel(alg, ad, p)
+            ranks[p] = len(pivots)
+            return pivots, free
+
+        monkeypatch.setattr(frobenius, "_kernel", counted)
+        monkeypatch.setattr(frobenius, "_PRIMES", (10007, 7, 10009, 10037))
+        assert lifted_space(alg) == exact_space(alg)
+        assert ranks == {10007: 35, 7: 32, 10009: 35, 10037: 35}
+
     def test_small_primes_combine_until_the_lift_certifies(self, monkeypatch):
         # the form entries eta/2 = 38975/100854 are beyond what one or two
         # primes near 10^4 reconstruct; three primes combined by CRT reach them

@@ -3,6 +3,7 @@ PermutationGroup (a test-only oracle) and against Dimino's enumeration,
 written out here as a second oracle on small groups."""
 
 import random
+from math import factorial
 
 import pytest
 from hypothesis import given
@@ -12,7 +13,6 @@ from sympy.combinatorics import Permutation, PermutationGroup
 from axial import GF, NORTON_SAKUMA_NAMES, QQ, close_axes, flip_subalgebra, matsuo, miyamoto_group
 from axial import norton_sakuma
 from axial.catalog import ThreeTranspositionGroup
-from axial.errors import GroupCapExceeded
 from axial.perms import group_order, identity_perm, mul, parse_cycles, perm_order
 
 
@@ -136,7 +136,7 @@ def groups(draw):
 @given(groups())
 def test_drawn_groups_match_oracles(group):
     n, gens = group
-    order = group_order(n, gens, cap=10**12)
+    order = group_order(n, gens)
     assert order == sympy_order(n, gens)
     if order <= 5040:
         assert order == len(dimino(n, gens))
@@ -155,20 +155,7 @@ def test_random_generators_match_sympy(seed):
             p = list(range(n))
             rng.shuffle(p)
             gens.append(tuple(p))
-        assert group_order(n, gens, cap=10**12) == sympy_order(n, gens)
-
-
-@given(groups(), st.integers(min_value=-2, max_value=3))
-def test_cap_raises_exactly_above_it(group, offset):
-    # the cap is the largest order allowed, and the message names it
-    n, gens = group
-    order = group_order(n, gens, cap=10**12)
-    cap = order + offset
-    if order > max(cap, 1):
-        with pytest.raises(GroupCapExceeded, match=rf"^group enumeration exceeded cap {cap}$"):
-            group_order(n, gens, cap)
-    else:
-        assert group_order(n, gens, cap) == order
+        assert group_order(n, gens) == sympy_order(n, gens)
 
 
 @given(st.integers(0, 12).flatmap(lambda n: st.permutations(range(n))))
@@ -180,12 +167,11 @@ def test_perm_order_is_the_first_power_that_is_the_identity(p):
     assert perm_order(p) == k
 
 
-def test_symmetric_group_stops_at_the_cap():
-    # S_14 on the 91 pairs of 14 points: 14! is far past the default cap
+def test_symmetric_group_on_pairs_matches_sympy():
+    # S_14 on the 91 pairs of 14 points, the Miyamoto group of Matsuo S14
     pairs = [(a, b) for a in range(14) for b in range(a + 1, 14)]
     index = {p: k for k, p in enumerate(pairs)}
     swap = [_cycle([a, a + 1]) for a in range(13)]
     gens = [tuple(index[tuple(sorted(s.get(x, x) for x in p))] for p in pairs) for s in swap]
-    with pytest.raises(GroupCapExceeded, match=r"cap 1000000$"):
-        group_order(len(pairs), gens, cap=1_000_000)
-    assert group_order(len(pairs), gens[:6], cap=5040) == 5040  # S_7 on the same points
+    assert group_order(len(pairs), gens) == factorial(14) == sympy_order(len(pairs), gens)
+    assert group_order(len(pairs), gens[:6]) == 5040  # S_7 on the same points

@@ -32,6 +32,7 @@ PIPELINES = {
     "cli_matsuo6_radical.txt": (None, ["build", "matsuo:Sn:6:1/3"], ["radical", "-"]),
     "cli_matsuo7_frobenius.json": (None, ["build", "matsuo:Sn:7:1/3"], ["frobenius", "--json", "-"]),
     "cli_matsuo6_miyamoto.json": (None, ["build", "matsuo:Sn:6:1/3"], ["miyamoto", "--json", "-"]),
+    "cli_matsuo14_miyamoto.txt": (None, ["build", "matsuo:Sn:14:1/3"], ["miyamoto", "-"]),
     "cli_matsuo5_gf10007_frobenius.json": (EXPECTED / "matsuo5_gf10007.json", ["frobenius", "--json", "-"]),
     "cli_qq3_random_basis_frobenius.json": (EXPECTED / "qq3_random_basis.json", ["frobenius", "--json", "-"]),
     "cli_ns6a_build.json": (None, ["build", "ns:6A"]),
