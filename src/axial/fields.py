@@ -10,7 +10,7 @@ import re
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import InvalidField, MalformedInput, brief
+from .errors import InvalidField, MalformedInput, Unsupported, brief
 
 try:
     from gmpy2 import mpq as _rational
@@ -20,6 +20,10 @@ except ImportError:  # gmpy2 is the optional `fast` extra; without it, Fraction
 _RATIONAL_TYPE = type(_rational(0))
 _SCALAR_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
 _MOD_RE = re.compile(r"(-?[0-9]+)\s+mod\s+([0-9]+)")
+
+# Miller-Rabin on the thirteen bases 2..41 decides primality below psi_13
+# (Sorenson and Webster, Math. Comp. 2017); past it no fixed set is proven.
+_PSI13, _BASES = 3317044064679887385961981, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def rational(num, den=1):
@@ -113,15 +117,14 @@ class Fp:
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for q in _BASES:
         if n % q == 0:
             return n == q
-    # deterministic Miller-Rabin for anything that gets this far
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in _BASES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -158,6 +161,8 @@ class FieldSpec:
             if self.p is not None:
                 raise InvalidField("rational field takes no modulus")
         elif self.kind == "prime":
+            if isinstance(self.p, int) and self.p >= _PSI13:
+                raise Unsupported(f"modulus {brief(self.p)} is at or past {_PSI13}, where primality is not decided")
             if not isinstance(self.p, int) or not _is_prime(self.p):
                 raise InvalidField(f"modulus {brief(self.p)} is not prime")
         else:

@@ -8,12 +8,16 @@ from typing import List, Optional, Tuple
 from .algebra import Algebra, _form
 from .axes import Axet, _projection_functional, eigen_decomposition
 from .errors import ConsistencyFailure, Unsupported
-from .fields import rational
+from .fields import _is_prime, rational
 from .fusion import FusionLaw
 from .linalg import EchelonAccumulator, Matrix, Subspace, combine, dot, kernel, solve_linear, sparse
 
-# Primes for the modular solve over Q, tried in turn (see `_lifted`).
-_PRIMES = (2**61 - 1, 2**61 - 31, 2**61 - 45)
+
+def _primes():
+    """Every prime below 2^61, largest first: the ladder of `_lifted`.  The
+    first three are written out, so that a solve that lifts tests no primes."""
+    yield from (2**61 - 1, 2**61 - 31, 2**61 - 45)
+    yield from (p for p in range(2**61 - 46, 1, -1) if _is_prime(p))
 
 
 def frobenius_solution_space(alg: Algebra) -> Subspace:
@@ -21,33 +25,26 @@ def frobenius_solution_space(alg: Algebra) -> Subspace:
 
     Only associativity is imposed; symmetry of the solutions is a theorem,
     not a constraint, and is checked downstream.  `_kernel` eliminates the
-    equations block by block: over F_p on ints mod p, the field's residues;
-    over Q on ints mod the primes of `_PRIMES`, lifted and certified exactly
-    (`_lifted`), and if no lift certifies, on the field's own Fractions.
-    One echelon of the kernel vectors gives the reduced row-echelon basis
-    of the exact solution space.
+    equations block by block on ints mod a prime: p over F_p, and over Q each
+    prime of `_primes` until the lift certifies (`_lifted`).  One echelon of
+    the kernel vectors gives the reduced basis of the exact solution space.
     """
     field = alg.field
     if field.kind == "rational":
-        rows = _lifted(alg)
-        if rows is None:
-            rows = _kernel(alg, _adjoints(alg, ints=False))[1].values()
-    else:
-        free = _kernel(alg, _adjoints(alg), field.p)[1]
-        rows = ({c: field.from_int(x) for c, x in row.items()} for row in free.values())
+        return EchelonAccumulator.of(field, alg.dim ** 2, _lifted(alg)).subspace()
+    free = _kernel(alg, _adjoints(alg), field.p)[1].values()
+    rows = ({c: field.from_int(x) for c, x in row.items()} for row in free)
     return EchelonAccumulator.of(field, alg.dim ** 2, rows).subspace()
 
 
-def _adjoints(alg: Algebra, ints: bool = True):
+def _adjoints(alg: Algebra):
     """The one structure layout of a solve: ad[j][l] = the (m, c) pairs of
-    e_j e_l, c = c_jl^m.  With `ints` the scalars are over Q the numerators
-    times the common denominator, which leaves the solutions alone, and over
-    F_p the residues; without, they are the field's own scalars."""
+    e_j e_l, c = c_jl^m as an int: over Q the numerator times the common
+    denominator, which leaves the solutions alone, and over F_p the residue."""
     table, n, field = alg.products, alg.dim, alg.field
-    if ints:
-        den = lcm(*(c.denominator for ps in table.values() for _, c in ps)) if field.kind == "rational" else 0
-        table = {ij: tuple((m, c.numerator * (den // c.denominator) if den else c.v) for m, c in pairs)
-                 for ij, pairs in table.items()}
+    den = lcm(*(c.denominator for ps in table.values() for _, c in ps)) if field.kind == "rational" else 0
+    table = {ij: tuple((m, c.numerator * (den // c.denominator) if den else c.v) for m, c in pairs)
+             for ij, pairs in table.items()}
     return [[table.get((j, l) if j <= l else (l, j), ()) for l in range(n)] for j in range(n)]
 
 
@@ -71,10 +68,9 @@ def _block(n: int, ad, j: int):
 
 
 def _solves(n: int, ad, g: dict, blocks, p: Optional[int] = None) -> bool:
-    """Whether the flat Gram vector g solves every equation of `blocks`:
-    exactly (over Z for ints, over the field for its own scalars) or, with p,
-    on ints mod p.  Block j is the matrix G ad_j - ad_j^T G, read from the
-    layout and from G by columns and rows, and the first non-zero fails."""
+    """Whether the flat Gram vector g of ints solves every equation of `blocks`
+    of the int layout `ad`, mod p or, without p, over Z.  Block j is the matrix
+    G ad_j - ad_j^T G, read by columns and rows, and the first non-zero fails."""
     cols, rows = {}, {}
     for t, x in g.items():
         a, b = divmod(t, n)
@@ -95,10 +91,9 @@ def _solves(n: int, ad, g: dict, blocks, p: Optional[int] = None) -> bool:
     return True
 
 
-def _kernel(alg: Algebra, ad, p: Optional[int] = None):
+def _kernel(alg: Algebra, ad, p: int):
     """(pivot columns, kernel basis by free column) of the equations of the
-    layout `ad` (see `_adjoints`): of ints, eliminated mod a prime p, or
-    without p of the field's own scalars, eliminated exactly.
+    int layout `ad` (see `_adjoints`), eliminated mod the prime p.
 
     The blocks j = 0, 1, ... are fed in turn, and the feed stops once every
     kernel vector of the blocks fed solves the blocks left.  That stop is
@@ -118,9 +113,9 @@ def _kernel(alg: Algebra, ad, p: Optional[int] = None):
     return tuple(sorted(acc.rows)), free
 
 
-def _lifted(alg: Algebra) -> Optional[list]:
+def _lifted(alg: Algebra) -> list:
     """A basis of the solution space over Q, lifted from kernels mod the
-    primes of `_PRIMES` and certified, or None; all read one int layout.
+    primes of `_primes` and certified; all read one int layout.
 
     A prime whose echelon has a larger rank, or the same rank with earlier
     pivot columns, than the primes kept so far replaces them; one with the
@@ -128,7 +123,8 @@ def _lifted(alg: Algebra) -> Optional[list]:
     first, and where a prime has those too, the echelon mod p is the echelon
     over Q reduced mod p.  The kernel bases of the primes kept are combined
     by CRT, so each one widens the range in which every entry is lifted to Q
-    by rational reconstruction.
+    by rational reconstruction.  The ladder ends: finitely many primes give
+    a lower rank or later pivots, and the others' product outgrows any entry.
 
     The lift is reported only if each vector, its denominators cleared,
     solves every equation over Z.  That is exact: rank mod p <= rank over Q,
@@ -138,7 +134,7 @@ def _lifted(alg: Algebra) -> Optional[list]:
     """
     n, ad = alg.dim, _adjoints(alg)
     kept, residues, modulus = None, None, 1
-    for p in _PRIMES:
+    for p in _primes():
         pivots, free = _kernel(alg, ad, p)
         profile = (-len(pivots), pivots)
         if kept is None or profile < kept:
@@ -151,7 +147,6 @@ def _lifted(alg: Algebra) -> Optional[list]:
         lifted = _lift(residues, modulus)
         if lifted is not None and all(_solves(n, ad, _cleared(row), range(n)) for row in lifted):
             return lifted
-    return None
 
 
 def _crt(a: dict, m: int, b: dict, p: int) -> dict:

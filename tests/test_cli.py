@@ -429,6 +429,16 @@ class TestDocumentErrors:
         assert result.exit_code == 2
         assert "decimal integer" in result.output
 
+    def test_modulus_past_the_primality_bound_exit_3(self):
+        # 2^127 - 1 is prime, but past 3317044064679887385961981 the
+        # primality check is not proven, so the field is declined
+        doc = {"field": {"kind": "prime", "p": 2**127 - 1}, "dim": 1, "basis": ["a"],
+               "products": [{"i": 0, "j": 0, "v": {"0": "1 mod 7"}}]}
+        proc = run_process(["verify", "-"], json.dumps(doc))
+        assert proc.returncode == 3
+        assert "3317044064679887385961981" in proc.stderr
+        assert "Traceback" not in proc.stdout + proc.stderr
+
     @pytest.mark.parametrize("scalar", ["\u0661", "\u0661/\u0662", "-\u0661"])
     def test_non_ascii_digits_in_scalar_exit_2(self, runner, scalar):
         # int() reads these digits, so "\u0661" loaded as 1 before

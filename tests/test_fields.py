@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from sympy import isprime
 
 from axial import GF, QQ, rational
-from axial.errors import InvalidField
-from axial.fields import FieldSpec, Fp, _is_prime
+from axial.errors import InvalidField, Unsupported
+from axial.fields import _PSI13, FieldSpec, Fp, _is_prime
 
 nonzero = st.integers(min_value=-10**6, max_value=10**6).filter(lambda n: n != 0)
 ints = st.integers(min_value=-10**6, max_value=10**6)
@@ -188,15 +188,35 @@ class TestIsPrime:
         assert not _is_prime(n)
 
     def test_carmichael_numbers_reach_miller_rabin(self):
-        # past the trial divisors up to 37, so the Miller-Rabin rounds decide
+        # past the trial divisors up to 41, so the Miller-Rabin rounds decide
         assert len(CARMICHAEL) == 16
-        small = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+        small = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
         assert sum(all(n % q for q in small) for n in CARMICHAEL) == 14
 
     @given(st.sampled_from(STRONG_PSEUDOPRIMES + CARMICHAEL), st.integers(-200, 200))
     def test_matches_sympy_near_pseudoprimes(self, n, offset):
         assert _is_prime(n + offset) == isprime(n + offset)
 
-    @given(st.integers(-10, 10**30))
+    @given(st.integers(-10, _PSI13 - 1))  # past the bound no fixed set of bases decides
     def test_matches_sympy(self, n):
         assert _is_prime(n) == isprime(n)
+
+    def test_least_pseudoprime_to_twelve_bases_is_refused(self):
+        # psi_12 passes the twelve bases 2..37, not the thirteenth, 41
+        n = 318665857834031151167461
+        assert n == 399165290221 * 798330580441
+        assert not _is_prime(n)
+        with pytest.raises(InvalidField, match="not prime"):
+            GF(n)
+
+    def test_moduli_from_the_bound_on_are_unsupported(self):
+        # psi_13 passes all thirteen bases, and past it no fixed set of bases
+        # is proven, so the field refuses any modulus from there on
+        assert _PSI13 == 3317044064679887385961981 == 1287836182261 * 2575672364521
+        assert _is_prime(_PSI13) and not isprime(_PSI13)
+        for p in (_PSI13, 2**127 - 1):
+            with pytest.raises(Unsupported, match=str(_PSI13)):
+                GF(p)
+        assert GF(_PSI13 - 168).p == _PSI13 - 168  # the greatest prime below the bound
+        with pytest.raises(InvalidField, match="not prime"):
+            GF(_PSI13 - 2)

@@ -35,6 +35,9 @@ PIPELINES = {
     "cli_matsuo14_miyamoto.txt": (None, ["build", "matsuo:Sn:14:1/3"], ["miyamoto", "-"]),
     "cli_matsuo5_gf10007_frobenius.json": (EXPECTED / "matsuo5_gf10007.json", ["frobenius", "--json", "-"]),
     "cli_qq3_random_basis_frobenius.json": (EXPECTED / "qq3_random_basis.json", ["frobenius", "--json", "-"]),
+    "cli_matsuo5_random_basis_frobenius.json": (
+        EXPECTED / "matsuo5_random_basis.json", ["frobenius", "--json", "-"],
+    ),
     "cli_ns6a_build.json": (None, ["build", "ns:6A"]),
     "cli_hw5_quotient.json": (None, ["hw", "quotient", "5"]),
     "cli_hw6_quotient.json": (None, ["hw", "quotient", "6"]),
