@@ -155,13 +155,15 @@ class Algebra:
         return self._subalgebra([self._row(g) for g in gens])
 
     def _subalgebra(self, seeds) -> Subspace:
-        return close_span(self.field, self.dim, seeds, lambda v, done: (self._mul(v, u) for u in done))
+        acc = EchelonAccumulator(self.field, self.dim)
+        return close_span(acc, seeds, lambda v, done: (self._mul(v, u) for u in done)).subspace()
 
     def ideal_gen(self, gens: Iterable) -> Subspace:
         """Smallest subspace containing the generators with A I <= I."""
         seeds = [self._row(g) for g in gens]
         basis = self._basis_rows()
-        return close_span(self.field, self.dim, seeds, lambda v, _: (self._mul(e, v) for e in basis))
+        acc = EchelonAccumulator(self.field, self.dim)
+        return close_span(acc, seeds, lambda v, _: (self._mul(e, v) for e in basis)).subspace()
 
     def is_ideal(self, sub: Subspace) -> bool:
         if sub.ambient != self.dim:

@@ -244,23 +244,17 @@ class MiyamotoMap:
         return self.matrix == Matrix.identity(self.matrix.field, self.matrix.nrows)
 
 
-def resolve_grading(law: FusionLaw, grading: Optional[Grading] = None) -> Grading:
-    """Default to the unique adequate C2 grading, or all-plus when none exists."""
-    if grading is None:
-        found = unique_adequate_grading(law)
-        if found is None:
-            return Grading((1,) * law.size)
-        return found
-    if not grading.is_valid_for(law):
-        raise InvalidGrading("sign map does not respect the fusion law")
-    return grading
+def resolve_grading(law: FusionLaw) -> Grading:
+    """The unique adequate C2 grading, or all-plus when none exists; several
+    adequate gradings raise InvalidGrading."""
+    found = unique_adequate_grading(law)
+    return Grading((1,) * law.size) if found is None else found
 
 
 def miyamoto(
     alg: Algebra,
     a,
     law: Optional[FusionLaw] = None,
-    grading: Optional[Grading] = None,
 ) -> MiyamotoMap:
     """Involutive automorphism: +1 on the plus eigenspaces, -1 on the minus ones."""
     law = law if law is not None else alg.law
@@ -271,7 +265,7 @@ def miyamoto(
     report = check_axis(alg, a, law)
     if not report.passed:
         raise NotAnAxis(report.describe())
-    grading = resolve_grading(law, grading)
+    grading = resolve_grading(law)
     return MiyamotoMap(
         matrix=_tau_from_report(alg, report, grading),
         axis=report.axis,
@@ -392,7 +386,6 @@ def close_axes(
     alg: Algebra,
     axes: Iterable,
     law: Optional[FusionLaw] = None,
-    grading: Optional[Grading] = None,
     cap: Optional[int] = None,
 ) -> Axet:
     """Close an axis set under all of its Miyamoto maps.
@@ -413,7 +406,7 @@ def close_axes(
     law = law if law is not None else alg.law
     if law is None:
         raise Unsupported("axis closure needs a fusion law")
-    grading = resolve_grading(law, grading)
+    grading = resolve_grading(law)
     limit = DEFAULT_AXIS_CAP if cap is None else cap
     adm = _Admission(alg, law, grading, maps=True)
 

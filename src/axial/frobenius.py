@@ -95,13 +95,15 @@ def _kernel(alg: Algebra, ad, p: int):
     """(pivot columns, kernel basis by free column) of the equations of the
     int layout `ad` (see `_adjoints`), eliminated mod the prime p.
 
-    The blocks j = 0, 1, ... are fed in turn, and the feed stops once every
-    kernel vector of the blocks fed solves the blocks left.  That stop is
-    exact: the kernel of the blocks fed holds the kernel of all of them, so
-    when its basis solves the rest the two kernels, and so their reduced
-    echelon forms, are equal.
+    The layout is reduced mod p once, so every row fed has entries below p
+    in absolute value.  The blocks j = 0, 1, ... are fed in turn, and the
+    feed stops once every kernel vector of the blocks fed solves the blocks
+    left.  That stop is exact: the kernel of the blocks fed holds the kernel
+    of all of them, so when its basis solves the rest the two kernels, and
+    so their reduced echelon forms, are equal.
     """
     n = alg.dim
+    ad = [[tuple((m, r) for m, c in pairs if (r := c % p)) for pairs in row] for row in ad]
     acc = EchelonAccumulator(alg.field, n * n, p)
     free = {}
     for j in range(n):

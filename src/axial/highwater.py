@@ -12,16 +12,16 @@ instances with their axes and fusion law attached.
 
 from dataclasses import dataclass
 from functools import cache
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from .algebra import Algebra
 from .catalog import check_build_dim
 from .errors import DegenerateParameters, DimensionError, InvalidField, MalformedInput, Unsupported, brief
 from .fields import QQ, FieldSpec, parse_int, rational
 from .fusion import law_M
-from .linalg import EchelonAccumulator, Matrix, combine, dense, residue, row_key, scaled
+from .linalg import EchelonAccumulator, Matrix, close_span, combine, dense, residue, row_key, scaled
 
-MAX_WINDOW = 48  # rows of 4w + 1 entries; about 3 s at w = 48 (Fraction backend, 2-CPU VM)
+MAX_WINDOW = 48  # rows of 4w + 1 entries; about 2 s at w = 48 (Fraction backend, 2-CPU VM)
 
 
 class HighwaterElement:
@@ -254,31 +254,18 @@ def hw_quotient_weights(alg: Algebra) -> Tuple:
     return tuple(one if name.startswith("a") else zero for name in alg.basis)
 
 
-def _window_coords(x: HighwaterElement, window: int):
-    """x as a sparse row on a_{-w}..a_w then s_1..s_{2w}, or None when its
-    support leaves the window."""
-    row = {}
-    for (kind, i), c in x.row.items():
-        bound = window if kind == "a" else 2 * window  # also the column offset
-        if abs(i) > bound:
-            return None
-        row[i + bound] = c
-    return row
-
-
 def hw_ideal_window_contains(t: Sequence, v: HighwaterElement, window: Optional[int] = None) -> str:
     """Window-bounded membership in the ideal generated by sum(alpha_i a_i),
     over the field of v.
 
-    Grows a subspace of the ideal by translating the generator, multiplying
-    by axes a_k with |k| <= window and reflecting, always discarding anything
-    supported outside the window, until v lies in the span or no new element
-    arrives.  Each element that enlarges the span is expanded once, so the
-    search makes at most 4w + 1 expansions.  Returns "yes" when v lies in
-    the grown span; otherwise "unknown" (the span is a lower bound on the
-    ideal, so a miss proves nothing).  A negative window raises
-    DegenerateParameters, and one past MAX_WINDOW raises Unsupported, before
-    the search.
+    Grows a subspace of the ideal with `close_span` on the elements' rows,
+    from the translates of the generator, by products with the axes a_k,
+    |k| <= w, and by reflections, discarding anything supported outside the
+    window a_{-w}..a_w, s_1..s_{2w}, until v lies in the span or no new row
+    arrives.  Returns "yes" when v lies in the grown span; otherwise
+    "unknown" (the span is a lower bound on the ideal, so a miss proves
+    nothing).  A negative window raises DegenerateParameters, and one past
+    MAX_WINDOW raises Unsupported, before the search.
     """
     if window is not None and window < 0:
         raise DegenerateParameters(f"window {brief(window)} is below 0")
@@ -292,27 +279,30 @@ def hw_ideal_window_contains(t: Sequence, v: HighwaterElement, window: Optional[
         w = max(w, abs(i) if kind == "a" else (i + 1) // 2)
     if w > MAX_WINDOW:
         raise Unsupported(f"window {brief(w)} exceeds cap {MAX_WINDOW}")
-    m = 2 * w + 1 + 2 * w  # a_{-w}..a_w then s_1..s_{2w}
-    target = _window_coords(v, w)
-    acc = EchelonAccumulator(field, m)
-    frontier: List[HighwaterElement] = []
 
-    def offer(x: HighwaterElement):
-        row = _window_coords(x, w)
-        if row is not None and acc.add_row(row) is not None:
-            frontier.append(x)
+    def inside(row) -> bool:
+        return all(abs(i) <= (w if kind == "a" else 2 * w) for kind, i in row)
 
-    def reached() -> bool:
-        return target is not None and not residue(target, acc.rows)
+    # the keys ("a", i) sort before ("s", j): the columns a_{-w}..a_w, then s_1..s_{2w}
+    acc = EchelonAccumulator(field, 2 * w + 1 + 2 * w)
 
-    for shift in range(-w, w + 1):
-        offer(HighwaterElement._of(field, {("a", i + shift): c for i, c in enumerate(vals) if c}))
-    points = [hw_a(k, field) for k in range(-w, w + 1)]
-    while frontier and not reached():
-        batch, frontier = frontier, []
-        for x in batch:
-            for a_k in points:
-                offer(hw_mul(x, a_k))
-            for c2 in range(-2 * w, 2 * w + 1):
-                offer(hw_reflect(x, rational(c2, 2)))
-    return "yes" if reached() else "unknown"
+    @cache
+    def holds_v(rank: int) -> bool:
+        """Whether v lies in the span of `rank` rows: tested once per rank."""
+        return not residue(v.row, acc.rows)
+
+    steps = [(hw_mul, hw_a(k, field)) for k in range(-w, w + 1)]
+    steps += [(hw_reflect, rational(c2, 2)) for c2 in range(-2 * w, 2 * w + 1)]
+
+    def images(row, _):
+        x = HighwaterElement._of(field, row)
+        for step, arg in steps:
+            if holds_v(acc.rank):
+                return
+            y = step(x, arg).row
+            if inside(y):
+                yield y
+
+    translates = ({("a", i + shift): c for i, c in enumerate(vals) if c} for shift in range(-w, w + 1))
+    close_span(acc, filter(inside, translates), images)
+    return "yes" if holds_v(acc.rank) else "unknown"

@@ -269,6 +269,9 @@ class EchelonAccumulator:
     rows the basis is the reduced row-echelon form of their span.  With a
     prime `modulus` p the rows are plain ints, any int on entry and in
     [0, p) once stored, and the basis is that of their span over F_p.
+    `add_row` and `residue` take any column keys that sort among themselves
+    (the highwater search uses ("a", i) and ("s", j)); `subspace` and
+    `kernel_basis` need the int columns 0..ncols-1.
     """
 
     __slots__ = ("field", "ncols", "rows", "order", "modulus")
@@ -348,8 +351,10 @@ class EchelonAccumulator:
         return EchelonAccumulator.of(self.field, width, free).subspace()
 
 
-def close_span(field: FieldSpec, ambient: int, seeds, images) -> "Subspace":
-    """Smallest subspace containing the sparse rows `seeds` and closed under `images`.
+def close_span(acc: EchelonAccumulator, seeds, images) -> EchelonAccumulator:
+    """Grow the empty accumulator `acc` to the smallest span that holds the
+    sparse rows `seeds` and is closed under `images`; returns `acc`.  The
+    caller holds `acc`, so `images` may read the span as it grows.
 
     `images(v, accepted)` gives the rows the span must hold once it holds v;
     `accepted` lists the rows accepted so far, v last.  Semi-naive: each
@@ -357,9 +362,9 @@ def close_span(field: FieldSpec, ambient: int, seeds, images) -> "Subspace":
     `accepted` forms every product of two accepted rows exactly once.  A row
     is queued as its echelon row at the moment it is accepted: that row is
     zero on every earlier pivot, and the queued rows form a basis of the span,
-    which is all that closure under (bi)linear images needs.
+    which is all that closure under (bi)linear images needs.  Expansion stops
+    once the span has full rank (`acc.ncols`), since a full span is closed.
     """
-    acc = EchelonAccumulator(field, ambient)
     accepted = []
 
     def offer(rows):
@@ -369,10 +374,10 @@ def close_span(field: FieldSpec, ambient: int, seeds, images) -> "Subspace":
 
     offer(seeds)
     done = 0
-    while done < len(accepted):
+    while done < len(accepted) and acc.rank < acc.ncols:
         done += 1
         offer(images(accepted[done - 1], accepted[:done]))
-    return acc.subspace()
+    return acc
 
 
 def rref(m: Matrix) -> Matrix:

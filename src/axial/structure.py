@@ -99,7 +99,8 @@ def sum_decomposition(alg: Algebra, axes: Union[Axet, Iterable]) -> SumDecomposi
 def spine(alg: Algebra, axes: Union[Axet, Iterable]) -> Subspace:
     """Smallest subspace containing the axes with a Q <= Q for each axis a."""
     vecs = _axis_list(alg, axes)
-    return close_span(alg.field, alg.dim, vecs, lambda v, _: (alg._mul(a, v) for a in vecs))
+    acc = EchelonAccumulator(alg.field, alg.dim)
+    return close_span(acc, vecs, lambda v, _: (alg._mul(a, v) for a in vecs)).subspace()
 
 
 def is_slender(alg: Algebra, axes: Union[Axet, Iterable]) -> bool:

@@ -140,13 +140,6 @@ class TestMiyamoto:
         g = resolve_grading(law_A(QQ))
         assert not g.is_adequate and g.minus_indices == ()
 
-    def test_explicit_bad_grading_rejected(self):
-        law = law_J(QQ, QQ.parse("1/4"))
-        from axial.fusion import Grading
-
-        with pytest.raises(InvalidGrading):
-            resolve_grading(law, Grading(signs=(1, -1, 1)))
-
 
 def _algebra(spec):
     kind, _, arg = spec.partition(":")

@@ -257,6 +257,25 @@ class TestModularSolve:
         solve_frobenius(alg)
         assert moduli == list(islice(PRIMES(), 5))
 
+    def test_rows_fed_are_reduced_mod_p(self, monkeypatch):
+        # in a random basis the int layout has entries far past 2^61; each
+        # prime eliminates on the layout reduced mod p, never on those ints
+        alg = in_random_basis(s_n(5, "1/3"), random.Random("5:2"), 2)
+        want = frobenius_solution_space(alg)
+        wide = [abs(c) for row in frobenius._adjoints(alg) for pairs in row for _, c in pairs]
+        assert max(wide) > 2**61
+        fed = []
+
+        class Watched(EchelonAccumulator):
+            def add_row(self, row):
+                if self.modulus:
+                    fed.append(max(map(abs, row.values()), default=0) < self.modulus)
+                return super().add_row(row)
+
+        monkeypatch.setattr(frobenius, "EchelonAccumulator", Watched)
+        assert frobenius_solution_space(alg) == want
+        assert fed and all(fed)
+
     def test_reconstruct(self):
         m = 10007 * 10009
         for a, b in ((0, 1), (1, 1), (-1, 1), (3, 7), (-38, 91), (7000, 7001), (-1, 7000)):

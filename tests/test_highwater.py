@@ -2,6 +2,7 @@
 
 import json
 import operator
+import random
 
 import pytest
 from hypothesis import given
@@ -34,7 +35,7 @@ from axial.errors import (
     Unsupported,
 )
 from axial.fields import Fp
-from axial.linalg import combine
+from axial.linalg import EchelonAccumulator, combine, residue
 
 coeffs = st.integers(min_value=-6, max_value=6).map(rational)
 
@@ -210,6 +211,119 @@ class TestMembership:
         assert hw_ideal_window_contains(self.GEN, hw_a(0), window=4) == "unknown"
         assert made == list(range(-4, 5))
         assert highwater._product_rule.cache_info().misses == 1
+
+
+def frontier_window_contains(t, v, window=None):
+    """The window search as a frontier loop of its own, kept as the reference
+    for `hw_ideal_window_contains`: the elements that enlarge the span are
+    expanded batch by batch, as themselves, and the search stops between
+    batches once v lies in the span."""
+    field = v.field
+    vals = [field.coerce(field.parse(c) if isinstance(c, str) else c) for c in t]
+    assert ideal_type_info(vals, field).ok
+    w = window if window is not None else 3 * (len(vals) - 1)
+    for kind, i in v.row:
+        w = max(w, abs(i) if kind == "a" else (i + 1) // 2)
+
+    def coords(x):
+        row = {}
+        for (kind, i), c in x.row.items():
+            bound = w if kind == "a" else 2 * w  # also the column offset
+            if abs(i) > bound:
+                return None
+            row[i + bound] = c
+        return row
+
+    target = coords(v)
+    acc = EchelonAccumulator(field, 4 * w + 1)
+    frontier = []
+
+    def offer(x):
+        row = coords(x)
+        if row is not None and acc.add_row(row) is not None:
+            frontier.append(x)
+
+    def reached():
+        return target is not None and not residue(target, acc.rows)
+
+    for shift in range(-w, w + 1):
+        offer(HighwaterElement._of(field, {("a", i + shift): c for i, c in enumerate(vals) if c}))
+    points = [hw_a(k, field) for k in range(-w, w + 1)]
+    while frontier and not reached():
+        batch, frontier = frontier, []
+        for x in batch:
+            for a_k in points:
+                offer(hw_mul(x, a_k))
+            for c2 in range(-2 * w, 2 * w + 1):
+                offer(hw_reflect(x, rational(c2, 2)))
+    return "yes" if reached() else "unknown"
+
+
+SWEEP_TUPLES = [(1, -1), (1, -2, 1), (1, 0, -1), (1, -3, 3, -1), (1, -1, -1, 1), (1, 1, -1, -1),
+                (1, 0, 0, -1), (1, -4, 6, -4, 1)]
+SWEEP_WINDOWS = [None, 2, 4, 6, 8]
+
+
+def sweep_elements(t, field):
+    """15 elements for the tuple t: the generator g, a reflection of it and
+    products with it (all in the ideal), points, distances and sums, and
+    sparse elements drawn from a seeded rng."""
+    g = HighwaterElement(field, dict(enumerate(t)))
+    out = [g, hw_reflect(g, rational(3)), hw_mul(g, hw_a(1, field)), hw_mul(g, hw_a(-2, field)),
+           hw_mul(hw_mul(g, hw_a(2, field)), hw_a(0, field)), hw_mul(g, hw_s(1, field)),
+           hw_a(0, field), hw_a(1, field) - hw_a(0, field), hw_s(1, field),
+           hw_s(1, field) - hw_s(2, field), hw_mul(g, hw_a(1, field)) + hw_s(1, field)]
+    rng = random.Random(f"{t}:{field.kind}")
+    while len(out) < 15:
+        a = {rng.randint(-4, 4): rng.randint(-3, 3) for _ in range(rng.randint(1, 4))}
+        s = {rng.randint(1, 4): rng.randint(-3, 3) for _ in range(rng.randint(0, 2))}
+        out.append(HighwaterElement(field, a, s))
+    return out
+
+
+def sweep(field, tuples=SWEEP_TUPLES, windows=SWEEP_WINDOWS):
+    """(tuple, element, window) cases with the search's and the reference's answers."""
+    for t in tuples:
+        for v in sweep_elements(t, field):
+            for window in windows:
+                yield t, v, window, hw_ideal_window_contains(t, v, window), frontier_window_contains(t, v, window)
+
+
+class TestWindowSearch:
+    """`hw_ideal_window_contains` grows its span with `close_span`; it gives the
+    frontier loop's answers and stops as soon as v lies in the span."""
+
+    @pytest.mark.parametrize("field, tuples", [
+        (QQ, [(1, -1), (1, -2, 1), (1, 0, -1), (1, -3, 3, -1)]),
+        (GF(7), [(1, -2, 1), (1, 0, -1)]),
+    ], ids=["QQ", "GF(7)"])
+    def test_matches_the_frontier_loop(self, field, tuples):
+        answers = [(got, want) for *_, got, want in sweep(field, tuples, [None, 2, 4])]
+        assert all(got == want for got, want in answers)
+        assert {got for got, _ in answers} == {"yes", "unknown"}
+
+    def spied(self, monkeypatch, v):
+        """Per hw_mul call, whether v already lay in the span the search grows."""
+        accs, late = [], []
+        grow = highwater.close_span
+        monkeypatch.setattr(highwater, "close_span", lambda acc, *rest: accs.append(acc) or grow(acc, *rest))
+        mul = highwater.hw_mul
+        monkeypatch.setattr(highwater, "hw_mul",
+                            lambda x, y: late.append(not residue(v.row, accs[0].rows)) or mul(x, y))
+        return late
+
+    def test_translate_makes_no_product(self, monkeypatch):
+        # a translate of the generator is a seed: v is in the span before any expansion
+        v = hw_a(3) - hw_a(4).scale(2) + hw_a(5)
+        late = self.spied(monkeypatch, v)
+        assert hw_ideal_window_contains(("1", "-2", "1"), v, window=40) == "yes"
+        assert late == []
+
+    def test_no_product_once_v_is_reached(self, monkeypatch):
+        v = hw_mul(hw_a(0) - hw_a(1).scale(2) + hw_a(2), hw_a(1))
+        late = self.spied(monkeypatch, v)
+        assert hw_ideal_window_contains(("1", "-2", "1"), v, window=30) == "yes"
+        assert late and not any(late)
 
 
 class TestPeriodicQuotient:

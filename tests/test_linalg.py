@@ -11,6 +11,7 @@ from axial.linalg import (
     Matrix,
     Subspace,
     _mod,
+    close_span,
     combine,
     det,
     invert,
@@ -157,6 +158,39 @@ def test_echelon_accumulator_matches_kernel():
     assert acc.kernel().dim == kernel(m).dim == 1
     for v in acc.kernel().basis:
         assert is_zero_vec(m.mul_vec(v))
+
+
+class TestCloseSpan:
+    """`close_span` grows the accumulator it is given and stops expanding at full rank."""
+
+    @staticmethod
+    def shift(n, calls):
+        """images: v -> v moved one column right, dropping column n - 1; calls logs each v."""
+        return lambda v, _: calls.append(v) or [{c + 1: x for c, x in v.items() if c + 1 < n}]
+
+    def test_full_rank_seeds_are_never_expanded(self):
+        calls = []
+        acc = EchelonAccumulator(QQ, 3)
+        seeds = [{0: QQ.one(), 1: QQ.one()}, {1: QQ.one()}, {2: QQ.one()}]
+        assert close_span(acc, seeds, self.shift(3, calls)) is acc
+        assert acc.rank == 3 and calls == []
+
+    def test_stops_at_the_row_that_fills_the_space(self):
+        # from e_0 each expansion adds one column; e_{n-1} itself is never expanded
+        for n in (1, 2, 5):
+            calls = []
+            acc = close_span(EchelonAccumulator(QQ, n), [{0: QQ.one()}], self.shift(n, calls))
+            assert acc.subspace() == Subspace.full(QQ, n)
+            assert [min(v) for v in calls] == list(range(n - 1))
+
+    def test_images_read_the_span_as_it_grows(self):
+        # the caller holds the accumulator, so images can stop on its rows
+        acc = EchelonAccumulator(QQ, 6)
+        calls = []
+        shift = self.shift(6, calls)
+        close_span(acc, [{0: QQ.one()}], lambda v, done: [] if 3 in acc.rows else shift(v, done))
+        assert sorted(acc.rows) == [0, 1, 2, 3]
+        assert [min(v) for v in calls] == [0, 1, 2]
 
 
 @given(st.lists(entries, min_size=3, max_size=3), st.lists(entries, min_size=3, max_size=3))

@@ -28,6 +28,10 @@ PIPELINES = {
     "cli_hw6_radical.txt": (None, ["hw", "quotient", "6"], ["radical", "-"]),
     "cli_matsuo5_axet.json": (None, ["build", "matsuo:Sn:5:1/3"], ["axet", "--json", "-"]),
     "cli_hw_member.json": (MEMBER, ["hw", "member", "--json", "1,-2,1", "-"]),
+    "cli_hw_member_w30.json": (
+        '{"a": {"0": "1/2", "1": "-1", "2": "1/2"}, "s": {"1": "2"}}\n',
+        ["hw", "member", "--json", "--window", "30", "1,-2,1", "-"],
+    ),
     "cli_matsuo5_frobenius.json": (None, ["build", "matsuo:Sn:5:1/3"], ["frobenius", "--json", "-"]),
     "cli_matsuo6_radical.txt": (None, ["build", "matsuo:Sn:6:1/3"], ["radical", "-"]),
     "cli_matsuo7_frobenius.json": (None, ["build", "matsuo:Sn:7:1/3"], ["frobenius", "--json", "-"]),

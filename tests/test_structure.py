@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from axial import (
     GF,
+    Algebra,
     NORTON_SAKUMA_NAMES,
     QQ,
     baric_map_check,
@@ -203,6 +204,17 @@ def generator_sets(draw, alg):
     return out
 
 
+@st.composite
+def small_algebras(draw):
+    """A commutative algebra of dimension 1 to 4 over QQ or GF(3), with every
+    product of basis vectors drawn: mostly full closures, some not."""
+    field = draw(st.sampled_from((QQ, GF(3))))
+    n = draw(st.integers(min_value=1, max_value=4))
+    vectors = st.lists(st.sampled_from((0, 0, 1, -1, 2)), min_size=n, max_size=n)
+    products = {(i, j): tuple(map(field.from_int, draw(vectors))) for i in range(n) for j in range(i, n)}
+    return Algebra(field, tuple(f"e{i}" for i in range(n)), products)
+
+
 class TestSpanGrowth:
     def _check(self, alg, gens):
         assert alg.subalgebra_gen(gens) == _round_fixed_point(alg, gens, _all_pairs(alg))
@@ -220,6 +232,12 @@ class TestSpanGrowth:
     def test_matches_round_based_loop(self, span_algebras, data):
         alg = data.draw(st.sampled_from(span_algebras))
         self._check(alg, data.draw(generator_sets(alg)))
+
+    @given(data=st.data())
+    def test_matches_round_based_loop_on_drawn_algebras(self, data):
+        alg = data.draw(small_algebras())
+        entries = st.lists(st.sampled_from((0, 0, 1, -1, 3)), min_size=alg.dim, max_size=alg.dim)
+        self._check(alg, [alg.coerce_vector(v) for v in data.draw(st.lists(entries, max_size=3))])
 
     def test_one_generator_reaches_its_square(self):
         alg = norton_sakuma("3A")
