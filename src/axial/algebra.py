@@ -20,6 +20,7 @@ from .linalg import (
     Matrix,
     Subspace,
     as_vector,
+    cleared,
     close_span,
     combine,
     dense,
@@ -41,10 +42,12 @@ class Algebra:
     pairs; a zero product has no entry.  The constructor takes each product as
     a dense vector or an {index: scalar} map, under either index order; two
     entries for one pair must agree.  Every index is an int, never a bool,
-    float or str.
+    float or str.  `_int_layout`, built on first use, holds the same table
+    as ints for the Frobenius solve and the axis checks of `axes`: over Q
+    each constant times D, their common denominator, over F_p its residue.
     """
 
-    __slots__ = ("field", "dim", "basis", "products", "axes", "law", "form")
+    __slots__ = ("field", "dim", "basis", "products", "_ints", "axes", "law", "form")
 
     def __init__(
         self,
@@ -69,6 +72,7 @@ class Algebra:
             if table.setdefault((i, j), pairs) != pairs:
                 raise AxialError(f"conflicting products for pair ({i},{j})")
         self.products = {ij: pairs for ij, pairs in table.items() if pairs}
+        self._ints = None
         self.axes = tuple((str(name), self.coerce_vector(v)) for name, v in axes)
         self.law = law
         self.form = form
@@ -129,6 +133,29 @@ class Algebra:
                 if pairs is not None:
                     terms.append((y if unit else x if y == 1 else x * y, pairs))
         return combine(terms)
+
+    def _int_layout(self):
+        """(D, ad), ad[i][j] the pairs (k, D c_ij^k) of e_i e_j as ints (D = 1 over F_p)."""
+        if self._ints is None:
+            den, rows = cleared(self.field, [dict(pairs) for pairs in self.products.values()])
+            table = {ij: tuple(row.items()) for ij, row in zip(self.products, rows)}
+            n = self.dim
+            self._ints = den, [[table.get((i, j) if i <= j else (j, i), ()) for j in range(n)] for i in range(n)]
+        return self._ints
+
+    def _imul(self, u, v) -> dict:
+        """D u v for sparse rows u and v of ints, on the int layout, as a sparse
+        row of ints; over F_p the entries are not reduced."""
+        ad = self._int_layout()[1]
+        acc = {}
+        get = acc.get
+        for i, x in u.items():
+            row = ad[i]
+            for j, y in v.items():
+                f = x * y
+                for k, c in row[j]:
+                    acc[k] = get(k, 0) + f * c
+        return {k: c for k, c in acc.items() if c}
 
     def adjoint(self, a) -> Matrix:
         """Matrix of x -> a x; column j is a e_j."""

@@ -18,7 +18,7 @@ from .errors import (
 )
 from .fusion import FusionLaw, Grading, unique_adequate_grading
 from .linalg import (
-    EchelonAccumulator, Matrix, Subspace, dot, invert, kernel, residue, row_key, scaled, sparse,
+    EchelonAccumulator, Matrix, Subspace, _mod, cleared, combine, dot, invert, kernel, row_key, scaled, sparse,
 )
 from .perms import Perm, classes, group_order
 
@@ -84,23 +84,25 @@ def check_axis(alg: Algebra, a, law: FusionLaw) -> AxisReport:
 
 
 def _check_axis(alg: Algebra, a, law: FusionLaw) -> AxisReport:
-    """check_axis for a sparse row a."""
+    """check_axis for a sparse row a; the fusion products run on the int
+    layout, each eigenvector cleared to ints (see `_in_span`)."""
     is_idem = alg._mul(a, a) == a
     dims, spaces = _eigen_decomposition(alg, a, law)
+    field, p = alg.field, alg.field.characteristic
     violations = []
-    targets = {
-        cell: EchelonAccumulator.of(
-            alg.field, alg.dim, (b for k in sorted(cell) for b in spaces[k].rows.values())
-        ).subspace()
-        for cell in {c for row in law.table for c in row}
-    }
+    targets = {}
+    for cell in {c for row in law.table for c in row}:
+        rows = EchelonAccumulator.of(field, alg.dim, (b for k in sorted(cell) for b in spaces[k].rows.values())).rows
+        den, ints = cleared(field, list(rows.values()))
+        targets[cell] = den, {q: tuple(r.items()) for q, r in zip(rows, ints)}
+    eigen = [[(u, cleared(field, [u])[1][0]) for u in s.rows.values()] for s in spaces]
     for i in range(law.size):
         for j in range(i, law.size):  # the law is symmetric, and so is the product
-            tgt = targets[law.table[i][j]]
-            vs = list(spaces[j].rows.values())
-            for r, u in enumerate(spaces[i].rows.values()):
-                for v in vs[r if i == j else 0:]:
-                    if residue(alg._mul(u, v), tgt.rows):
+            den, tgt = targets[law.table[i][j]]
+            vs = eigen[j]
+            for r, (u, ui) in enumerate(eigen[i]):
+                for v, vi in vs[r if i == j else 0:]:
+                    if not _in_span(alg._imul(ui, vi), den, tgt, p):
                         violations.append((law.elements[i], law.elements[j], alg._dense(u), alg._dense(v)))
 
     primitive = is_idem and dims[law.one_index] == 1
@@ -114,6 +116,17 @@ def _check_axis(alg: Algebra, a, law: FusionLaw) -> AxisReport:
         fusion_violations=tuple(violations),
         is_primitive=primitive,
     )
+
+
+def _agree(x: dict, y: dict, p: int) -> bool:
+    """Whether two sparse rows of ints are equal: over Z, or mod p when p > 0."""
+    return _mod(x, p) == _mod(y, p) if p else x == y
+
+
+def _in_span(w: dict, den: int, rows: dict, p: int) -> bool:
+    """Whether the sparse row w of ints lies in the span of the reduced echelon
+    rows[q] / den, by pivot q: iff den w = sum_q w[q] rows[q]."""
+    return _agree(scaled(den, w), combine((x, rows[q]) for q, x in w.items() if q in rows), p)
 
 
 @dataclass(frozen=True)
@@ -283,11 +296,13 @@ def _tau_from_report(alg: Algebra, report: AxisReport, grading: Grading) -> Matr
     cols, owner, inv = _eigenbasis(alg, report.eigenspaces)
     signed = [scaled(grading.signs[t], c) for c, t in zip(cols, owner)]
     tau = Matrix._of(alg.field, alg.dim, signed).transpose().matmul(inv)
-    tau_cols = tau._columns()
+    # with M tau as ints, both sides of tau(e_i e_j) = tau(e_i) tau(e_j) times M^2 D
+    m, cols = cleared(alg.field, tau._columns())
+    ad, p = alg._int_layout()[1], alg.field.characteristic
     for i in range(alg.dim):
         for j in range(i, alg.dim):
-            lhs = tau._apply(dict(alg._product_pairs(i, j)))
-            if lhs != alg._mul(tau_cols[i], tau_cols[j]):
+            lhs = combine((m * c, cols[k].items()) for k, c in ad[i][j])
+            if not _agree(lhs, alg._imul(cols[i], cols[j]), p):
                 raise ConsistencyFailure("Miyamoto map is not an algebra automorphism")
     return tau
 
@@ -309,12 +324,18 @@ def _transport(alg: Algebra, report: AxisReport, tau: Matrix, b) -> AxisReport:
     verified automorphism tau maps each A_lam(a) onto A_lam(b).  Certified by
     b w = lam w on each mapped basis vector w; these are independent and dim
     in number, so they span each A_lam(b) exactly.  Idempotency, fusion and
-    primitivity carry over."""
+    primitivity carry over.  The test runs on the int layout: with B b and
+    W w as ints and lam = num/den, it reads den D (B b)(W w) = num D B (W w)."""
+    field, p = alg.field, alg.field.characteristic
+    scale, (bi,) = cleared(field, [b])
+    scale *= alg._int_layout()[0]
     spaces = []
     for lam, space in zip(report.law.elements, report.eigenspaces):
         ws = [tau._apply(u) for u in space.rows.values()]
-        if any(alg._mul(b, w) != scaled(lam, w) for w in ws):
-            raise ConsistencyFailure("transported eigenvector is not an eigenvector of the image")
+        den, (num,) = cleared(field, [{0: lam}])
+        for _, (wi,) in (cleared(field, [w]) for w in ws):
+            if not _agree(scaled(den, alg._imul(bi, wi)), scaled(num[0] * scale, wi), p):
+                raise ConsistencyFailure("transported eigenvector is not an eigenvector of the image")
         spaces.append(EchelonAccumulator.of(alg.field, alg.dim, ws).subspace())
     return replace(report, axis=alg._dense(b), eigenspaces=tuple(spaces))
 

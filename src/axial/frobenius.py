@@ -2,7 +2,7 @@
 eigenspace orthogonality and projection graphs."""
 
 from dataclasses import dataclass
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 from typing import List, Optional, Tuple
 
 from .algebra import Algebra, _form
@@ -10,7 +10,7 @@ from .axes import Axet, _projection_functional, eigen_decomposition
 from .errors import ConsistencyFailure, Unsupported
 from .fields import _is_prime, rational
 from .fusion import FusionLaw
-from .linalg import EchelonAccumulator, Matrix, Subspace, combine, dot, kernel, solve_linear, sparse
+from .linalg import EchelonAccumulator, Matrix, Subspace, cleared, combine, dot, kernel, solve_linear, sparse
 
 
 def _primes():
@@ -38,14 +38,11 @@ def frobenius_solution_space(alg: Algebra) -> Subspace:
 
 
 def _adjoints(alg: Algebra):
-    """The one structure layout of a solve: ad[j][l] = the (m, c) pairs of
-    e_j e_l, c = c_jl^m as an int: over Q the numerator times the common
-    denominator, which leaves the solutions alone, and over F_p the residue."""
-    table, n, field = alg.products, alg.dim, alg.field
-    den = lcm(*(c.denominator for ps in table.values() for _, c in ps)) if field.kind == "rational" else 0
-    table = {ij: tuple((m, c.numerator * (den // c.denominator) if den else c.v) for m, c in pairs)
-             for ij, pairs in table.items()}
-    return [[table.get((j, l) if j <= l else (l, j), ()) for l in range(n)] for j in range(n)]
+    """The one structure layout of a solve, the int layout of the algebra
+    (`Algebra._int_layout`): ad[j][l] = the (m, c) pairs of e_j e_l, c = c_jl^m
+    as an int, over Q times the common denominator, which leaves the
+    solutions alone, and over F_p the residue."""
+    return alg._int_layout()[1]
 
 
 def _block(n: int, ad, j: int):
@@ -147,7 +144,7 @@ def _lifted(alg: Algebra) -> list:
         else:
             continue
         lifted = _lift(residues, modulus)
-        if lifted is not None and all(_solves(n, ad, _cleared(row), range(n)) for row in lifted):
+        if lifted is not None and all(_solves(n, ad, cleared(alg.field, [row])[1][0], range(n)) for row in lifted):
             return lifted
 
 
@@ -185,12 +182,6 @@ def _reconstruct(u: int, m: int):
     if abs(s1) > bound or gcd(r1, s1) != 1:
         return None
     return rational(r1, s1)
-
-
-def _cleared(row: dict) -> dict:
-    """The sparse row of fractions times the lcm of their denominators, as ints."""
-    scale = lcm(*(x.denominator for x in row.values()))
-    return {c: x.numerator * (scale // x.denominator) for c, x in row.items()}
 
 
 def _gram_from_flat(alg: Algebra, flat) -> Matrix:

@@ -26,6 +26,7 @@ product by columns), so the cost follows the vector's support, not the
 number of rows.
 """
 
+from math import lcm
 from typing import Optional
 
 from .errors import DimensionError, InvalidField
@@ -117,6 +118,16 @@ def scaled(f, row) -> dict:
     if f == -1:
         return {c: -x for c, x in row.items()}
     return {c: f * x for c, x in row.items()} if f else {}
+
+
+def cleared(field: FieldSpec, rows):
+    """(s, [s row for each row]) for sparse rows over `field`, the rows s row as
+    ints: over Q, s is the common denominator of every entry of every row, and
+    over F_p, s = 1 and the entries are residues."""
+    if field.kind != "rational":
+        return 1, [{c: x.v for c, x in row.items()} for row in rows]
+    s = lcm(*(x.denominator for row in rows for x in row.values()))
+    return s, [{c: x.numerator * (s // x.denominator) for c, x in row.items()} for row in rows]
 
 
 def dot(field: FieldSpec, u, v):

@@ -21,7 +21,7 @@ from axial import (
 )
 from axial.catalog import ThreeTranspositionGroup
 from axial.errors import AxialError, DimensionError, MalformedInput, NotAnIdeal
-from axial.linalg import Matrix, Subspace, is_zero_vec, sparse, vadd, vscale
+from axial.linalg import Matrix, Subspace, cleared, is_zero_vec, sparse, vadd, vscale
 
 coeffs = st.integers(min_value=-7, max_value=7).map(rational)
 
@@ -156,6 +156,29 @@ class TestSparseKernels:
             ad = alg.adjoint(a)
             assert ad.data == rows
             assert ad.rows == tuple(map(sparse, rows))
+
+    def test_int_layout_is_the_scaled_table(self, kernel_case):
+        # D c as plain ints under both index orders; over F_p D = 1, residues
+        _, alg, _, _ = kernel_case
+        den, ad = alg._int_layout()
+        d = alg.field.from_int(den)
+        for i in range(alg.dim):
+            for j in range(alg.dim):
+                assert all(type(c) is int for _, c in ad[i][j])
+                want = [(k, d * c) for k, c in alg._product_pairs(i, j)]
+                assert [(k, alg.field.from_int(c)) for k, c in ad[i][j]] == want
+
+    def test_int_product_matches_mul(self, kernel_case):
+        # (s u)(t v) on the int layout, with s u and t v the probes cleared to
+        # ints, is D s t u v: over Q exactly, over F_p as residues
+        _, alg, probes, _ = kernel_case
+        field, den = alg.field, alg._int_layout()[0]
+        for u in map(sparse, probes):
+            for v in map(sparse, probes):
+                (s, (ui,)), (t, (vi,)) = cleared(field, [u]), cleared(field, [v])
+                got = {k: field.from_int(x) for k, x in alg._imul(ui, vi).items()}
+                want = {k: field.from_int(den * s * t) * x for k, x in alg._mul(u, v).items()}
+                assert {k: x for k, x in got.items() if x} == want
 
     def test_products_cancel_to_exact_zero(self, kernel_case):
         # in 2B the product of distinct basis vectors is 0, so no two products share an entry

@@ -30,11 +30,21 @@ from axial import (
     rational,
     spin_factor,
 )
-from axial.axes import _conjugate_tau, _transport, projection, projection_functional, resolve_grading
+from axial.axes import (
+    AxisReport,
+    _conjugate_tau,
+    _eigenbasis,
+    _tau_from_report,
+    _transport,
+    projection,
+    projection_functional,
+    resolve_grading,
+)
 from axial.catalog import ThreeTranspositionGroup
-from axial.fusion import _build
+from axial.fusion import Grading, _build, law_M
 from axial.perms import parse_cycles
 from axial.errors import (
+    AxialError,
     ClosureCapExceeded,
     ConsistencyFailure,
     InvalidGrading,
@@ -43,7 +53,7 @@ from axial.errors import (
     NotSemisimple,
     NotTwoGenerated,
 )
-from axial.linalg import EchelonAccumulator, Matrix, sparse, vadd, vscale, vsub
+from axial.linalg import EchelonAccumulator, Matrix, residue, scaled, sparse, vadd, vscale, vsub
 
 coeffs = st.integers(min_value=-5, max_value=5).map(rational)
 
@@ -143,6 +153,8 @@ class TestMiyamoto:
 
 def _algebra(spec):
     kind, _, arg = spec.partition(":")
+    if kind == "rescaled":
+        return _rescaled(_algebra(arg))
     if kind == "ns":
         return norton_sakuma(arg)
     if kind == "hw":
@@ -442,6 +454,205 @@ class TestTransport:
         swapped = replace(rep, eigenspaces=tuple(spaces), eigen_dims=tuple(dims))
         with pytest.raises(ConsistencyFailure):
             _transport(alg, swapped, tau_c, sparse(b))  # the 1/4 and 1/32 labels swapped
+
+
+# -- the three checks on the int layout against their field versions ----------
+
+
+def field_check_axis(alg, a, law):
+    """`check_axis` with the fusion products on the field's scalars, each
+    reduced against the target's echelon rows: the reference for the checks
+    on the int layout."""
+    a = sparse(alg.coerce_vector(a))
+    is_idem = alg._mul(a, a) == a
+    dims, spaces = eigen_decomposition(alg, alg._dense(a), law)
+    targets = {
+        cell: EchelonAccumulator.of(
+            alg.field, alg.dim, (b for k in sorted(cell) for b in spaces[k].rows.values())
+        ).subspace()
+        for cell in {c for row in law.table for c in row}
+    }
+    violations = []
+    for i in range(law.size):
+        for j in range(i, law.size):
+            tgt = targets[law.table[i][j]]
+            vs = list(spaces[j].rows.values())
+            for r, u in enumerate(spaces[i].rows.values()):
+                for v in vs[r if i == j else 0:]:
+                    if residue(alg._mul(u, v), tgt.rows):
+                        violations.append((law.elements[i], law.elements[j], alg._dense(u), alg._dense(v)))
+    return AxisReport(
+        axis=alg._dense(a), law=law, is_idempotent=is_idem, eigen_dims=dims, eigenspaces=spaces,
+        is_semisimple=sum(dims) == alg.dim, fusion_violations=tuple(violations),
+        is_primitive=is_idem and dims[law.one_index] == 1,
+    )
+
+
+def field_tau(alg, report, grading):
+    """`_tau_from_report` with tau(e_i e_j) = tau(e_i) tau(e_j) compared on the field's scalars."""
+    cols, owner, inv = _eigenbasis(alg, report.eigenspaces)
+    signed = [scaled(grading.signs[t], c) for c, t in zip(cols, owner)]
+    tau = Matrix._of(alg.field, alg.dim, signed).transpose().matmul(inv)
+    tau_cols = tau._columns()
+    for i in range(alg.dim):
+        for j in range(i, alg.dim):
+            if tau._apply(dict(alg._product_pairs(i, j))) != alg._mul(tau_cols[i], tau_cols[j]):
+                raise ConsistencyFailure("Miyamoto map is not an algebra automorphism")
+    return tau
+
+
+def field_transport(alg, report, tau, b):
+    """`_transport` with b w = lam w compared on the field's scalars."""
+    spaces = []
+    for lam, space in zip(report.law.elements, report.eigenspaces):
+        ws = [tau._apply(u) for u in space.rows.values()]
+        if any(alg._mul(b, w) != scaled(lam, w) for w in ws):
+            raise ConsistencyFailure("transported eigenvector is not an eigenvector of the image")
+        spaces.append(EchelonAccumulator.of(alg.field, alg.dim, ws).subspace())
+    return replace(report, axis=alg._dense(b), eigenspaces=tuple(spaces))
+
+
+def _outcome(check, *args):
+    """What a check returns, or the name of the ConsistencyFailure it raises."""
+    try:
+        return check(*args)
+    except ConsistencyFailure:
+        return "ConsistencyFailure"
+
+
+def _rescaled(alg):
+    """alg in the basis f_i = (i + 2) e_i, where the structure constants, the
+    eigenvectors and the Miyamoto maps have entries that are not integers."""
+    s = [alg.field.from_int(i + 2) for i in range(alg.dim)]
+    products = {(i, j): {k: c * s[i] * s[j] / s[k] for k, c in pairs} for (i, j), pairs in alg.products.items()}
+    axes = [(name, [x / s[k] for k, x in enumerate(v)]) for name, v in alg.axes]
+    return Algebra(alg.field, alg.basis, products, axes=axes, law=alg.law)
+
+
+def _differential_cases():
+    """(id, algebra, law) for every input of the differential sweep: the
+    Norton-Sakuma algebras under two laws they break, and Matsuo S3-S5 at
+    five values of eta under their own law, A and J(1/3), over QQ and three
+    primes.  A value of eta that repeats over F_p, or that the catalog or a
+    law refuses there, is left out.  The NS algebras and Matsuo S4 over QQ
+    and GF(10007) also appear rescaled (`_rescaled`) under their own law."""
+    cases = []
+    for name in NORTON_SAKUMA_NAMES:
+        alg = norton_sakuma(name)
+        cases.append((f"ns:{name}:M(1/32,1/4)", alg, law_M(QQ, "1/32", "1/4")))
+        cases.append((f"ns:{name}:J(1/32)", alg, law_J(QQ, "1/32")))
+        cases.append((f"rescaled:ns:{name}", _rescaled(alg), alg.law))
+    for spec in ("rescaled:matsuo:4:0", "rescaled:matsuo:4:10007"):
+        alg = _algebra(spec)
+        cases.append((spec, alg, alg.law))
+    for field in (QQ, GF(5), GF(7), GF(10007)):
+        etas = {}
+        for text in ("1/4", "1/2", "-1", "2", "1/3"):
+            etas.setdefault(field.parse(text), text)
+        for eta, text in etas.items():
+            for n in (3, 4, 5):
+                try:
+                    alg = matsuo(ThreeTranspositionGroup.symmetric(n), eta, field)
+                    laws = {"own": alg.law, "A": law_A(field), "J(1/3)": law_J(field, "1/3")}
+                except AxialError:
+                    continue
+                for label, law in laws.items():
+                    cases.append((f"matsuo:S{n}:{text}:{field.p or 'QQ'}:{label}", alg, law))
+    return cases
+
+
+DIFFERENTIAL_CASES = _differential_cases()
+
+
+class TestIntChecks:
+    """The fusion, automorphism and transport checks run on the algebra's int
+    layout; each is compared, report for report and raise for raise, with
+    the same check on the field's scalars (`field_check_axis`, `field_tau`,
+    `field_transport`), on inputs where many axes break the law."""
+
+    def test_matches_the_field_checks(self):
+        # the sweep is not vacuous: it meets violations, passes, maps that are
+        # and are not automorphisms, and transports that fail
+        total = {}
+        for name, alg, law in DIFFERENTIAL_CASES:
+            found = self.sweep(name, alg, law)
+            assert found["reports"] == len(alg.axes), name
+            for key, count in found.items():
+                total[key] = total.get(key, 0) + count
+        assert total["violations"] and total["passed"]
+        assert total["automorphisms"] and total["not automorphisms"]
+        assert total["transported"] and total["not transported"]
+
+    @staticmethod
+    def sweep(name, alg, law):
+        """Compare the checks on every designated axis of alg under law, and
+        the maps of the first three and the transports through them; returns
+        counts by outcome."""
+        found = dict.fromkeys(["reports", "violations", "passed", "automorphisms", "not automorphisms",
+                               "transported", "not transported"], 0)
+        reports = []
+        for _, v in alg.axes:
+            rep = check_axis(alg, v, law)
+            assert rep == field_check_axis(alg, v, law), name
+            found["reports"] += 1
+            found["violations"] += len(rep.fusion_violations)
+            found["passed"] += rep.passed
+            reports.append(rep)
+        try:
+            grading = resolve_grading(law)
+        except InvalidGrading:
+            return found
+        maps = []
+        for rep in reports[:3]:
+            if not rep.is_semisimple:
+                continue
+            tau = _outcome(_tau_from_report, alg, rep, grading)
+            assert tau == _outcome(field_tau, alg, rep, grading), name
+            found["automorphisms" if isinstance(tau, Matrix) else "not automorphisms"] += 1
+            if isinstance(tau, Matrix):
+                maps.append((rep, tau))
+        for rep, _ in maps:  # b = tau'(a), transported through every tau
+            for _, image in maps:
+                b = image._apply(sparse(rep.axis))
+                for _, tau in maps:
+                    got = _outcome(_transport, alg, rep, tau, b)
+                    assert got == _outcome(field_transport, alg, rep, tau, b), name
+                    found["transported" if isinstance(got, AxisReport) else "not transported"] += 1
+        return found
+
+    @pytest.mark.parametrize("spec", ["ns:3A", "rescaled:ns:3A", "matsuo:4:7", "matsuo:5:10007"])
+    def test_a_map_that_is_not_an_automorphism_raises(self, spec):
+        # the grading that negates 0 instead: A_0 A_0 lies in A_0 + A_1, which
+        # that sign map does not preserve
+        alg = _algebra(spec)
+        rep = check_axis(alg, alg.axes[0][1], alg.law)
+        wrong = Grading(tuple(-1 if lam == alg.field.zero() else 1 for lam in alg.law.elements))
+        for check in (_tau_from_report, field_tau):
+            with pytest.raises(ConsistencyFailure):
+                check(alg, rep, wrong)
+
+    @pytest.mark.parametrize("spec", ["ns:3A", "rescaled:ns:3A", "matsuo:4:7", "matsuo:5:10007"])
+    def test_a_vector_that_is_not_an_eigenvector_raises(self, spec):
+        # tau_a fixes a, so it maps a's eigenvectors to a's, not to those of b = tau_c(a)
+        alg = _algebra(spec)
+        a, c = alg.axes[0][1], alg.axes[1][1]
+        tau_a, tau_c = miyamoto(alg, a).matrix, miyamoto(alg, c).matrix
+        rep, b = check_axis(alg, a, alg.law), sparse(tau_c.mul_vec(a))
+        assert b != sparse(a)
+        for check in (_transport, field_transport):
+            _same_report(check(alg, rep, tau_c, b), check_axis(alg, alg._dense(b), alg.law))
+            with pytest.raises(ConsistencyFailure):
+                check(alg, rep, tau_a, b)
+
+    def test_checks_read_the_algebra_own_layout(self):
+        # Matsuo S4 at eta = 1/4 and at eta = 1/2 share field, basis and axes,
+        # so only their tables tell them apart
+        quarter, half = (matsuo(ThreeTranspositionGroup.symmetric(4), QQ.parse(eta)) for eta in ("1/4", "1/2"))
+        check_axis(quarter, quarter.axes[0][1], law_J(QQ, "1/2"))
+        alg = half.with_axes(quarter.axes)
+        for _, v in alg.axes:
+            for law in (alg.law, law_J(QQ, "1/4")):
+                _same_report(check_axis(alg, v, law), field_check_axis(alg, v, law))
 
 
 INVARIANT_CASES = (
