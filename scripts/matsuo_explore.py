@@ -25,7 +25,6 @@ from axial import (
     rational,
     solve_frobenius,
 )
-from axial.linalg import vsub
 
 
 @dataclass
@@ -66,7 +65,7 @@ def skew_demo(eta_text: str) -> str:
     for v in alg.axis_vectors()[1:]:
         total = tuple(x + y for x, y in zip(total, v))
     unit = tuple(x / (1 + eta) for x in total)
-    twin = vsub(unit, a)
+    twin = tuple(x - y for x, y in zip(unit, a))
     law = law_M(QQ, eta, 1 - eta)
     rep = check_axis(alg, twin, law)
     if not rep.passed:

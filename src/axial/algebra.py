@@ -28,7 +28,6 @@ from .linalg import (
     residue,
     row_key,
     sparse,
-    vzero,
 )
 
 Vector = Tuple
@@ -99,7 +98,7 @@ class Algebra:
         return dense(self.field, row, self.dim)
 
     def zero_vector(self) -> Vector:
-        return vzero(self.field, self.dim)
+        return self._dense({})
 
     def basis_vector(self, i: int) -> Vector:
         if not 0 <= i < self.dim:

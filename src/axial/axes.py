@@ -8,6 +8,7 @@ from .algebra import Algebra
 from .errors import (
     ClosureCapExceeded,
     ConsistencyFailure,
+    DegenerateParameters,
     InvalidField,
     InvalidGrading,
     NotAnAxis,
@@ -15,6 +16,7 @@ from .errors import (
     NotSemisimple,
     NotTwoGenerated,
     Unsupported,
+    brief,
 )
 from .fusion import FusionLaw, Grading, unique_adequate_grading
 from .linalg import (
@@ -422,13 +424,16 @@ def close_axes(
     Each (map, axis) image is computed once, as soon as both are admitted.
     New images are admitted round by round in order of their first (map
     index, axis index) pair, as a sweep of every map over every axis would
-    find them.  The cap bounds the number of closed axes, seeds included.
+    find them.  The cap bounds the number of closed axes, seeds included; a
+    negative cap raises DegenerateParameters.
     """
+    limit = DEFAULT_AXIS_CAP if cap is None else cap
+    if limit < 0:
+        raise DegenerateParameters(f"cap {brief(limit)} is below 0")
     law = law if law is not None else alg.law
     if law is None:
         raise Unsupported("axis closure needs a fusion law")
     grading = resolve_grading(law)
-    limit = DEFAULT_AXIS_CAP if cap is None else cap
     adm = _Admission(alg, law, grading, maps=True)
 
     def admit(v) -> AxisReport:

@@ -24,32 +24,26 @@ def frobenius_solution_space(alg: Algebra) -> Subspace:
     """All bilinear forms with (u, vw) = (uv, w), as flat n^2 vectors.
 
     Only associativity is imposed; symmetry of the solutions is a theorem,
-    not a constraint, and is checked downstream.  `_kernel` eliminates the
-    equations block by block on ints mod a prime: p over F_p, and over Q each
-    prime of `_primes` until the lift certifies (`_lifted`).  One echelon of
-    the kernel vectors gives the reduced basis of the exact solution space.
+    not a constraint, and is checked downstream.  The equations come from
+    the int layout `Algebra._int_layout`, whose scaling by D over Q leaves
+    the solutions alone.  `_kernel` eliminates them block by block on ints
+    mod a prime: p over F_p, and over Q each prime of `_primes` until the
+    lift certifies (`_lifted`).  One echelon of the kernel vectors gives the
+    reduced basis of the exact solution space.
     """
     field = alg.field
     if field.kind == "rational":
         return EchelonAccumulator.of(field, alg.dim ** 2, _lifted(alg)).subspace()
-    free = _kernel(alg, _adjoints(alg), field.p)[1].values()
+    free = _kernel(alg, alg._int_layout()[1], field.p)[1].values()
     rows = ({c: field.from_int(x) for c, x in row.items()} for row in free)
     return EchelonAccumulator.of(field, alg.dim ** 2, rows).subspace()
-
-
-def _adjoints(alg: Algebra):
-    """The one structure layout of a solve, the int layout of the algebra
-    (`Algebra._int_layout`): ad[j][l] = the (m, c) pairs of e_j e_l, c = c_jl^m
-    as an int, over Q times the common denominator, which leaves the
-    solutions alone, and over F_p the residue."""
-    return alg._int_layout()[1]
 
 
 def _block(n: int, ad, j: int):
     """Block j of the equations: G ad_j = ad_j^T G, as the rows (i, j, l) for
     every i and l.  Row (i, j, l) is sum_m c_jl^m X[i, m] - c_ij^m X[m, l] = 0,
     (e_i, e_j e_l) = (e_i e_j, e_l), sparse over the n^2 Gram entries, from
-    the layout `_adjoints`."""
+    the layout `Algebra._int_layout`."""
     right = ad[j]
     for i in range(n):
         left = ad[i][j]
@@ -90,7 +84,7 @@ def _solves(n: int, ad, g: dict, blocks, p: Optional[int] = None) -> bool:
 
 def _kernel(alg: Algebra, ad, p: int):
     """(pivot columns, kernel basis by free column) of the equations of the
-    int layout `ad` (see `_adjoints`), eliminated mod the prime p.
+    int layout `ad` (see `Algebra._int_layout`), eliminated mod the prime p.
 
     The layout is reduced mod p once, so every row fed has entries below p
     in absolute value.  The blocks j = 0, 1, ... are fed in turn, and the
@@ -131,7 +125,7 @@ def _lifted(alg: Algebra) -> list:
     vectors are that many independent solutions (each is 1 at its own free
     column and 0 at the others).  So they span the solution space.
     """
-    n, ad = alg.dim, _adjoints(alg)
+    n, ad = alg.dim, alg._int_layout()[1]
     kept, residues, modulus = None, None, 1
     for p in _primes():
         pivots, free = _kernel(alg, ad, p)

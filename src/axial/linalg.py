@@ -33,37 +33,6 @@ from .errors import DimensionError, InvalidField
 from .fields import FieldSpec
 
 
-def _zip(u, v):
-    if len(u) != len(v):
-        raise DimensionError(f"vector lengths {len(u)} vs {len(v)}")
-    return zip(u, v)
-
-
-def vadd(u, v):
-    return tuple(a + b for a, b in _zip(u, v))
-
-
-def vsub(u, v):
-    return tuple(a - b for a, b in _zip(u, v))
-
-
-def vscale(c, u):
-    return tuple(c * a for a in u)
-
-
-def vdot(u, v):
-    terms = [a * b for a, b in _zip(u, v)]
-    return sum(terms[1:], terms[0]) if terms else None
-
-
-def vzero(field: FieldSpec, n: int):
-    return (field.zero(),) * n
-
-
-def is_zero_vec(u) -> bool:
-    return not any(u)
-
-
 def as_vector(field: FieldSpec, v, n: int):
     """The one entry check for a caller's vector: n scalars of `field`, as a tuple."""
     v = tuple(field.coerce(x) for x in v)
@@ -292,8 +261,8 @@ class EchelonAccumulator:
         self.modulus = modulus
 
     @classmethod
-    def of(cls, field: FieldSpec, ncols: int, rows, modulus: Optional[int] = None) -> "EchelonAccumulator":
-        acc = cls(field, ncols, modulus)
+    def of(cls, field: FieldSpec, ncols: int, rows) -> "EchelonAccumulator":
+        acc = cls(field, ncols)
         for row in rows:
             acc.add_row(row)
         return acc
@@ -389,12 +358,6 @@ def close_span(acc: EchelonAccumulator, seeds, images) -> EchelonAccumulator:
         done += 1
         offer(images(accepted[done - 1], accepted[:done]))
     return acc
-
-
-def rref(m: Matrix) -> Matrix:
-    acc = EchelonAccumulator.of(m.field, m.ncols, m.rows)
-    rows = [acc.rows[p] for p in sorted(acc.rows)] + [{} for _ in range(m.nrows - acc.rank)]
-    return Matrix._of(m.field, m.ncols, rows)
 
 
 def det(m: Matrix):

@@ -27,23 +27,26 @@ from .catalog import check_build_dim
 from .errors import InvalidField, MalformedInput, brief
 from .fields import FieldSpec, parse_int
 from .fusion import law_from_obj, law_to_obj
-from .linalg import Matrix, sparse
+from .linalg import Matrix, dense, sparse
 
 
 def vec_to_obj(field: FieldSpec, v) -> dict:
     return {str(k): field.fmt(c) for k, c in enumerate(v) if c != field.zero()}
 
 
-def vec_from_obj(field: FieldSpec, obj, dim: int):
+def vec_from_obj(field: FieldSpec, obj, dim: int) -> dict:
+    """The sparse row of a vector object; a literal that parses to 0 is dropped."""
     if not isinstance(obj, dict):
         raise MalformedInput(f"vector must be an object of index: scalar, not {brief(obj)}")
-    vec = [field.zero()] * dim
+    row = {}
     for k, lit in obj.items():
         k = parse_int(k, "index key")
         if not 0 <= k < dim:
             raise MalformedInput(f"coordinate index {brief(k)} out of range for dim {dim}")
-        vec[k] = field.parse(lit)
-    return tuple(vec)
+        x = field.parse(lit)
+        if x:
+            row[k] = x
+    return row
 
 
 def algebra_to_obj(alg: Algebra) -> dict:
@@ -81,11 +84,11 @@ def algebra_from_obj(obj) -> Algebra:
             i, j = entry["i"], entry["j"]
             if not (type(i) is type(j) is int and 0 <= i < dim and 0 <= j < dim):
                 raise MalformedInput(f"product index ({brief(i)}, {brief(j)}) is not a JSON integer pair in 0..{dim - 1}")
-            vec = vec_from_obj(field, entry["v"], dim)
-            if products.setdefault((i, j), vec) != vec:
+            row = vec_from_obj(field, entry["v"], dim)
+            if products.setdefault((i, j), row) != row:
                 raise MalformedInput(f"conflicting products for pair ({i}, {j})")
         axes = [
-            (str(e["name"]), vec_from_obj(field, e["v"], dim))
+            (str(e["name"]), dense(field, vec_from_obj(field, e["v"], dim), dim))
             for e in obj.get("axes", ())
         ]
         law = law_from_obj(field, obj["law"]) if "law" in obj else None

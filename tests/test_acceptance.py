@@ -46,7 +46,8 @@ from axial.catalog import ThreeTranspositionGroup
 from axial.errors import Unsupported
 from axial.frobenius import eigenspace_orthogonality_violations, is_symmetric_form
 from axial.highwater import hw_quotient_weights
-from axial.linalg import Subspace, vadd, vsub
+from axial.linalg import Subspace
+from vectors import vadd, vsub
 
 NS_DIMS = {"2A": 3, "2B": 2, "3A": 4, "3C": 3, "4A": 5, "4B": 5, "5A": 6, "6A": 8}
 

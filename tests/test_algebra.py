@@ -1,6 +1,7 @@
 """Core algebra container: products, subspaces as substructures, quotients."""
 
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -20,8 +21,12 @@ from axial import (
     rational,
 )
 from axial.catalog import ThreeTranspositionGroup
-from axial.errors import AxialError, DimensionError, MalformedInput, NotAnIdeal
-from axial.linalg import Matrix, Subspace, cleared, is_zero_vec, sparse, vadd, vscale
+from axial.errors import AxialError, DimensionError, MalformedInput, NotAnIdeal, brief
+from axial.fields import FieldSpec, parse_int
+from axial.fusion import law_from_obj
+from axial.linalg import Matrix, Subspace, cleared, sparse
+from axial.serialize import _scalar_rows, algebra_from_obj, vec_from_obj
+from vectors import is_zero_vec, vadd, vscale
 
 coeffs = st.integers(min_value=-7, max_value=7).map(rational)
 
@@ -363,3 +368,96 @@ class TestSerialization:
         }
         with pytest.raises(MalformedInput):
             load_algebra(json.dumps(doc))
+
+
+def dense_vec_from_obj(field, obj, dim):
+    """The loader's former vector reader, kept as the reference: a vector
+    object as a dense tuple, zero literals included."""
+    if not isinstance(obj, dict):
+        raise MalformedInput(f"vector must be an object of index: scalar, not {brief(obj)}")
+    vec = [field.zero()] * dim
+    for k, lit in obj.items():
+        k = parse_int(k, "index key")
+        if not 0 <= k < dim:
+            raise MalformedInput(f"coordinate index {brief(k)} out of range for dim {dim}")
+        vec[k] = field.parse(lit)
+    return tuple(vec)
+
+
+def dense_algebra_from_obj(obj):
+    """The loader as it read well-formed documents: dense product vectors,
+    repeated pairs compared as dense tuples."""
+    field, dim = FieldSpec.from_json(obj["field"]), obj["dim"]
+    products = {}
+    for entry in obj["products"]:
+        i, j = entry["i"], entry["j"]
+        vec = dense_vec_from_obj(field, entry["v"], dim)
+        if products.setdefault((i, j), vec) != vec:
+            raise MalformedInput(f"conflicting products for pair ({i}, {j})")
+    axes = [(e["name"], dense_vec_from_obj(field, e["v"], dim)) for e in obj["axes"]]
+    law = law_from_obj(field, obj["law"]) if "law" in obj else None
+    form = Matrix(field, _scalar_rows(obj["form"], field)) if "form" in obj else None
+    return Algebra(field, obj["basis"], products, axes=axes, law=law, form=form)
+
+
+def pair_doc(*entries, field=None):
+    """A 2-dimensional document whose products are the (i, j, v) entries."""
+    return {"field": field or {"kind": "rational"}, "dim": 2, "basis": ["a", "b"],
+            "products": [{"i": i, "j": j, "v": v} for i, j, v in entries], "axes": []}
+
+
+ZERO_LITERALS = Path(__file__).resolve().parents[1] / "scripts" / "expected" / "matsuo3_zero_literals.json"
+GF7 = {"kind": "prime", "p": 7}
+
+# name -> (document, the error both readers raise or None)
+LOADER_CASES = {
+    "zero-literals": (json.loads(ZERO_LITERALS.read_text()), None),
+    "gf7-zero-literals": ({
+        **pair_doc((0, 0, {"0": "1", "1": "0 mod 7"}), (1, 1, {"1": "1"}),
+                   (1, 1, {"0": "0 mod 7", "1": "1"}), (1, 0, {"0": "0 mod 7"}), field=GF7),
+        "axes": [{"name": "a", "v": {"0": "1", "1": "0 mod 7"}}],
+        "form": [["1", "0 mod 7"], ["0", "1 mod 7"]],
+    }, None),
+    "zero-duplicates": (pair_doc((0, 1, {"0": "0", "1": "-0"}), (0, 1, {}), (0, 1, {"1": "0/5"})), None),
+    "conflict-zero-first": (pair_doc((0, 1, {"0": "0", "1": "-0"}), (0, 1, {"0": "1"})), "conflicting"),
+    "conflict-zero-last": (pair_doc((0, 1, {"0": "1"}), (0, 1, {"1": "0/5"})), "conflicting"),
+    "conflict-index-order": (pair_doc((1, 0, {"0": "0"}), (0, 1, {"0": "1"})), "conflicting"),
+    "gf7-conflict": (pair_doc((1, 1, {"0": "0 mod 7"}), (1, 1, {"0": "7 mod 7", "1": "1"}), field=GF7),
+                     "conflicting"),
+    "zero-out-of-range": (pair_doc((0, 0, {"2": "0"})), "out of range"),
+    "zero-bad-key": (pair_doc((0, 0, {"-0": "1"})), "not a decimal integer"),
+}
+
+
+def read(reader, doc):
+    """What a reader makes of a document: its products, axes and form, or its error."""
+    try:
+        alg = reader(doc)
+    except AxialError as exc:
+        return type(exc), str(exc)
+    return alg.products, alg.axes, alg.form
+
+
+class TestSparseLoader:
+    """The loader reads each vector as a sparse row, dropping literals that
+    parse to 0; it reads every document as the dense reader did."""
+
+    @pytest.mark.parametrize("name", sorted(LOADER_CASES))
+    def test_matches_the_dense_reader(self, name):
+        doc, error = LOADER_CASES[name]
+        got = read(algebra_from_obj, doc)
+        assert got == read(dense_algebra_from_obj, doc)
+        if error is None:
+            assert len(got) == 3, got
+        else:
+            assert error in got[1], got
+
+    def test_zero_literal_document_is_matsuo_s3(self):
+        alg = algebra_from_obj(LOADER_CASES["zero-literals"][0])
+        want = matsuo(ThreeTranspositionGroup.symmetric(3), QQ.parse("1/3"))
+        assert (alg.products, alg.axes, alg.form) == (want.products, want.axes, want.form)
+        assert all(c for pairs in alg.products.values() for _, c in pairs)
+
+    def test_vector_rows_hold_no_zeros(self):
+        row = vec_from_obj(GF(7), {"0": "0 mod 7", "1": "3", "2": "-0", "4": "0/5"}, 5)
+        assert row == {1: GF(7).from_int(3)}

@@ -47,13 +47,15 @@ from axial.errors import (
     AxialError,
     ClosureCapExceeded,
     ConsistencyFailure,
+    DegenerateParameters,
     InvalidGrading,
     NotAnAxis,
     NotPrimitive,
     NotSemisimple,
     NotTwoGenerated,
 )
-from axial.linalg import EchelonAccumulator, Matrix, residue, scaled, sparse, vadd, vscale, vsub
+from axial.linalg import EchelonAccumulator, Matrix, residue, scaled, sparse
+from vectors import vadd, vscale, vsub
 
 coeffs = st.integers(min_value=-5, max_value=5).map(rational)
 
@@ -214,6 +216,14 @@ class TestClosure:
         with pytest.raises(ClosureCapExceeded, match=r"^axis closure exceeded cap 5$"):
             close_axes(alg, seeds, cap=5)
         assert close_axes(alg, seeds, cap=6).size == 6
+
+    def test_negative_cap_is_refused_before_any_work(self):
+        # a cap below 0 is a bad parameter, even without a law; cap 0 is a closure past its cap
+        alg = norton_sakuma("6A").with_law(None)
+        with pytest.raises(DegenerateParameters, match=r"^cap -1 is below 0$"):
+            close_axes(alg, alg.axis_vectors(), cap=-1)
+        with pytest.raises(ClosureCapExceeded, match=r"^axis closure exceeded cap 0$"):
+            close_axes(norton_sakuma("6A"), alg.axis_vectors(), cap=0)
 
     def test_group_order_and_cap(self):
         alg = norton_sakuma("5A")

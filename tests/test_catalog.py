@@ -26,8 +26,8 @@ from axial.errors import (
     UnknownCatalogEntry,
 )
 from axial.frobenius import is_symmetric_form
-from axial.linalg import is_zero_vec, vadd, vsub, vscale
 from axial.perms import parse_cycles
+from vectors import is_zero_vec, vadd, vscale, vsub
 
 
 class TestNortonSakuma:

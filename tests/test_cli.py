@@ -218,6 +218,15 @@ class TestMiyamoto:
         assert result.stderr == "error: axis closure exceeded cap 2\n"
         assert runner.invoke(main, ["miyamoto", "-", "--cap", "3"], input=doc).exit_code == 0
 
+    @pytest.mark.parametrize("cap,code,message", [
+        ("-1", 2, "error: cap -1 is below 0\n"),
+        ("0", 3, "error: axis closure exceeded cap 0\n"),
+    ])
+    def test_negative_cap_exit_2_and_cap_0_exit_3(self, runner, cap, code, message):
+        # a real process, so that an uncaught error would print its traceback
+        proc = run_process(["miyamoto", "--cap", cap, "-"], build(runner, "ns:3A"))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, "", message)
+
     def test_commuting_axes_give_trivial_group(self, runner):
         doc = json.loads(build(runner, "matsuo:Sn:4:1/4"))
         doc["axes"] = [a for a in doc["axes"] if a["name"] in ("(1 2)", "(3 4)")]

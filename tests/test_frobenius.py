@@ -36,8 +36,9 @@ from axial.frobenius import (
     eigenspace_orthogonality_violations,
     is_symmetric_form,
 )
-from axial.linalg import EchelonAccumulator, Matrix, cleared, invert, vadd
+from axial.linalg import EchelonAccumulator, Matrix, cleared, invert
 from axial.serialize import dump_algebra
+from vectors import vadd
 
 EXPECTED = Path(__file__).resolve().parents[1] / "scripts" / "expected"
 
@@ -261,7 +262,7 @@ class TestModularSolve:
         # prime eliminates on the layout reduced mod p, never on those ints
         alg = in_random_basis(s_n(5, "1/3"), random.Random("5:2"), 2)
         want = frobenius_solution_space(alg)
-        wide = [abs(c) for row in frobenius._adjoints(alg) for pairs in row for _, c in pairs]
+        wide = [abs(c) for row in alg._int_layout()[1] for pairs in row for _, c in pairs]
         assert max(wide) > 2**61
         fed = []
 
@@ -335,7 +336,7 @@ def blocks_fed(monkeypatch, alg):
     on the int layout and prime that the solve passes."""
     fed = []
     monkeypatch.setattr(frobenius, "_block", lambda n, ad, j: fed.append(j) or BLOCK(n, ad, j))
-    return fed, frobenius._kernel(alg, frobenius._adjoints(alg), int_table(alg)[1])
+    return fed, frobenius._kernel(alg, alg._int_layout()[1], int_table(alg)[1])
 
 
 def solves_block(alg, table, g, j, p=None):
@@ -368,7 +369,7 @@ class TestBlockSolve:
     def test_matches_full_feed(self, solve_case):
         name, alg = solve_case
         table, p = int_table(alg)
-        assert frobenius._kernel(alg, frobenius._adjoints(alg), p) == full_feed(alg, table, p), name
+        assert frobenius._kernel(alg, alg._int_layout()[1], p) == full_feed(alg, table, p), name
 
     def test_exact_matches_full_feed(self, solve_case):
         # the kernel basis the solve answers from, lifted over QQ or read in
@@ -378,7 +379,7 @@ class TestBlockSolve:
         if alg.field == QQ:
             got = _lifted(alg)
         else:
-            free = frobenius._kernel(alg, frobenius._adjoints(alg), alg.field.p)[1].values()
+            free = frobenius._kernel(alg, alg._int_layout()[1], alg.field.p)[1].values()
             got = [{c: alg.field.from_int(x) for c, x in row.items()} for row in free]
         assert got == list(want[1].values()), name
         scalar = type(alg.field.one())
@@ -393,15 +394,17 @@ class TestBlockSolve:
         name, alg = solve_case
         n = alg.dim
         table, p = int_table(alg)
-        ad = frobenius._adjoints(alg)
+        ad = alg._int_layout()[1]
         if exact:
             p = None
         seen = set()
         for j in range(min(n, 2)):
+            acc = EchelonAccumulator(QQ if exact else alg.field, n * n, p)
+            for row in BLOCK(n, ad, j):
+                acc.add_row(row)
+            free = acc.kernel_basis().values()
             if exact:
-                free = [cleared(QQ, [g])[1][0] for g in EchelonAccumulator.of(QQ, n * n, BLOCK(n, ad, j)).kernel_basis().values()]
-            else:
-                free = EchelonAccumulator.of(alg.field, n * n, BLOCK(n, ad, j), p).kernel_basis().values()
+                free = [cleared(QQ, [g])[1][0] for g in free]
             for g in list(free)[:40]:
                 transposed = {(t % n) * n + t // n: x for t, x in g.items()}
                 for k in (j, (j + 1) % n):

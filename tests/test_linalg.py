@@ -15,19 +15,13 @@ from axial.linalg import (
     combine,
     det,
     invert,
-    is_zero_vec,
     kernel,
     residue,
-    rref,
     scaled,
     solve_linear,
     sparse,
-    vadd,
-    vdot,
-    vscale,
-    vsub,
-    vzero,
 )
+from vectors import is_zero_vec, rref, vadd, vscale, vsub, vzero
 
 entries = st.integers(min_value=-9, max_value=9).map(rational)
 
@@ -191,11 +185,6 @@ class TestCloseSpan:
         close_span(acc, [{0: QQ.one()}], lambda v, done: [] if 3 in acc.rows else shift(v, done))
         assert sorted(acc.rows) == [0, 1, 2, 3]
         assert [min(v) for v in calls] == [0, 1, 2]
-
-
-@given(st.lists(entries, min_size=3, max_size=3), st.lists(entries, min_size=3, max_size=3))
-def test_vdot_symmetric(u, v):
-    assert vdot(tuple(u), tuple(v)) == vdot(tuple(v), tuple(u))
 
 
 # -- the unit-factor kernels and the column view, against plain formulas -----

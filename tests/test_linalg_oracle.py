@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from axial import GF, NORTON_SAKUMA_NAMES, QQ, frobenius_solution_space, matsuo, norton_sakuma
 from axial.catalog import ThreeTranspositionGroup
 from axial.errors import DimensionError
-from axial.linalg import Matrix, Subspace, det, invert, kernel, rref, solve_linear
+from axial.linalg import Matrix, Subspace, det, invert, kernel, solve_linear
+from vectors import rref
 
 sympy = pytest.importorskip("sympy")
 from sympy.polys.matrices import DomainMatrix  # noqa: E402

@@ -43,6 +43,10 @@ PIPELINES = {
     "cli_matsuo5_random_basis_frobenius.json": (
         EXPECTED / "matsuo5_random_basis.json", ["frobenius", "--json", "-"],
     ),
+    "cli_matsuo3_zero_literals_verify.json": (EXPECTED / "matsuo3_zero_literals.json", ["verify", "--json", "-"]),
+    "cli_matsuo3_zero_literals_frobenius.json": (
+        EXPECTED / "matsuo3_zero_literals.json", ["frobenius", "--json", "-"],
+    ),
     "cli_ns6a_build.json": (None, ["build", "ns:6A"]),
     "cli_hw5_quotient.json": (None, ["hw", "quotient", "5"]),
     "cli_hw6_quotient.json": (None, ["hw", "quotient", "6"]),

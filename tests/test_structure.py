@@ -27,8 +27,9 @@ from axial.axes import eigen_decomposition
 from axial.catalog import ThreeTranspositionGroup
 from axial.errors import Unsupported
 from axial.highwater import hw_quotient_weights
-from axial.linalg import Subspace, vadd, vscale
+from axial.linalg import Subspace
 from axial.structure import UndirectedGraph
+from vectors import vadd, vscale
 
 
 class TestSeress:
