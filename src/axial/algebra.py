@@ -59,33 +59,46 @@ class Algebra:
     ):
         self.field = field
         self.basis = tuple(str(b) for b in basis)
-        n = len(self.basis)
-        self.dim = n
+        self.dim = len(self.basis)
+        entries = (self._entry(ij, vec) for ij, vec in products.items())
+        self._fill(entries, ((str(name), self.coerce_vector(v)) for name, v in axes), law, form)
+
+    @classmethod
+    def _of(cls, field: FieldSpec, basis, rows, axes=(), law=None, form=None) -> "Algebra":
+        """An algebra from parts the package checked, as `Matrix._of` is for a
+        matrix: strs in `basis`, sparse rows of `field` scalars by int pairs
+        in `rows`, and dense axes.  Only a pair given in both orders is compared."""
+        alg = cls.__new__(cls)
+        alg.field, alg.basis, alg.dim = field, tuple(basis), len(basis)
+        alg._fill(((ij, row_key(row)) for ij, row in rows.items()), axes, law, form)
+        return alg
+
+    def _fill(self, entries, axes, law, form):
+        """Store ((i, j), sorted pairs) entries under either index order; two for one pair must agree."""
         table: Dict[Tuple[int, int], Tuple] = {}
-        for (i, j), vec in products.items():
-            if not (type(i) is type(j) is int and 0 <= i < n and 0 <= j < n):
-                raise DimensionError(f"product index ({brief(i)},{brief(j)}) is not an int pair in 0..{n - 1}")
+        for (i, j), pairs in entries:
             if i > j:
                 i, j = j, i
-            pairs = self._pairs(vec)
             if table.setdefault((i, j), pairs) != pairs:
                 raise AxialError(f"conflicting products for pair ({i},{j})")
         self.products = {ij: pairs for ij, pairs in table.items() if pairs}
         self._ints = None
-        self.axes = tuple((str(name), self.coerce_vector(v)) for name, v in axes)
-        self.law = law
-        self.form = form
+        self.axes, self.law, self.form = tuple(axes), law, form
 
-    def _pairs(self, vec) -> Tuple:
-        """Sorted non-zero (k, c) pairs of a dense vector or an {index: scalar} map."""
+    def _entry(self, ij, vec) -> Tuple:
+        """((i, j), sorted non-zero (k, c) pairs) of e_i e_j given as a dense
+        vector or an {index: scalar} map."""
+        (i, j), n = ij, self.dim
+        if not (type(i) is type(j) is int and 0 <= i < n and 0 <= j < n):
+            raise DimensionError(f"product index ({brief(i)},{brief(j)}) is not an int pair in 0..{n - 1}")
         if not isinstance(vec, dict):
-            return row_key(self._row(vec))
+            return ij, row_key(self._row(vec))
         entries = {}
         for k, val in vec.items():
-            if type(k) is not int or not 0 <= k < self.dim:
-                raise DimensionError(f"product coordinate {brief(k)} is not an int in 0..{self.dim - 1}")
+            if type(k) is not int or not 0 <= k < n:
+                raise DimensionError(f"product coordinate {brief(k)} is not an int in 0..{n - 1}")
             entries[k] = self.field.coerce(val)
-        return tuple(sorted((k, c) for k, c in entries.items() if c))
+        return ij, tuple(sorted((k, c) for k, c in entries.items() if c))
 
     def coerce_vector(self, v) -> Vector:
         return as_vector(self.field, v, self.dim)

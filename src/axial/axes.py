@@ -20,7 +20,7 @@ from .errors import (
 )
 from .fusion import FusionLaw, Grading, unique_adequate_grading
 from .linalg import (
-    EchelonAccumulator, Matrix, Subspace, _mod, cleared, combine, dot, invert, kernel, row_key, scaled, sparse,
+    EchelonAccumulator, Matrix, Subspace, cleared, combine, dot, invert, kernel, row_key, scaled, sparse,
 )
 from .perms import Perm, classes, group_order
 
@@ -40,13 +40,13 @@ def eigen_decomposition(alg: Algebra, a, law: FusionLaw):
     return _eigen_decomposition(alg, alg._row(a), law)
 
 
-def _eigen_decomposition(alg: Algebra, a, law: FusionLaw):
+def _eigen_decomposition(alg: Algebra, a, law: FusionLaw, lams=None):
+    """(dims, spaces) of ad_a at each of lams, by default the law's elements."""
     if law.field != alg.field:
         raise InvalidField(f"fusion law over {law.field} for an algebra over {alg.field}")
     ad = alg._adjoint(a)
-    spaces = tuple(kernel(ad.minus_scalar_diag(lam)) for lam in law.elements)
-    dims = tuple(s.dim for s in spaces)
-    return dims, spaces
+    spaces = tuple(kernel(ad.minus_scalar_diag(lam)) for lam in (law.elements if lams is None else lams))
+    return tuple(s.dim for s in spaces), spaces
 
 
 @dataclass(frozen=True)
@@ -121,8 +121,18 @@ def _check_axis(alg: Algebra, a, law: FusionLaw) -> AxisReport:
 
 
 def _agree(x: dict, y: dict, p: int) -> bool:
-    """Whether two sparse rows of ints are equal: over Z, or mod p when p > 0."""
-    return _mod(x, p) == _mod(y, p) if p else x == y
+    """Whether two sparse rows of ints are equal: over Z, or mod p when p > 0,
+    where each entry of x - y is tested once."""
+    if not p:
+        return x == y
+    get = y.get
+    for k, c in x.items():
+        if (c - get(k, 0)) % p:
+            return False
+    for k, c in y.items():
+        if k not in x and c % p:
+            return False
+    return True
 
 
 def _in_span(w: dict, den: int, rows: dict, p: int) -> bool:
@@ -206,8 +216,8 @@ def _eigenbasis(alg: Algebra, spaces):
     eigenspace index of each, and the inverse change of basis: row r of it
     reads off a vector's coordinate on vector r.
     """
-    cols = [b for s in spaces for b in s.rows.values()]
-    owner = [t for t, s in enumerate(spaces) for _ in s.rows]
+    cols = [b for s in spaces for b in s._basis]
+    owner = [t for t, s in enumerate(spaces) for _ in s._basis]
     return cols, owner, invert(Matrix._of(alg.field, alg.dim, cols).transpose())
 
 
@@ -228,7 +238,7 @@ def _projection_functional(alg: Algebra, a, law: FusionLaw, spaces) -> dict:
     if spaces[law.one_index].dim != 1:
         raise NotPrimitive("1-eigenspace is not one-dimensional")
     _, owner, inv = _eigenbasis(alg, spaces)
-    (b1,) = spaces[law.one_index].rows.values()
+    (b1,) = spaces[law.one_index]._basis
     k = min(a)
     return scaled(b1[k] / a[k], inv.rows[owner.index(law.one_index)])
 
@@ -315,7 +325,7 @@ def _conjugate_tau(report: AxisReport, grading: Grading, tau_c: Matrix, tau_a: M
     grading signs u's eigenspace.  That basis fixes the map uniquely."""
     tau = tau_c.matmul(tau_a).matmul(tau_c)
     for sign, space in zip(grading.signs, report.eigenspaces):
-        for u in space.rows.values():
+        for u in space._basis:
             if tau._apply(u) != scaled(sign, u):
                 raise ConsistencyFailure("conjugated Miyamoto map is not +-1 on the eigenspaces")
     return tau
@@ -325,7 +335,8 @@ def _transport(alg: Algebra, report: AxisReport, tau: Matrix, b) -> AxisReport:
     """b = tau(a)'s report from a's passed one, for a sparse row b: the
     verified automorphism tau maps each A_lam(a) onto A_lam(b).  Certified by
     b w = lam w on each mapped basis vector w; these are independent and dim
-    in number, so they span each A_lam(b) exactly.  Idempotency, fusion and
+    in number, so they span each A_lam(b) exactly, and A_lam(b) keeps them
+    as its basis (`Subspace._spanned`).  Idempotency, fusion and
     primitivity carry over.  The test runs on the int layout: with B b and
     W w as ints and lam = num/den, it reads den D (B b)(W w) = num D B (W w)."""
     field, p = alg.field, alg.field.characteristic
@@ -333,12 +344,12 @@ def _transport(alg: Algebra, report: AxisReport, tau: Matrix, b) -> AxisReport:
     scale *= alg._int_layout()[0]
     spaces = []
     for lam, space in zip(report.law.elements, report.eigenspaces):
-        ws = [tau._apply(u) for u in space.rows.values()]
+        ws = [tau._apply(u) for u in space._basis]
         den, (num,) = cleared(field, [{0: lam}])
         for _, (wi,) in (cleared(field, [w]) for w in ws):
             if not _agree(scaled(den, alg._imul(bi, wi)), scaled(num[0] * scale, wi), p):
                 raise ConsistencyFailure("transported eigenvector is not an eigenvector of the image")
-        spaces.append(EchelonAccumulator.of(alg.field, alg.dim, ws).subspace())
+        spaces.append(Subspace._spanned(field, alg.dim, ws))
     return replace(report, axis=alg._dense(b), eigenspaces=tuple(spaces))
 
 

@@ -379,12 +379,27 @@ def det(m: Matrix):
 class Subspace:
     """Subspace of F^n held as its reduced row-echelon basis: `rows` maps each
     pivot, in increasing order, to its sparse row.  `basis` is the dense
-    view, built on demand."""
+    view, built on demand.  `_basis` lists the rows of a basis: the echelon
+    rows, or for a subspace made by `_spanned` the rows it was given, from
+    which `rows` is built on first read."""
 
-    __slots__ = ("field", "ambient", "rows")
+    __slots__ = ("field", "ambient", "_rows", "_basis")
 
     def __init__(self, field: FieldSpec, ambient: int, rows):
-        self.field, self.ambient, self.rows = field, ambient, rows
+        self.field, self.ambient, self._rows, self._basis = field, ambient, rows, rows.values()
+
+    @classmethod
+    def _spanned(cls, field: FieldSpec, ambient: int, basis: list) -> "Subspace":
+        """The span of `basis`, independent sparse rows, with no echelon yet."""
+        s = cls(field, ambient, {})
+        s._rows, s._basis = None, basis
+        return s
+
+    @property
+    def rows(self):
+        if self._rows is None:
+            self._rows = EchelonAccumulator.of(self.field, self.ambient, self._basis).subspace()._rows
+        return self._rows
 
     @classmethod
     def from_vectors(cls, field: FieldSpec, ambient: int, vectors) -> "Subspace":
@@ -402,7 +417,7 @@ class Subspace:
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self._basis)
 
     @property
     def pivots(self):

@@ -97,14 +97,14 @@ def group_order(degree: int, generators: Iterable[Perm]) -> int:
     the degree, whatever the order; callers bound the degree."""
     e = identity_perm(degree)
     generators = [tuple(g) for g in generators]
-    base, gens, orbits = [], [], []  # per level l: point, generators, {u[base[l]]: u}
+    base, gens, orbits = [], [], []  # per level l: point, generators, {u[base[l]]: (u, u^-1)}
 
     def sift(g, level):
         for l in range(level, len(base)):
             u = orbits[l].get(g[base[l]])
             if u is None:
                 return g, l
-            g = mul(g, inverse(u))
+            g = mul(g, u[1])
         return g, len(base)
 
     def add(h, top, j):
@@ -112,14 +112,15 @@ def group_order(degree: int, generators: Iterable[Perm]) -> int:
         if j == len(base):
             base.append(next(x for x in range(degree) if h[x] != x))
             gens.append([])
-            orbits.append({base[-1]: e})
+            orbits.append({base[-1]: (e, e)})
         for l in range(top, j + 1):
             gens[l].append(h)
             orbit, points = orbits[l], list(orbits[l])  # points grows while it is walked
             for p in points:
                 for s in gens[l]:
                     if s[p] not in orbit:
-                        orbit[s[p]] = mul(orbit[p], s)
+                        u = mul(orbit[p][0], s)
+                        orbit[s[p]] = u, inverse(u)
                         points.append(s[p])
 
     # Schreier's lemma: the chain is complete once every Schreier generator of
@@ -129,7 +130,7 @@ def group_order(degree: int, generators: Iterable[Perm]) -> int:
     i = -1
     while i >= -1:
         orbit = orbits[i] if i >= 0 else {}
-        words = (mul(mul(orbit[p], s), inverse(orbit[s[p]])) for p in orbit for s in gens[i])
+        words = (mul(mul(u, s), orbit[s[p]][1]) for p, (u, _) in orbit.items() for s in gens[i])
         for h, j in (sift(g, i + 1) for g in (words if i >= 0 else generators)):
             if h != e:
                 add(h, i + 1, j)

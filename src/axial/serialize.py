@@ -102,7 +102,7 @@ def algebra_from_obj(obj) -> Algebra:
         raise
     except (KeyError, TypeError, ValueError, OverflowError, InvalidField) as exc:
         raise MalformedInput(f"bad algebra document: {exc}") from exc
-    return Algebra(field, basis, products, axes=axes, law=law, form=form)
+    return Algebra._of(field, basis, products, axes=axes, law=law, form=form)
 
 
 def dump_algebra(alg: Algebra) -> str:

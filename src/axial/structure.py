@@ -5,10 +5,10 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Tuple, Union
 
 from .algebra import Algebra
-from .axes import Axet, _eigen_decomposition
+from .axes import Axet, _agree, _eigen_decomposition
 from .errors import Unsupported
 from .fusion import FusionLaw, is_seress
-from .linalg import EchelonAccumulator, Matrix, Subspace, close_span, dot, sparse
+from .linalg import EchelonAccumulator, Subspace, cleared, close_span, dot, sparse
 from .perms import classes
 
 
@@ -31,18 +31,17 @@ def seress_lemma_check(alg: Algebra, a, law: Optional[FusionLaw] = None) -> Sere
     if law is None or not is_seress(law):
         raise Unsupported("Seress lemma needs a Seress fusion law")
     a = alg._row(a)
-    spaces = _eigen_decomposition(alg, a, law)[1]
-    one_zero = [*spaces[law.one_index].rows.values(), *spaces[law.zero_index].rows.values()]
-    # a(xy) = (ax)y for every basis x is ad_a ad_y = ad_y ad_a, compared
-    # column by column: ta and ty hold v e_j as row j (the transpose of ad_v),
-    # so row j of ty ta is a(e_j y) and row j of ta ty is (a e_j)y.
-    basis = alg._basis_rows()
-    ta = Matrix._of(alg.field, alg.dim, [alg._mul(a, e) for e in basis])
-    for y in one_zero:
-        ty = Matrix._of(alg.field, alg.dim, [alg._mul(y, e) for e in basis])
-        for x, left, right in zip(basis, ty.matmul(ta).rows, ta.matmul(ty).rows):
-            if left != right:
-                return SeressCheck(ok=False, witness=(alg._dense(x), alg._dense(y)))
+    one, zero = _eigen_decomposition(alg, a, law, (law.elements[law.one_index], law.elements[law.zero_index]))[1]
+    # y outer, each basis x = e_j inner, on the int layout: with A a and Y y as
+    # ints, both sides a(e_j y) and (a e_j) y come out times D^2 A Y
+    p = alg.field.characteristic
+    (ai,) = cleared(alg.field, [a])[1]
+    ta = [alg._imul(ai, {j: 1}) for j in range(alg.dim)]
+    for y in [*one.rows.values(), *zero.rows.values()]:
+        (yi,) = cleared(alg.field, [y])[1]
+        for j in range(alg.dim):
+            if not _agree(alg._imul(ai, alg._imul({j: 1}, yi)), alg._imul(ta[j], yi), p):
+                return SeressCheck(ok=False, witness=(alg.basis_vector(j), alg._dense(y)))
     return SeressCheck(ok=True)
 
 

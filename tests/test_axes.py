@@ -186,6 +186,14 @@ CLOSURE_CASES = (
 )
 
 
+# every axis of these gets its report transported or checked in full
+EIGENSPACE_CASES = (
+    [f"ns:{name}" for name in NORTON_SAKUMA_NAMES]
+    + [f"matsuo:{n}:{p}" for n in range(4, 9) for p in (0, 10007)]
+    + [f"hw:{d}" for d in range(2, 19)]
+)
+
+
 class TestClosure:
     def test_six_axes_from_two(self):
         alg = norton_sakuma("6A")
@@ -276,6 +284,29 @@ class TestClosureDifferential:
             assert [axet.axes[j] for j in axet.tau_perms[k]] == [
                 axet.tau_mats[k].mul_vec(u) for u in axet.axes
             ]
+
+    @pytest.mark.parametrize("spec", EIGENSPACE_CASES)
+    def test_transported_eigenspaces_match_fresh_checks(self, monkeypatch, spec):
+        # a transported A_lam(b) keeps the images of a's basis and builds its
+        # reduced echelon only when read: never on the way from is_axial
+        # through close_axes to miyamoto_group, and equal to a fresh one after
+        alg = _algebra(spec)
+        full = _counting(monkeypatch, "_check_axis")
+        verdict = is_axial(alg)
+        in_verdict = len(full)
+        axet = close_axes(alg, alg.axis_vectors())
+        miyamoto_group(axet)
+        runs = [([r for _, r in verdict.reports], in_verdict), (list(axet.reports), len(full) - in_verdict)]
+        for reports, checked in runs:
+            built = [all(s._rows is not None for s in r.eigenspaces) for r in reports]
+            unbuilt = [all(s._rows is None for s in r.eigenspaces) for r in reports]
+            assert (sum(built), sum(unbuilt)) == (checked, len(reports) - checked), spec
+        assert axet.size <= 2 or len(axet.reports) > len(full) - in_verdict, spec  # some are transported
+        for rep in [r for reports, _ in runs for r in reports]:
+            fresh = check_axis(alg, rep.axis, alg.law)
+            assert [s.dim for s in rep.eigenspaces] == list(fresh.eigen_dims), spec
+            assert rep.eigenspaces == fresh.eigenspaces, spec
+            assert [s.basis for s in rep.eigenspaces] == [s.basis for s in fresh.eigenspaces], spec
 
     def test_ns_6a_pinned(self):
         alg = norton_sakuma("6A")

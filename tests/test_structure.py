@@ -29,7 +29,26 @@ from axial.errors import Unsupported
 from axial.highwater import hw_quotient_weights
 from axial.linalg import Subspace
 from axial.structure import UndirectedGraph
-from vectors import vadd, vscale
+from vectors import vadd, vscale, vsub
+
+
+# Matsuo S4 and S5 at eta = 1/4 over QQ and GF(10007), and the highwater
+# quotients of period 2 to 6, beside the Norton-Sakuma algebras
+SERESS_CASES = (
+    tuple(f"matsuo:{n}:{p}" for n in (4, 5) for p in (0, 10007)) + tuple(f"hw:{d}" for d in range(2, 7))
+)
+
+
+def seress_algebra(name):
+    """A Norton-Sakuma algebra by its name, or a case of SERESS_CASES."""
+    kind, _, arg = name.partition(":")
+    if kind == "hw":
+        return hw_periodic_quotient(int(arg))
+    if kind == "matsuo":
+        n, p = map(int, arg.split(":"))
+        field = GF(p) if p else QQ
+        return matsuo(ThreeTranspositionGroup.symmetric(n), field.parse("1/4"), field)
+    return norton_sakuma(name)
 
 
 class TestSeress:
@@ -53,14 +72,17 @@ class TestSeress:
                     return False, (x, y)
         return True, None
 
-    @pytest.mark.parametrize("name", NORTON_SAKUMA_NAMES)
+    @pytest.mark.parametrize("name", NORTON_SAKUMA_NAMES + SERESS_CASES)
     def test_matches_four_product_oracle(self, name):
-        alg = norton_sakuma(name)
+        alg = seress_algebra(name)
         n = alg.dim
         axes = [v for _, v in alg.axes]
-        # the sums e_i + e_j fail the identity somewhere on all but 2B
+        # the sums e_i + e_j fail the identity somewhere on all but 2B, so
+        # the witnesses are compared as well as the verdicts; a difference
+        # e_i - e_j can fail it only for a y in A_0(a), not in A_1(a)
         basis = [alg.basis_vector(j) for j in range(n)]
         probes = axes + [vadd(basis[i], basis[j]) for i in range(n) for j in range(i, n)]
+        probes += [vsub(basis[i], basis[j]) for i in range(n) for j in range(i + 1, n)]
         checks = [seress_lemma_check(alg, a) for a in probes]
         for a, chk in zip(probes, checks):
             assert (chk.ok, chk.witness) == self.oracle(alg, a), (name, a)
