@@ -12,9 +12,11 @@ Every routine feeds its rows to `EchelonAccumulator`, which keeps a fully
 reduced row-echelon basis (pivot entries 1) and reduces each new row in one
 pass over the pivot columns it touches.  That form of a row space is unique,
 so results do not depend on row order and equal subspaces store equal rows.
-Given a prime modulus p, the same accumulator works on plain ints mod p:
-rows are reduced with `_eliminate` as they are and brought into [0, p)
-afterwards.
+A column index, exact after each `add_row`, names for each non-pivot column
+the pivots whose rows hold it, and a new pivot is back-substituted into just
+those rows.  Given a prime modulus p, the accumulator works on plain ints:
+a new row is reduced with `_eliminate` and then brought into [0, p), and
+the back-substitution reduces mod p only the entries it changes.
 
 The kernels skip products by a unit factor.  `combine` adds a row whose
 factor is 1 and subtracts one whose factor is -1 (over F_p the residue p - 1
@@ -26,6 +28,7 @@ product by columns), so the cost follows the vector's support, not the
 number of rows.
 """
 
+from collections import defaultdict
 from math import lcm
 from typing import Optional
 
@@ -246,19 +249,20 @@ class EchelonAccumulator:
 
     `rows` maps each pivot column to its row (see `_eliminate`); `order`
     lists the pivots in the order their rows arrived.  After any sequence of
-    rows the basis is the reduced row-echelon form of their span.  With a
-    prime `modulus` p the rows are plain ints, any int on entry and in
-    [0, p) once stored, and the basis is that of their span over F_p.
+    rows the basis is the reduced row-echelon form of their span.  `index`
+    maps each non-pivot column c to the pivots whose rows hold c, or to none.
+    With a prime `modulus` p the rows are plain ints, any int on entry and
+    in [1, p) once stored, and the basis is that of their span over F_p.
     `add_row` and `residue` take any column keys that sort among themselves
     (the highwater search uses ("a", i) and ("s", j)); `subspace` and
     `kernel_basis` need the int columns 0..ncols-1.
     """
 
-    __slots__ = ("field", "ncols", "rows", "order", "modulus")
+    __slots__ = ("field", "ncols", "rows", "order", "modulus", "index")
 
     def __init__(self, field: FieldSpec, ncols: int, modulus: Optional[int] = None):
         self.field, self.ncols, self.rows, self.order = field, ncols, {}, []
-        self.modulus = modulus
+        self.modulus, self.index = modulus, defaultdict(set)
 
     @classmethod
     def of(cls, field: FieldSpec, ncols: int, rows) -> "EchelonAccumulator":
@@ -268,33 +272,38 @@ class EchelonAccumulator:
         return acc
 
     def add_row(self, row):
-        """Reduce a sparse row into the basis; the row itself is not changed.
-
-        Returns its pivot value before normalisation, or None when the row
-        depends on the basis.
-        """
-        rows, m = self.rows, self.modulus
-        v = residue(row, rows)
-        if m:
-            v = _mod(v, m)
+        """Reduce a sparse row into the basis and back-substitute its pivot into
+        the rows `index` names, in place; the row itself is not changed.  Returns
+        its pivot value before normalisation, or None when it depends on the basis."""
+        rows, index, m = self.rows, self.index, self.modulus
+        v = _mod(residue(row, rows), m) if m else residue(row, rows)
         if not v:
             return None
         lead = min(v)
         pv = v[lead]
-        if m:
-            if pv != 1:
-                inv = pow(pv, -1, m)
-                v = {c: x * inv % m for c, x in v.items()}
-        else:
-            one = self.field.one()
-            if pv != one:
-                v = scaled(one / pv, v)
-        single = {lead: v}
-        for q, other in rows.items():
-            if lead in other:
-                _eliminate(other, single)
-                if m:
-                    rows[q] = _mod(other, m)
+        if m and pv != 1:
+            inv = pow(pv, -1, m)
+            v = {c: x * inv % m for c, x in v.items()}
+        elif not m and pv != (one := self.field.one()):
+            v = scaled(one / pv, v)
+        hits = index.pop(lead, ())
+        for c in v:
+            if c != lead:
+                index[c].add(lead)
+        tail = [(c, x) for c, x in v.items() if c != lead] if hits else ()
+        for q in hits:
+            other = rows[q]
+            e = other.pop(lead)
+            for c, x in tail if e == 1 else [(c, e * x) for c, x in tail]:
+                t = other.get(c)
+                if t is None:
+                    index[c].add(q)
+                    other[c] = -x % m if m else -x
+                elif t := ((t - x) % m if m else t - x):
+                    other[c] = t
+                else:
+                    del other[c]
+                    index[c].discard(q)
         rows[lead] = v
         self.order.append(lead)
         return pv
@@ -315,14 +324,10 @@ class EchelonAccumulator:
         as one row per free column f: 1 at f, and at each pivot p minus the
         entry of row p in column f."""
         width = self.ncols if width is None else width
-        m = self.modulus
-        neg = {}
-        for p, row in self.rows.items():
-            for c, x in row.items():
-                if c != p and c < width:
-                    neg.setdefault(c, {})[p] = m - x if m else -x
+        rows, index, m = self.rows, self.index, self.modulus
         one = 1 if m else self.field.one()
-        return {f: {f: one, **neg.get(f, {})} for f in range(width) if f not in self.rows}
+        return {f: {f: one, **{p: m - rows[p][f] if m else -rows[p][f] for p in index.get(f, ())}}
+                for f in range(width) if f not in rows}
 
     def kernel(self, width: Optional[int] = None) -> "Subspace":
         """Null space of the first `width` columns (all of them by default)."""

@@ -355,13 +355,73 @@ class TestUnitPaths:
         assert {q: typed(r) for q, r in acc.rows.items()} == {q: typed(r) for q, r in basis.items()}
         assert leads == want
 
-    @given(st.lists(sparse_rows(int_scalars(), 5), max_size=7))
-    def test_accumulator_matches_gauss_jordan_on_ints(self, rows):
-        acc = EchelonAccumulator(QQ, 5, modulus=P)
+    @given(st.lists(sparse_rows(int_scalars(), 5), max_size=7), st.sampled_from((P, 7)))
+    def test_accumulator_matches_gauss_jordan_on_ints(self, rows, p):
+        acc = EchelonAccumulator(QQ, 5, modulus=p)
         leads = [acc.add_row(row) for row in rows]
-        basis, want = plain_rref(QQ, rows, 5, P)
+        basis, want = plain_rref(QQ, rows, 5, p)
         assert {q: typed(r) for q, r in acc.rows.items()} == {q: typed(r) for q, r in basis.items()}
         assert leads == want
+
+
+# The column index of `EchelonAccumulator`, checked after every `add_row`
+# against a scan of the stored rows.  Small moduli make cancellations in the
+# back-substitution common; the tuple keys are those of the highwater search.
+
+MERSENNE = 2**61 - 1
+GF7 = GF(7)
+INDEX_CASES = {
+    "QQ": (QQ, None, field_scalars(QQ)),
+    "GF(7)": (GF7, None, st.integers(-3, 3).map(GF7.from_int)),
+    "ints-mod-7": (QQ, 7, st.one_of(st.sampled_from((0, 0, 1, -1)), st.integers(-10, 10))),
+    "ints-mod-2^61-1": (QQ, MERSENNE, st.one_of(st.sampled_from((0, 0, 1, -1)), st.integers(-2**62, 2**62))),
+}
+KEYS = [("a", i) for i in range(-2, 3)] + [("s", j) for j in range(1, 4)]
+
+
+def assert_index_exact(acc):
+    """The index names, for each column off the pivots, exactly the pivots
+    whose rows hold it, and mod p every stored entry lies in [1, p)."""
+    scan = {}
+    for p, row in acc.rows.items():
+        for c in row:
+            if c != p:
+                scan.setdefault(c, set()).add(p)
+    assert {c: s for c, s in acc.index.items() if s} == scan
+    assert not acc.index.keys() & acc.rows.keys()
+    if acc.modulus:
+        assert all(0 < x < acc.modulus for row in acc.rows.values() for x in row.values())
+
+
+def scanned_kernel_basis(acc):
+    """`kernel_basis` read off the stored rows, without the index."""
+    m, one = acc.modulus, 1 if acc.modulus else acc.field.one()
+    return {f: {f: one, **{p: (m - row[f]) if m else -row[f] for p, row in acc.rows.items() if f in row}}
+            for f in range(acc.ncols) if f not in acc.rows}
+
+
+class TestColumnIndex:
+    @pytest.mark.parametrize("case", sorted(INDEX_CASES))
+    @given(data=st.data())
+    def test_index_matches_a_scan(self, case, data):
+        field, p, scalars = INDEX_CASES[case]
+        rows = data.draw(st.lists(sparse_rows(scalars, 6), max_size=8))
+        acc = EchelonAccumulator(field, 6, modulus=p)
+        for row in rows:
+            acc.add_row(row)
+            assert_index_exact(acc)
+            got, want = acc.kernel_basis(), scanned_kernel_basis(acc)
+            assert {f: typed(r) for f, r in got.items()} == {f: typed(r) for f, r in want.items()}
+        assert acc.rows == plain_rref(field, rows, 6, p)[0]
+
+    @given(st.lists(sparse_rows(field_scalars(QQ), len(KEYS)), max_size=8))
+    def test_index_matches_a_scan_on_tuple_keys(self, rows):
+        acc = EchelonAccumulator(QQ, len(KEYS))
+        for row in rows:
+            acc.add_row({KEYS[c]: x for c, x in row.items()})
+            assert_index_exact(acc)
+        want = plain_rref(QQ, rows, len(KEYS))[0]
+        assert acc.rows == {KEYS[q]: {KEYS[c]: x for c, x in r.items()} for q, r in want.items()}
 
 
 def row_walk(m, v):

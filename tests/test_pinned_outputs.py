@@ -34,6 +34,7 @@ PIPELINES = {
     "cli_matsuo5_frobenius.json": (None, ["build", "matsuo:Sn:5:1/3"], ["frobenius", "--json", "-"]),
     "cli_matsuo6_radical.txt": (None, ["build", "matsuo:Sn:6:1/3"], ["radical", "-"]),
     "cli_matsuo7_frobenius.json": (None, ["build", "matsuo:Sn:7:1/3"], ["frobenius", "--json", "-"]),
+    "cli_matsuo10_frobenius.json": (None, ["build", "matsuo:Sn:10:1/3"], ["frobenius", "--json", "-"]),
     "cli_matsuo6_miyamoto.json": (None, ["build", "matsuo:Sn:6:1/3"], ["miyamoto", "--json", "-"]),
     "cli_matsuo14_miyamoto.txt": (None, ["build", "matsuo:Sn:14:1/3"], ["miyamoto", "-"]),
     "cli_matsuo14_verify.txt": (None, ["build", "matsuo:Sn:14:1/3"], ["verify", "-"]),
