@@ -25,6 +25,7 @@ from .linalg import (
     combine,
     dense,
     dot,
+    kernel,
     residue,
     row_key,
     sparse,
@@ -237,21 +238,20 @@ class Algebra:
 
     def annihilator(self) -> Subspace:
         """{x : e_i x = 0 for every basis vector}, as a kernel of stacked adjoints."""
-        rows = (row for e in self._basis_rows() for row in self._adjoint(e).rows)
-        return EchelonAccumulator.of(self.field, self.dim, rows).kernel()
+        rows = [row for e in self._basis_rows() for row in self._adjoint(e).rows]
+        return kernel(Matrix._of(self.field, self.dim, rows))
 
     def centre(self) -> Subspace:
         """{a : (a, e_i, e_j) = 0 for all i, j}; commutativity supplies the rest."""
         one = self.field.one()
-        acc = EchelonAccumulator(self.field, self.dim)
+        rows = []
         ads = [self._adjoint(e) for e in self._basis_rows()]
         for i in range(self.dim):
             for j in range(self.dim):
                 block = ads[i].matmul(ads[j]).rows
                 ad_ij = self._adjoint(dict(self._product_pairs(i, j))).rows
-                for r, s in zip(block, ad_ij):
-                    acc.add_row(combine(((one, r.items()), (-one, s.items()))))
-        return acc.kernel()
+                rows.extend(combine(((one, r.items()), (-one, s.items()))) for r, s in zip(block, ad_ij))
+        return kernel(Matrix._of(self.field, self.dim, rows))
 
     def restrict(
         self,

@@ -20,7 +20,7 @@ from .errors import (
 )
 from .fusion import FusionLaw, Grading, unique_adequate_grading
 from .linalg import (
-    EchelonAccumulator, Matrix, Subspace, cleared, combine, dot, invert, kernel, row_key, scaled, sparse,
+    EchelonAccumulator, Matrix, Subspace, cleared, combine, dot, kernel, row_key, scaled, sparse,
 )
 from .perms import Perm, classes, group_order
 
@@ -93,8 +93,9 @@ def _check_axis(alg: Algebra, a, law: FusionLaw) -> AxisReport:
     field, p = alg.field, alg.field.characteristic
     violations = []
     targets = {}
-    for cell in {c for row in law.table for c in row}:
-        rows = EchelonAccumulator.of(field, alg.dim, (b for k in sorted(cell) for b in spaces[k].rows.values())).rows
+    for cell in {c for row in law.table for c in row}:  # one eigenspace is already an echelon
+        rows = spaces[min(cell)].rows if len(cell) == 1 else EchelonAccumulator.of(
+            field, alg.dim, (b for k in sorted(cell) for b in spaces[k].rows.values())).rows
         den, ints = cleared(field, list(rows.values()))
         targets[cell] = den, {q: tuple(r.items()) for q, r in zip(rows, ints)}
     eigen = [[(u, cleared(field, [u])[1][0]) for u in s.rows.values()] for s in spaces]
@@ -209,16 +210,17 @@ def _designated_reports(alg: Algebra, law: FusionLaw) -> Tuple[Tuple[str, AxisRe
     return tuple((name, adm.offer(sparse(v))) for name, v in alg.axes)
 
 
-def _eigenbasis(alg: Algebra, spaces):
-    """Change of basis to the stacked eigenbases of a semisimple decomposition.
-
-    Returns the eigenbasis vectors (sparse rows) in law order, the
-    eigenspace index of each, and the inverse change of basis: row r of it
-    reads off a vector's coordinate on vector r.
-    """
-    cols = [b for s in spaces for b in s._basis]
-    owner = [t for t, s in enumerate(spaces) for _ in s._basis]
-    return cols, owner, invert(Matrix._of(alg.field, alg.dim, cols).transpose())
+def _projection(alg: Algebra, spaces, keep) -> list:
+    """The columns P e_p (sparse rows) of the projection onto the spaces[t], t in
+    `keep`, along the others, which must span the algebra with them: the rows
+    [u | u] over the kept eigenbases and [u | 0] over the rest echelon to [I | P^T]."""
+    n = alg.dim
+    acc = EchelonAccumulator(alg.field, 2 * n)
+    for t, s in enumerate(spaces):
+        for u in s._basis:
+            acc.add_row({**u, **{c + n: x for c, x in u.items()}} if t in keep else u)
+    rows = acc.rows
+    return [{c - n: x for c, x in rows[p].items() if c >= n} for p in range(n)]
 
 
 def projection_functional(alg: Algebra, a, law: Optional[FusionLaw] = None) -> Tuple:
@@ -237,10 +239,9 @@ def _projection_functional(alg: Algebra, a, law: FusionLaw, spaces) -> dict:
         raise NotSemisimple("adjoint eigenspaces do not span the algebra")
     if spaces[law.one_index].dim != 1:
         raise NotPrimitive("1-eigenspace is not one-dimensional")
-    _, owner, inv = _eigenbasis(alg, spaces)
-    (b1,) = spaces[law.one_index]._basis
+    # P_1 e_p = phi_a(e_p) a, read at a's first non-zero entry
     k = min(a)
-    return scaled(b1[k] / a[k], inv.rows[owner.index(law.one_index)])
+    return {p: col[k] / a[k] for p, col in enumerate(_projection(alg, spaces, (law.one_index,))) if k in col}
 
 
 def projection(alg: Algebra, a, v, law: Optional[FusionLaw] = None):
@@ -301,15 +302,15 @@ def miyamoto(
 
 def _tau_from_report(alg: Algebra, report: AxisReport, grading: Grading) -> Matrix:
     """The map +-1 on the eigenspaces of a passed report, built from scratch
-    and checked to be an automorphism.  It is P S P^-1 with S = diag(+-1) and
-    P^-1 exact, so it is an involution by construction."""
+    and checked to be an automorphism.  It is I - 2 P_-, P_- the projection onto
+    the minus eigenspaces (`_projection`); P_-^2 = P_-, so it is an involution."""
     if alg.field.characteristic == 2:
         raise Unsupported("no nontrivial C2 character in characteristic 2")
-    cols, owner, inv = _eigenbasis(alg, report.eigenspaces)
-    signed = [scaled(grading.signs[t], c) for c, t in zip(cols, owner)]
-    tau = Matrix._of(alg.field, alg.dim, signed).transpose().matmul(inv)
+    minus, one = _projection(alg, report.eigenspaces, grading.minus_indices), alg.field.one()
+    cols = [combine(((1, {p: one}.items()), (-2, col.items()))) for p, col in enumerate(minus)]
+    tau = Matrix._of(alg.field, alg.dim, cols).transpose()
     # with M tau as ints, both sides of tau(e_i e_j) = tau(e_i) tau(e_j) times M^2 D
-    m, cols = cleared(alg.field, tau._columns())
+    m, cols = cleared(alg.field, cols)
     ad, p = alg._int_layout()[1], alg.field.characteristic
     for i in range(alg.dim):
         for j in range(i, alg.dim):

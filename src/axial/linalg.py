@@ -12,6 +12,8 @@ Every routine feeds its rows to `EchelonAccumulator`, which keeps a fully
 reduced row-echelon basis (pivot entries 1) and reduces each new row in one
 pass over the pivot columns it touches.  That form of a row space is unique,
 so results do not depend on row order and equal subspaces store equal rows.
+`kernel` eliminates the columns in reverse order, so its null space comes
+out reduced from that one elimination.
 A column index, exact after each `add_row`, names for each non-pivot column
 the pivots whose rows hold it, and a new pivot is back-substituted into just
 those rows.  Given a prime modulus p, the accumulator works on plain ints:
@@ -319,21 +321,13 @@ class EchelonAccumulator:
                    for p in sorted(rows) if p >= start}
         return Subspace(self.field, self.ncols - start, shifted)
 
-    def kernel_basis(self, width: Optional[int] = None) -> dict:
-        """The null space of the first `width` columns (all of them by default),
-        as one row per free column f: 1 at f, and at each pivot p minus the
-        entry of row p in column f."""
-        width = self.ncols if width is None else width
+    def kernel_basis(self) -> dict:
+        """The null space as one row per free column f: 1 at f, and at each
+        pivot p minus the entry of row p in column f."""
         rows, index, m = self.rows, self.index, self.modulus
         one = 1 if m else self.field.one()
         return {f: {f: one, **{p: m - rows[p][f] if m else -rows[p][f] for p in index.get(f, ())}}
-                for f in range(width) if f not in rows}
-
-    def kernel(self, width: Optional[int] = None) -> "Subspace":
-        """Null space of the first `width` columns (all of them by default)."""
-        width = self.ncols if width is None else width
-        free = self.kernel_basis(width).values()
-        return EchelonAccumulator.of(self.field, width, free).subspace()
+                for f in range(self.ncols) if f not in rows}
 
 
 def close_span(acc: EchelonAccumulator, seeds, images) -> EchelonAccumulator:
@@ -489,21 +483,25 @@ class Subspace:
 
 
 def kernel(m: Matrix) -> Subspace:
-    """Exact null space {v : m v = 0}."""
-    return EchelonAccumulator.of(m.field, m.ncols, m.rows).kernel()
+    """Exact null space {v : m v = 0}, from one elimination of the columns in
+    reverse order: mapped back, the row `kernel_basis` gives for a free column
+    is 1 there, 0 at the other free columns and non-zero only after it, so
+    the rows are already the reduced echelon form of the null space."""
+    last = m.ncols - 1
+    acc = EchelonAccumulator.of(m.field, m.ncols, ({last - c: x for c, x in row.items()} for row in m.rows))
+    free = acc.kernel_basis()
+    return Subspace(m.field, m.ncols, {last - f: {last - c: x for c, x in free[f].items()} for f in reversed(free)})
 
 
 def solve_linear(m: Matrix, b):
-    """Solve m x = b.  Returns (particular | None, kernel(m)), from one
-    echelon of the augmented rows [m | b]."""
+    """Solve m x = b.  Returns (particular | None, kernel(m)), the particular
+    solution 0 at every free column of the echelon of [m | b]."""
     b = as_vector(m.field, b, m.nrows)
     n = m.ncols
     aug = ({**row, n: x} if x else row for row, x in zip(m.rows, b))
-    acc = EchelonAccumulator.of(m.field, n + 1, aug)
-    ker = acc.kernel(n)
-    if n in acc.rows:
-        return None, ker
-    return dense(m.field, {p: row[n] for p, row in acc.rows.items() if n in row}, n), ker
+    rows = EchelonAccumulator.of(m.field, n + 1, aug).rows
+    sol = None if n in rows else dense(m.field, {p: row[n] for p, row in rows.items() if n in row}, n)
+    return sol, kernel(m)
 
 
 def invert(m: Matrix) -> Matrix:

@@ -33,7 +33,7 @@ from axial import (
 from axial.axes import (
     AxisReport,
     _conjugate_tau,
-    _eigenbasis,
+    _projection_functional,
     _tau_from_report,
     _transport,
     projection,
@@ -54,7 +54,7 @@ from axial.errors import (
     NotSemisimple,
     NotTwoGenerated,
 )
-from axial.linalg import EchelonAccumulator, Matrix, residue, scaled, sparse
+from axial.linalg import EchelonAccumulator, Matrix, invert, residue, scaled, sparse
 from vectors import vadd, vscale, vsub
 
 coeffs = st.integers(min_value=-5, max_value=5).map(rational)
@@ -529,11 +529,37 @@ def field_check_axis(alg, a, law):
     )
 
 
-def field_tau(alg, report, grading):
-    """`_tau_from_report` with tau(e_i e_j) = tau(e_i) tau(e_j) compared on the field's scalars."""
+def _eigenbasis(alg, spaces):
+    """Change of basis to the stacked eigenbases of a semisimple decomposition:
+    the eigenbasis vectors (sparse rows) in law order, the eigenspace index
+    of each, and the inverse change of basis, whose row r reads off a
+    vector's coordinate on vector r."""
+    cols = [b for s in spaces for b in s._basis]
+    owner = [t for t, s in enumerate(spaces) for _ in s._basis]
+    return cols, owner, invert(Matrix._of(alg.field, alg.dim, cols).transpose())
+
+
+def eigenbasis_tau(alg, report, grading):
+    """The map +-1 on the eigenspaces as P S P^-1: P the stacked eigenbases,
+    S = diag(+-1) as the grading signs them, and P^-1 from `invert`."""
     cols, owner, inv = _eigenbasis(alg, report.eigenspaces)
     signed = [scaled(grading.signs[t], c) for c, t in zip(cols, owner)]
-    tau = Matrix._of(alg.field, alg.dim, signed).transpose().matmul(inv)
+    return Matrix._of(alg.field, alg.dim, signed).transpose().matmul(inv)
+
+
+def eigenbasis_functional(alg, a, law, spaces):
+    """phi_a as the row of P^-1 that reads off the coordinate on the
+    1-eigenvector b1, scaled by b1 / a at a's first non-zero entry."""
+    _, owner, inv = _eigenbasis(alg, spaces)
+    (b1,) = spaces[law.one_index]._basis
+    k = min(a)
+    return scaled(b1[k] / a[k], inv.rows[owner.index(law.one_index)])
+
+
+def field_tau(alg, report, grading):
+    """`_tau_from_report` as `eigenbasis_tau`, with tau(e_i e_j) =
+    tau(e_i) tau(e_j) compared on the field's scalars."""
+    tau = eigenbasis_tau(alg, report, grading)
     tau_cols = tau._columns()
     for i in range(alg.dim):
         for j in range(i, alg.dim):
@@ -694,6 +720,32 @@ class TestIntChecks:
         for _, v in alg.axes:
             for law in (alg.law, law_J(QQ, "1/4")):
                 _same_report(check_axis(alg, v, law), field_check_axis(alg, v, law))
+
+
+class TestProjections:
+    """tau_a = I - 2 P_- and phi_a read off P_1, each from one elimination
+    (`_projection`), equal the maps built through the inverse eigenbasis
+    (`eigenbasis_tau`, `eigenbasis_functional`) on every axis of a closed
+    set, whether its report was checked in full or transported."""
+
+    @pytest.mark.parametrize("spec", EIGENSPACE_CASES)
+    def test_match_the_eigenbasis_inverse(self, spec):
+        alg = _algebra(spec)
+        axet = close_axes(alg, alg.axis_vectors())
+        one = Matrix.identity(alg.field, alg.dim)
+        minus = 0
+        for rep in axet.reports:
+            a = sparse(rep.axis)
+            got = _projection_functional(alg, a, axet.law, rep.eigenspaces)
+            assert got == eigenbasis_functional(alg, a, axet.law, rep.eigenspaces), spec
+            for grading in (axet.grading, Grading((1,) * axet.law.size)):
+                tau = _tau_from_report(alg, rep, grading)
+                assert tau == eigenbasis_tau(alg, rep, grading), spec
+            assert tau == one, spec  # all plus
+            minus += sum(rep.eigenspaces[t].dim for t in axet.grading.minus_indices)
+        # the maps of the grading are not all the identity, except where no
+        # axis has a minus eigenvector
+        assert bool(minus) == (spec not in ("ns:2A", "ns:2B", "hw:2")), spec
 
 
 INVARIANT_CASES = (

@@ -144,13 +144,17 @@ class TestSubspace:
 
 
 def test_echelon_accumulator_matches_kernel():
+    # the kernel basis read off the echelon in column order spans kernel(m),
+    # which eliminates the columns in reverse order
     m = Matrix(QQ, [[1, 2, 3], [2, 4, 6], [0, 1, 1]])
     acc = EchelonAccumulator(QQ, 3)
     for row in m.rows:
         acc.add_row(row)
     assert acc.rank == 2
-    assert acc.kernel().dim == kernel(m).dim == 1
-    for v in acc.kernel().basis:
+    free = acc.kernel_basis()
+    assert len(free) == kernel(m).dim == 1
+    assert EchelonAccumulator.of(QQ, 3, free.values()).subspace() == kernel(m)
+    for v in kernel(m).basis:
         assert is_zero_vec(m.mul_vec(v))
 
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from axial import GF, NORTON_SAKUMA_NAMES, QQ, frobenius_solution_space, matsuo, norton_sakuma
 from axial.catalog import ThreeTranspositionGroup
 from axial.errors import DimensionError
-from axial.linalg import Matrix, Subspace, det, invert, kernel, solve_linear
+from axial.linalg import EchelonAccumulator, Matrix, Subspace, det, invert, kernel, solve_linear
 from vectors import rref
 
 sympy = pytest.importorskip("sympy")
@@ -113,9 +113,13 @@ def test_rref_pivots_rank(m):
     assert span.dim == len(pivots) == to_oracle(m.field, m.data, m.ncols).rank()
 
 
-@given(matrices())
-def test_nullspace(m):
+def assert_reduced_nullspace(m):
+    """kernel(m) comes out of its one elimination as the reduced echelon form
+    of the null space: the same rows, in the same pivot order, as the echelon
+    of the kernel basis read off m's echelon in column order, and sympy's."""
     ker = kernel(m)
+    free = EchelonAccumulator.of(m.field, m.ncols, m.rows).kernel_basis().values()
+    assert list(ker.rows.items()) == list(EchelonAccumulator.of(m.field, m.ncols, free).subspace().rows.items())
     if m.nrows == 0 or m.ncols == 0:
         assert ker == Subspace.full(m.field, m.ncols)
         return
@@ -123,6 +127,36 @@ def test_nullspace(m):
     want, pivots = oracle_rref(m.field, null) if null.shape[0] else ((), ())
     assert ker.basis == tuple(r for r in want if any(r))
     assert ker.pivots == pivots
+
+
+@given(matrices())
+def test_nullspace(m):
+    assert_reduced_nullspace(m)
+
+
+@st.composite
+def ranked_matrices(draw):
+    """Matrices of up to 12 x 12 over QQ, GF(7) and GF(2^31 - 1) of every rank:
+    a product (nrows x r)(r x ncols) of dense factors, then up to 3 rows and
+    3 columns set to zero."""
+    field = draw(st.sampled_from((QQ, GF(7), GF(P31))))
+    nrows, ncols = draw(st.integers(0, 12)), draw(st.integers(0, 12))
+    r = draw(st.integers(0, min(nrows, ncols)))
+    scalar = st.builds(lambda num, den: field.parse(f"{num}/{den}"), st.integers(-9, 9), st.integers(1, 4))
+    left, right = ([draw(st.lists(scalar, min_size=w, max_size=w)) for _ in range(h)]
+                   for h, w in ((nrows, r), (r, ncols)))
+    zero_rows = draw(st.sets(st.integers(0, max(nrows - 1, 0)), max_size=min(nrows, 3)))
+    zero_cols = draw(st.sets(st.integers(0, max(ncols - 1, 0)), max_size=min(ncols, 3)))
+    return Matrix(field, [
+        [field.zero() if i in zero_rows or j in zero_cols
+         else sum((left[i][k] * right[k][j] for k in range(r)), field.zero()) for j in range(ncols)]
+        for i in range(nrows)
+    ])
+
+
+@given(ranked_matrices())
+def test_kernel_is_reduced_from_one_elimination(m):
+    assert_reduced_nullspace(m)
 
 
 @given(matrices(square=True))

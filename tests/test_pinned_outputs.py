@@ -18,6 +18,7 @@ MEMBER = '{"a": {"3": "1", "4": "-2", "5": "1"}, "s": {}}\n'
 PIPELINES = {
     "cli_ns3a_frobenius.txt": (None, ["build", "ns:3A"], ["frobenius", "-"]),
     "cli_matsuo5_miyamoto.txt": (None, ["build", "matsuo:Sn:5:1/3"], ["miyamoto", "-"]),
+    "cli_ns6a_miyamoto.txt": (None, ["build", "ns:6A"], ["miyamoto", "-"]),
     "cli_hw6_verify.txt": (None, ["hw", "quotient", "6"], ["verify", "-"]),
     "cli_matsuo5_verify.json": (None, ["build", "matsuo:Sn:5:1/3"], ["verify", "--json", "-"]),
     "cli_matsuo5_verify_law_m.json": (
@@ -40,6 +41,7 @@ PIPELINES = {
     "cli_matsuo14_verify.txt": (None, ["build", "matsuo:Sn:14:1/3"], ["verify", "-"]),
     "cli_hw66_verify.txt": (None, ["hw", "quotient", "66"], ["verify", "-"]),
     "cli_matsuo5_gf10007_frobenius.json": (EXPECTED / "matsuo5_gf10007.json", ["frobenius", "--json", "-"]),
+    "cli_matsuo5_gf10007_miyamoto.json": (EXPECTED / "matsuo5_gf10007.json", ["miyamoto", "--json", "-"]),
     "cli_qq3_random_basis_frobenius.json": (EXPECTED / "qq3_random_basis.json", ["frobenius", "--json", "-"]),
     "cli_matsuo5_random_basis_frobenius.json": (
         EXPECTED / "matsuo5_random_basis.json", ["frobenius", "--json", "-"],
