@@ -68,13 +68,14 @@ class AxisReport:
         return self.eigen_dims[self.law.index_of(lam)]
 
     def describe(self) -> str:
-        dims = ", ".join(
-            f"{self.law.field.fmt(lam)}: {d}"
-            for lam, d in zip(self.law.elements, self.eigen_dims)
-        )
-        status = "axis" if self.passed else "NOT an axis"
-        prim = ", primitive" if self.is_primitive else ""
-        return f"{status} ({dims}){prim}"
+        return axis_line(self.law, self.passed, self.eigen_dims, self.is_primitive)
+
+
+def axis_line(law: FusionLaw, passed: bool, eigen_dims, primitive: bool) -> str:
+    """'axis (1: 1, 0: 3, 1/4: 2), primitive': an axis check's verdict with
+    its eigenspace dimension at each element of law."""
+    dims = ", ".join(f"{law.field.fmt(lam)}: {d}" for lam, d in zip(law.elements, eigen_dims))
+    return f"{'axis' if passed else 'NOT an axis'} ({dims}){', primitive' if primitive else ''}"
 
 
 def check_axis(alg: Algebra, a, law: FusionLaw) -> AxisReport:

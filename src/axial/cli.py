@@ -6,62 +6,38 @@ streams ("-" means stdin), so builds and checks compose into pipelines:
     axial build ns:2A | axial verify - --law M:1/4,1/32
 
 Exit codes: 0 pass, 1 verification failure, 2 invalid input, 3 unsupported
-computation.  Diagnostics go to stderr, reports to stdout, and --json swaps
-the human report for a machine one.  Output is deterministic for fixed input.
+computation.  Diagnostics go to stderr, reports to stdout.  Each reporting
+command builds one payload and prints it as JSON indented by 2 under --json
+(`hw member` included), else as text read off that payload; verify and
+hw check-tuple exit 1 after a failed verdict.  Output is deterministic for
+fixed input.
 """
 
+import functools
 import json
 import sys
 
 import click
 
 from .axes import (
-    DEFAULT_AXIS_CAP,
-    _designated_reports,
-    classify_2gen_axet,
-    close_axes,
-    miyamoto_group,
+    DEFAULT_AXIS_CAP, _designated_reports, axis_line, classify_2gen_axet, close_axes, miyamoto_group,
 )
 from .catalog import (
-    ThreeTranspositionGroup,
-    flip_subalgebra,
-    matsuo,
-    norton_sakuma,
-    spin_factor,
-    split_spin_factor,
+    ThreeTranspositionGroup, flip_subalgebra, matsuo, norton_sakuma, spin_factor, split_spin_factor,
 )
 from .errors import (
-    AxialError,
-    ClosureCapExceeded,
-    ConsistencyFailure,
-    MalformedInput,
-    Unsupported,
-    brief,
+    AxialError, ClosureCapExceeded, ConsistencyFailure, MalformedInput, Unsupported, brief,
 )
 from .fields import QQ, parse_int
 from .frobenius import radical as compute_radical
 from .frobenius import solve_frobenius
 from .fusion import LAW_KINDS, law_from_obj, law_to_obj
 from .highwater import (
-    HighwaterElement,
-    hw_ideal_window_contains,
-    hw_periodic_quotient,
-    ideal_type_info,
+    HighwaterElement, hw_ideal_window_contains, hw_periodic_quotient, ideal_type_info,
 )
 from .perms import format_cycles, parse_cycles
-from .serialize import (
-    vec_to_obj,
-    dump_algebra,
-    load_algebra,
-    load_gram,
-    load_json,
-)
-from .structure import (
-    is_slender,
-    non_annihilating_graph,
-    spine,
-    sum_decomposition,
-)
+from .serialize import dump_algebra, load_algebra, load_gram, load_json, vec_to_obj
+from .structure import is_slender, non_annihilating_graph, spine, sum_decomposition
 
 _INPUT_ERRORS = 2
 _UNSUPPORTED = 3
@@ -193,56 +169,71 @@ def build(spec, out):
     out.write("\n")
 
 
-def _violation_obj(field, viol):
-    lam, mu, u, v = viol
-    return {
-        "lam": field.fmt(lam),
-        "mu": field.fmt(mu),
-        "u": vec_to_obj(field, u),
-        "v": vec_to_obj(field, v),
-    }
+def _reports(text):
+    """Make a command body a report.  The body returns (payload, status), or
+    (payload, status, extra) when its text needs more than the payload.  The
+    command prints the payload as indented JSON under --json, else the lines
+    of text(payload, *extra), and then exits with status."""
+
+    def wrap(body):
+        @functools.wraps(body)
+        def command(as_json, **kwargs):
+            payload, status, *extra = body(**kwargs)
+            click.echo(json.dumps(payload, indent=2) if as_json else "\n".join(text(payload, *extra)))
+            sys.exit(status)
+
+        return click.option("--json", "as_json", is_flag=True, help="Machine-readable report.")(command)
+
+    return wrap
+
+
+def _verify_text(report, law):
+    for ax in report["axes"]:
+        yield f"{ax['name']}: {axis_line(law, ax['passed'], ax['eigen_dims'], ax['primitive'])}"
+        yield from (f"  violation at ({v['lam']}, {v['mu']})" for v in ax["violations"])
+    yield f"verdict: {'pass' if report['all_passed'] else 'FAIL'} under {law.name}"
 
 
 @main.command()
 @click.argument("file", type=click.File("r"), default="-")
 @click.option("--law", "law_text", default=None,
               help="Fusion law A, J:<eta> or M:<alpha>,<beta> (default: the document's).")
-@click.option("--json", "as_json", is_flag=True, help="Machine-readable report.")
-def verify(file, law_text, as_json):
+@_reports(_verify_text)
+def verify(file, law_text):
     """Run the axis checks on every designated axis; exit 1 on any failure."""
     alg = _read_algebra(file, law=True, law_text=law_text, axes=True)
     named = _designated_reports(alg, alg.law)
+    field = alg.field
     all_passed = all(r.passed for _, r in named)
-    if as_json:
-        payload = {
-            "law": law_to_obj(alg.law),
-            "axes": [
-                {
-                    "name": name,
-                    "passed": r.passed,
-                    "idempotent": r.is_idempotent,
-                    "semisimple": r.is_semisimple,
-                    "primitive": r.is_primitive,
-                    "eigen_dims": list(r.eigen_dims),
-                    "violations": [
-                        _violation_obj(alg.field, w) for w in r.fusion_violations
-                    ],
-                }
-                for name, r in named
-            ],
-            "all_passed": all_passed,
-        }
-        click.echo(json.dumps(payload, indent=2))
-    else:
-        for name, r in named:
-            click.echo(f"{name}: {r.describe()}")
-            for lam, mu, _, _ in r.fusion_violations:
-                click.echo(
-                    f"  violation at ({alg.field.fmt(lam)}, {alg.field.fmt(mu)})"
-                )
-        click.echo(f"verdict: {'pass' if all_passed else 'FAIL'} under {alg.law.name}")
-    if not all_passed:
-        sys.exit(1)
+    report = {
+        "law": law_to_obj(alg.law),
+        "axes": [
+            {
+                "name": name,
+                "passed": r.passed,
+                "idempotent": r.is_idempotent,
+                "semisimple": r.is_semisimple,
+                "primitive": r.is_primitive,
+                "eigen_dims": list(r.eigen_dims),
+                "violations": [
+                    {"lam": field.fmt(lam), "mu": field.fmt(mu),
+                     "u": vec_to_obj(field, u), "v": vec_to_obj(field, v)}
+                    for lam, mu, u, v in r.fusion_violations
+                ],
+            }
+            for name, r in named
+        ],
+        "all_passed": all_passed,
+    }
+    return report, 0 if all_passed else 1, alg.law
+
+
+def _miyamoto_text(report):
+    yield f"closed axes: {len(report['axes'])}"
+    yield from (f"  [{k}] {ax['name']}" for k, ax in enumerate(report["axes"]))
+    yield f"orbits: {report['orbits']}"
+    yield from (f"tau[{k}] = {t}" for k, t in enumerate(report["tau"]))
+    yield f"group order: {report['group_order']}"
 
 
 @main.command()
@@ -250,43 +241,52 @@ def verify(file, law_text, as_json):
 @click.option("--cap", type=_INT, default=DEFAULT_AXIS_CAP, show_default=True,
               help="Abort if the closed axis set, seeds included, grows past this; "
                    "it is also the degree of the group.")
-@click.option("--json", "as_json", is_flag=True, help="Machine-readable report.")
-def miyamoto(file, cap, as_json):
+@_reports(_miyamoto_text)
+def miyamoto(file, cap):
     """Close the designated axes under their tau maps and report the group."""
     alg = _read_algebra(file, axes=True)
     axet = close_axes(alg, alg.axis_vectors(), cap=cap)
     group = miyamoto_group(axet)
-    if as_json:
-        payload = {
-            "axes": [
-                {"name": axet.names[k], "v": vec_to_obj(alg.field, axet.axes[k])}
-                for k in range(axet.size)
-            ],
-            "orbits": [sorted(o) for o in axet.orbits],
-            "tau": [format_cycles(p) for p in axet.tau_perms],
-            "group_order": group.order,
-        }
-        click.echo(json.dumps(payload, indent=2))
-    else:
-        click.echo(f"closed axes: {axet.size}")
-        for k in range(axet.size):
-            click.echo(f"  [{k}] {axet.names[k]}")
-        click.echo(f"orbits: {[sorted(o) for o in axet.orbits]}")
-        for k, p in enumerate(axet.tau_perms):
-            click.echo(f"tau[{k}] = {format_cycles(p)}")
-        click.echo(f"group order: {group.order}")
+    return {
+        "axes": [
+            {"name": axet.names[k], "v": vec_to_obj(alg.field, axet.axes[k])}
+            for k in range(axet.size)
+        ],
+        "orbits": [sorted(o) for o in axet.orbits],
+        "tau": [format_cycles(p) for p in axet.tau_perms],
+        "group_order": group.order,
+    }, 0
 
 
-def _gram_rows(alg, gram):
-    return [[alg.field.fmt(x) for x in row] for row in gram.data]
+def _radical_text(report):
+    yield f"radical dimension: {report['dim']}"
+    yield from (f"  {v}" for v in report["basis"])
+
+
+def _frobenius_text(report):
+    yield f"solution space dimension: {report['solution_dim']}"
+    if not report["has_form"]:
+        yield "NO Frobenius form (zero solution space) - noteworthy"
+    if report["ambiguous"]:
+        yield "normalization ambiguous: reporting one representative"
+    if report["canonical"] is not None:
+        yield "canonical Gram:"
+        yield from ("  [" + ", ".join(row) + "]" for row in report["canonical"])
+    yield from (f"  ({n['name']}, {n['name']}) = {n['norm']}" for n in report["axis_norms"])
+    basis = report["radical"]
+    if basis is not None:
+        yield from _radical_text({"dim": len(basis), "basis": basis})
+    elif report["radical_note"]:
+        yield f"radical: {report['radical_note']}"
 
 
 @main.command()
 @click.argument("file", type=click.File("r"), default="-")
-@click.option("--json", "as_json", is_flag=True, help="Machine-readable report.")
-def frobenius(file, as_json):
+@_reports(_frobenius_text)
+def frobenius(file):
     """Solve for the Frobenius form: canonical Gram, space dimension, radical."""
     alg = _read_algebra(file)
+    fmt = alg.field.fmt
     sol = solve_frobenius(alg)
     radical_basis = None
     radical_note = None
@@ -298,60 +298,44 @@ def frobenius(file, as_json):
             radical_note = str(exc)
     else:
         radical_note = "no canonical form"
-    norms = [(name, None if sol.axis_norms is None else alg.field.fmt(sol.axis_norms[k]))
-             for k, (name, _) in enumerate(alg.axes)]
-    if as_json:
-        payload = {
-            "solution_dim": sol.space.dim,
-            "has_form": sol.has_form,
-            "ambiguous": sol.ambiguous,
-            "canonical": None if sol.canonical is None
-            else _gram_rows(alg, sol.canonical),
-            "axis_norms": [{"name": n, "norm": x} for n, x in norms],
-            "radical": radical_basis,
-            "radical_note": radical_note,
-        }
-        click.echo(json.dumps(payload, indent=2))
-    else:
-        click.echo(f"solution space dimension: {sol.space.dim}")
-        if not sol.has_form:
-            click.echo("NO Frobenius form (zero solution space) - noteworthy")
-        if sol.ambiguous:
-            click.echo("normalization ambiguous: reporting one representative")
-        if sol.canonical is not None:
-            click.echo("canonical Gram:")
-            for row in _gram_rows(alg, sol.canonical):
-                click.echo("  [" + ", ".join(row) + "]")
-        for n, x in norms:
-            click.echo(f"  ({n}, {n}) = {x}")
-        if radical_basis is not None:
-            click.echo(f"radical dimension: {len(radical_basis)}")
-            for v in radical_basis:
-                click.echo(f"  {v}")
-        elif radical_note:
-            click.echo(f"radical: {radical_note}")
+    return {
+        "solution_dim": sol.space.dim,
+        "has_form": sol.has_form,
+        "ambiguous": sol.ambiguous,
+        "canonical": None if sol.canonical is None
+        else [[fmt(x) for x in row] for row in sol.canonical.data],
+        "axis_norms": [
+            {"name": name, "norm": None if sol.axis_norms is None else fmt(sol.axis_norms[k])}
+            for k, (name, _) in enumerate(alg.axes)
+        ],
+        "radical": radical_basis,
+        "radical_note": radical_note,
+    }, 0
 
 
 @main.command("radical")
 @click.argument("file", type=click.File("r"), default="-")
-@click.option("--json", "as_json", is_flag=True, help="Machine-readable report.")
-def radical_cmd(file, as_json):
+@_reports(_radical_text)
+def radical_cmd(file):
     """Compute the radical of the canonical Frobenius form (exit 3 if unsupported)."""
     alg = _read_algebra(file)
     rad = compute_radical(alg)
-    basis = [vec_to_obj(alg.field, v) for v in rad.basis]
-    if as_json:
-        click.echo(json.dumps({"dim": rad.dim, "basis": basis}, indent=2))
-    else:
-        click.echo(f"radical dimension: {rad.dim}")
-        for v in basis:
-            click.echo(f"  {v}")
+    return {"dim": rad.dim, "basis": [vec_to_obj(alg.field, v) for v in rad.basis]}, 0
+
+
+def _decompose_text(report):
+    parts = zip(report["components"], report["subalgebra_dims"], report["slender"])
+    for k, (club, dim, slender) in enumerate(parts):
+        yield f"component {k}: {{{', '.join(club)}}} spans dim {dim}{' (slender)' if slender else ''}"
+    yield f"pairwise products zero: {report['pairwise_zero']}"
+    yield f"direct sum: {report['direct']}"
+    yield f"whole algebra slender: {report['slender_whole']}"
 
 
 @main.command()
 @click.argument("file", type=click.File("r"), default="-")
-@click.option("--json", "as_json", is_flag=True, help="Machine-readable report.")
-def decompose(file, as_json):
+@_reports(_decompose_text)
+def decompose(file):
     """Axis components of the non-annihilating graph and the sum decomposition."""
     alg = _read_algebra(file, axes=True)
     vecs = alg.axis_vectors()
@@ -359,41 +343,31 @@ def decompose(file, as_json):
     dec = sum_decomposition(alg, vecs)
     names = [name for name, _ in alg.axes]
     comps = [sorted(c) for c in dec.components]
-    # a component is slender when its axes' spine fills its subalgebra
-    slender = [
-        spine(alg, [vecs[i] for i in comp]).dim == sub.dim
-        for comp, sub in zip(comps, dec.subalgebras)
-    ]
-    whole = is_slender(alg, vecs)
-    if as_json:
-        payload = {
-            "components": [[names[i] for i in c] for c in comps],
-            "subalgebra_dims": [s.dim for s in dec.subalgebras],
-            "pairwise_zero": dec.pairwise_zero,
-            "direct": dec.direct,
-            "slender": slender,
-            "slender_whole": whole,
-            "edges": sorted([names[a], names[b]] for a, b in graph.edges),
-        }
-        click.echo(json.dumps(payload, indent=2))
-    else:
-        for k, c in enumerate(comps):
-            club = ", ".join(names[i] for i in c)
-            click.echo(
-                f"component {k}: {{{club}}} spans dim {dec.subalgebras[k].dim}"
-                f"{' (slender)' if slender[k] else ''}"
-            )
-        click.echo(f"pairwise products zero: {dec.pairwise_zero}")
-        click.echo(f"direct sum: {dec.direct}")
-        click.echo(f"whole algebra slender: {whole}")
+    return {
+        "components": [[names[i] for i in c] for c in comps],
+        "subalgebra_dims": [s.dim for s in dec.subalgebras],
+        "pairwise_zero": dec.pairwise_zero,
+        "direct": dec.direct,
+        # a component is slender when its axes' spine fills its subalgebra
+        "slender": [
+            spine(alg, [vecs[i] for i in comp]).dim == sub.dim
+            for comp, sub in zip(comps, dec.subalgebras)
+        ],
+        "slender_whole": is_slender(alg, vecs),
+        "edges": sorted([names[a], names[b]] for a, b in graph.edges),
+    }, 0
+
+
+def _axet_text(report):
+    yield f"shape: {report['label']} (axes {report['total']}, skew {report['skew']})"
 
 
 @main.command()
 @click.argument("file", type=click.File("r"), default="-")
 @click.option("--gens", default="0,1", show_default=True,
               help="Indices of the two generating axes.")
-@click.option("--json", "as_json", is_flag=True, help="Machine-readable report.")
-def axet(file, gens, as_json):
+@_reports(_axet_text)
+def axet(file, gens):
     """Classify the closed axis set generated by two axes: X(n) or X'(k+2k)."""
     alg = _read_algebra(file)
     try:
@@ -404,18 +378,13 @@ def axet(file, gens, as_json):
         raise MalformedInput(f"--gens {brief(gens)} out of range for {len(alg.axes)} axes")
     if alg.axes[i][1] == alg.axes[j][1]:
         raise MalformedInput(f"--gens {brief(gens)} names one axis twice; want two distinct axes")
-    closed = close_axes(alg, [alg.axes[i][1], alg.axes[j][1]])
-    shape = classify_2gen_axet(closed)
-    if as_json:
-        payload = {
-            "label": shape.label,
-            "total": shape.total,
-            "skew": shape.skew,
-            "orbit_sizes": list(shape.orbit_sizes),
-        }
-        click.echo(json.dumps(payload, indent=2))
-    else:
-        click.echo(f"shape: {shape.label} (axes {shape.total}, skew {shape.skew})")
+    shape = classify_2gen_axet(close_axes(alg, [alg.axes[i][1], alg.axes[j][1]]))
+    return {
+        "label": shape.label,
+        "total": shape.total,
+        "skew": shape.skew,
+        "orbit_sizes": list(shape.orbit_sizes),
+    }, 0
 
 
 @main.group()
@@ -441,26 +410,25 @@ def _parse_tuple(csv):
         raise MalformedInput(f"bad tuple {brief(csv)}: {exc}") from exc
 
 
+def _check_tuple_text(report):
+    yield "ideal type" if report["ok"] else "NOT ideal type"
+    if report["ok"]:
+        yield f"epsilon: {report['epsilons']}"
+        if report["divergent_readings"]:
+            yield "note: passes only with epsilon = -1 (not a palindrome)"
+
+
 @hw.command("check-tuple")
 @click.argument("csv")
-@click.option("--json", "as_json", is_flag=True, help="Machine-readable report.")
-def check_tuple(csv, as_json):
+@_reports(_check_tuple_text)
+def check_tuple(csv):
     """Decide whether a comma-separated coefficient tuple is of ideal type."""
     info = ideal_type_info(_parse_tuple(csv))
-    if as_json:
-        click.echo(json.dumps({
-            "ok": info.ok,
-            "epsilons": list(info.epsilons),
-            "divergent_readings": info.divergent_readings,
-        }, indent=2))
-    else:
-        click.echo("ideal type" if info.ok else "NOT ideal type")
-        if info.ok:
-            click.echo(f"epsilon: {list(info.epsilons)}")
-            if info.divergent_readings:
-                click.echo("note: passes only with epsilon = -1 (not a palindrome)")
-    if not info.ok:
-        sys.exit(1)
+    return {
+        "ok": info.ok,
+        "epsilons": list(info.epsilons),
+        "divergent_readings": info.divergent_readings,
+    }, 0 if info.ok else 1
 
 
 @hw.command()
@@ -468,8 +436,8 @@ def check_tuple(csv, as_json):
 @click.argument("element", type=click.File("r"), default="-")
 @click.option("--window", type=_INT, default=None,
               help="Index bound for the generated span (default 3x tuple degree).")
-@click.option("--json", "as_json", is_flag=True, help="Machine-readable report.")
-def member(csv, element, window, as_json):
+@_reports(lambda report: [report["answer"]])
+def member(csv, element, window):
     """Window-bounded ideal membership: answers yes or unknown, never no."""
     items = _parse_tuple(csv)
     obj = load_json(element.read(), "element is not valid JSON")
@@ -477,11 +445,7 @@ def member(csv, element, window, as_json):
         elem = HighwaterElement.from_json(QQ, obj)
     except AxialError as exc:
         raise MalformedInput(f"bad element document: {exc}") from exc
-    answer = hw_ideal_window_contains(items, elem, window=window)
-    if as_json:
-        click.echo(json.dumps({"answer": answer}))
-    else:
-        click.echo(answer)
+    return {"answer": hw_ideal_window_contains(items, elem, window=window)}, 0
 
 
 if __name__ == "__main__":
