@@ -321,38 +321,31 @@ def _tau_from_report(alg: Algebra, report: AxisReport, grading: Grading) -> Matr
     return tau
 
 
-def _conjugate_tau(report: AxisReport, grading: Grading, tau_c: Matrix, tau_a: Matrix) -> Matrix:
-    """tau_b = tau_c tau_a tau_c for the axis b = tau_c(a), a product of
-    verified automorphisms, certified on b's eigenbasis: tau_b u = +-u as the
-    grading signs u's eigenspace.  That basis fixes the map uniquely."""
-    tau = tau_c.matmul(tau_a).matmul(tau_c)
-    for sign, space in zip(grading.signs, report.eigenspaces):
-        for u in space._basis:
-            if tau._apply(u) != scaled(sign, u):
-                raise ConsistencyFailure("conjugated Miyamoto map is not +-1 on the eigenspaces")
-    return tau
-
-
-def _transport(alg: Algebra, report: AxisReport, tau: Matrix, b) -> AxisReport:
-    """b = tau(a)'s report from a's passed one, for a sparse row b: the
-    verified automorphism tau maps each A_lam(a) onto A_lam(b).  Certified by
-    b w = lam w on each mapped basis vector w; these are independent and dim
-    in number, so they span each A_lam(b) exactly, and A_lam(b) keeps them
-    as its basis (`Subspace._spanned`).  Idempotency, fusion and
-    primitivity carry over.  The test runs on the int layout: with B b and
-    W w as ints and lam = num/den, it reads den D (B b)(W w) = num D B (W w)."""
+def _transport(alg: Algebra, report: AxisReport, grading: Grading, tau_c: Matrix, tau_a: Matrix, b):
+    """(report, map) of the axis b = tau_c(a), a sparse row, from a's passed
+    report and map tau_a: the verified automorphism tau_c maps each A_lam(a)
+    onto A_lam(b), and tau_b = tau_c tau_a tau_c.  One pass over each mapped
+    basis vector w certifies both: b w = lam w, and tau_b w = +-w as the
+    grading signs lam.  The w are independent and dim in number, so they
+    span each A_lam(b) exactly, stay its basis (`Subspace._spanned`) and fix
+    tau_b uniquely.  Idempotency, fusion and primitivity carry over.  The
+    eigenvector test runs on the int layout: with B b and W w as ints and
+    lam = num/den, it reads den D (B b)(W w) = num D B (W w)."""
     field, p = alg.field, alg.field.characteristic
     scale, (bi,) = cleared(field, [b])
     scale *= alg._int_layout()[0]
-    spaces = []
-    for lam, space in zip(report.law.elements, report.eigenspaces):
-        ws = [tau._apply(u) for u in space._basis]
+    tau, spaces = tau_c.matmul(tau_a).matmul(tau_c), []
+    for lam, sign, space in zip(report.law.elements, grading.signs, report.eigenspaces):
+        ws = [tau_c._apply(u) for u in space._basis]
         den, (num,) = cleared(field, [{0: lam}])
-        for _, (wi,) in (cleared(field, [w]) for w in ws):
+        for w in ws:
+            (wi,) = cleared(field, [w])[1]
             if not _agree(scaled(den, alg._imul(bi, wi)), scaled(num[0] * scale, wi), p):
                 raise ConsistencyFailure("transported eigenvector is not an eigenvector of the image")
+            if tau._apply(w) != scaled(sign, w):
+                raise ConsistencyFailure("conjugated Miyamoto map is not +-1 on the eigenspaces")
         spaces.append(Subspace._spanned(field, alg.dim, ws))
-    return replace(report, axis=alg._dense(b), eigenspaces=tuple(spaces))
+    return replace(report, axis=alg._dense(b), eigenspaces=tuple(spaces)), tau
 
 
 class _Admission:
@@ -376,16 +369,16 @@ class _Admission:
         pairs = self.pending.pop(key, ())
         if pairs:
             c, a = min(pairs)
-            rep = _transport(self.alg, self.reports[a], self.mats[c], v)
-            self.mats.append(_conjugate_tau(rep, self.grading, self.mats[c], self.mats[a]))
+            rep, tau = _transport(self.alg, self.reports[a], self.grading, self.mats[c], self.mats[a], v)
         else:
             rep = _check_axis(self.alg, v, self.law)
             if not (rep.passed and self.maps):
                 return rep
-            self.mats.append(_tau_from_report(self.alg, rep, self.grading))
+            tau = _tau_from_report(self.alg, rep, self.grading)
         self.index[key] = k = len(self.vecs)
         self.vecs.append(v)
         self.reports.append(rep)
+        self.mats.append(tau)
         self.images.update(dict.fromkeys(pairs, k))
         for c, a in [(c, k) for c in range(k)] + [(k, a) for a in range(k + 1)]:
             img = row_key(self.mats[c]._apply(self.vecs[a]))
@@ -428,13 +421,12 @@ def close_axes(
 
     A seed no admitted map reaches gets a full `check_axis` and a map built
     from scratch and checked to be an automorphism, as `miyamoto` does.  Any
-    other axis b is tau_c(a) for admitted axes a, c: it gets a's report
-    mapped through tau_c, certified exactly by b w = lam w on each mapped
-    basis vector w, and tau_b = tau_c tau_a tau_c, certified exactly on b's
-    eigenbasis (+-1 as the grading says), which fixes it uniquely.  So every
-    map is an involutive automorphism: it permutes the closed set, and maps
-    with one permutation agree on the subalgebra the axes generate.
-    Each (map, axis) image is computed once, as soon as both are admitted.
+    other axis b is tau_c(a) for admitted axes a, c: one pass over a's
+    eigenbasis mapped through tau_c certifies b's report and tau_b = tau_c
+    tau_a tau_c exactly (`_transport`).  So every map is an involutive
+    automorphism: it permutes the closed set, and maps with one permutation
+    agree on the subalgebra the axes generate.  Each (map, axis) image is
+    computed once, as soon as both are admitted.
     New images are admitted round by round in order of their first (map
     index, axis index) pair, as a sweep of every map over every axis would
     find them.  The cap bounds the number of closed axes, seeds included; a

@@ -260,7 +260,7 @@ def miyamoto(file, cap):
 
 def _radical_text(report):
     yield f"radical dimension: {report['dim']}"
-    yield from (f"  {v}" for v in report["basis"])
+    yield from (f"  {json.dumps(v)}" for v in report["basis"])
 
 
 def _frobenius_text(report):
@@ -418,7 +418,7 @@ def _check_tuple_text(report):
             yield "note: passes only with epsilon = -1 (not a palindrome)"
 
 
-@hw.command("check-tuple")
+@hw.command("check-tuple", context_settings={"ignore_unknown_options": True})  # CSV may be -1,2,-1
 @click.argument("csv")
 @_reports(_check_tuple_text)
 def check_tuple(csv):
@@ -431,7 +431,7 @@ def check_tuple(csv):
     }, 0 if info.ok else 1
 
 
-@hw.command()
+@hw.command(context_settings={"ignore_unknown_options": True})  # CSV may be -1,2,-1
 @click.argument("csv")
 @click.argument("element", type=click.File("r"), default="-")
 @click.option("--window", type=_INT, default=None,

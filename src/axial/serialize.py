@@ -72,6 +72,7 @@ def algebra_to_obj(alg: Algebra) -> dict:
 def algebra_from_obj(obj) -> Algebra:
     if not isinstance(obj, dict):
         raise MalformedInput("algebra document must be a JSON object")
+    where = "the top-level object"  # the object the keys below are read from
     try:
         field = FieldSpec.from_json(obj["field"])
         dim = obj["dim"]  # "dim", "i" and "j" take JSON integers only, never floats or booleans
@@ -81,12 +82,14 @@ def algebra_from_obj(obj) -> Algebra:
         check_build_dim(dim, "the algebra document")
         products = {}
         for entry in obj.get("products", ()):
+            where = "a product entry"
             i, j = entry["i"], entry["j"]
             if not (type(i) is type(j) is int and 0 <= i < dim and 0 <= j < dim):
                 raise MalformedInput(f"product index ({brief(i)}, {brief(j)}) is not a JSON integer pair in 0..{dim - 1}")
             row = vec_from_obj(field, entry["v"], dim)
             if products.setdefault((i, j), row) != row:
                 raise MalformedInput(f"conflicting products for pair ({i}, {j})")
+        where = "an axis entry"
         axes = [
             (str(e["name"]), dense(field, vec_from_obj(field, e["v"], dim), dim))
             for e in obj.get("axes", ())
@@ -100,7 +103,9 @@ def algebra_from_obj(obj) -> Algebra:
             form = Matrix._of(field, dim, map(sparse, rows))
     except MalformedInput:
         raise
-    except (KeyError, TypeError, ValueError, OverflowError, InvalidField) as exc:
+    except KeyError as exc:
+        raise MalformedInput(f"bad algebra document: {where} has no key {exc}") from exc
+    except (TypeError, ValueError, OverflowError, InvalidField) as exc:
         raise MalformedInput(f"bad algebra document: {exc}") from exc
     return Algebra._of(field, basis, products, axes=axes, law=law, form=form)
 

@@ -32,7 +32,6 @@ from axial import (
 )
 from axial.axes import (
     AxisReport,
-    _conjugate_tau,
     _projection_functional,
     _tau_from_report,
     _transport,
@@ -344,12 +343,12 @@ class TestClosureDifferential:
         a, c = alg.axes[0][1], alg.axes[1][1]
         tau_a, tau_c = miyamoto(alg, a), miyamoto(alg, c)
         b = tau_c.apply(a)
-        report = check_axis(alg, b, alg.law)
-        good = _conjugate_tau(report, tau_a.grading, tau_c.matrix, tau_a.matrix)
+        report = check_axis(alg, a, alg.law)
+        _, good = _transport(alg, report, tau_a.grading, tau_c.matrix, tau_a.matrix, sparse(b))
         assert good == miyamoto(alg, b).matrix
-        with pytest.raises(ConsistencyFailure):
+        with pytest.raises(ConsistencyFailure, match="conjugated Miyamoto map"):
             # tau_c tau_c tau_c = tau_c, which is not tau_b
-            _conjugate_tau(report, tau_a.grading, tau_c.matrix, tau_c.matrix)
+            _transport(alg, report, tau_a.grading, tau_c.matrix, tau_c.matrix, sparse(b))
 
     def test_matsuo_s4_pinned(self):
         m = matsuo(ThreeTranspositionGroup.symmetric(4), QQ.parse("1/4"))
@@ -484,17 +483,18 @@ class TestTransport:
         alg = norton_sakuma("3A")
         a, c = alg.axes[0][1], alg.axes[1][1]
         tau_a, tau_c = miyamoto(alg, a).matrix, miyamoto(alg, c).matrix
-        b = tau_c.mul_vec(a)
+        b, grading = tau_c.mul_vec(a), resolve_grading(alg.law)
         rep = check_axis(alg, a, alg.law)
-        _same_report(_transport(alg, rep, tau_c, sparse(b)), check_axis(alg, b, alg.law))
-        with pytest.raises(ConsistencyFailure):
-            _transport(alg, rep, tau_a, sparse(b))  # the wrong map: tau_a fixes a, not b
+        got, _ = _transport(alg, rep, grading, tau_c, tau_a, sparse(b))
+        _same_report(got, check_axis(alg, b, alg.law))
+        with pytest.raises(ConsistencyFailure, match="not an eigenvector"):
+            _transport(alg, rep, grading, tau_a, tau_a, sparse(b))  # the wrong map: tau_a fixes a, not b
         spaces, dims = list(rep.eigenspaces), list(rep.eigen_dims)
         spaces[2], spaces[3] = spaces[3], spaces[2]
         dims[2], dims[3] = dims[3], dims[2]
         swapped = replace(rep, eigenspaces=tuple(spaces), eigen_dims=tuple(dims))
         with pytest.raises(ConsistencyFailure):
-            _transport(alg, swapped, tau_c, sparse(b))  # the 1/4 and 1/32 labels swapped
+            _transport(alg, swapped, grading, tau_c, tau_a, sparse(b))  # the 1/4 and 1/32 labels swapped
 
 
 # -- the three checks on the int layout against their field versions ----------
@@ -568,23 +568,27 @@ def field_tau(alg, report, grading):
     return tau
 
 
-def field_transport(alg, report, tau, b):
-    """`_transport` with b w = lam w compared on the field's scalars."""
-    spaces = []
-    for lam, space in zip(report.law.elements, report.eigenspaces):
-        ws = [tau._apply(u) for u in space.rows.values()]
-        if any(alg._mul(b, w) != scaled(lam, w) for w in ws):
-            raise ConsistencyFailure("transported eigenvector is not an eigenvector of the image")
+def field_transport(alg, report, grading, tau_c, tau_a, b):
+    """`_transport` with b w = lam w compared on the field's scalars and
+    each A_lam(b) echelonized at once."""
+    tau, spaces = tau_c.matmul(tau_a).matmul(tau_c), []
+    for lam, sign, space in zip(report.law.elements, grading.signs, report.eigenspaces):
+        ws = [tau_c._apply(u) for u in space.rows.values()]
+        for w in ws:
+            if alg._mul(b, w) != scaled(lam, w):
+                raise ConsistencyFailure("transported eigenvector is not an eigenvector of the image")
+            if tau._apply(w) != scaled(sign, w):
+                raise ConsistencyFailure("conjugated Miyamoto map is not +-1 on the eigenspaces")
         spaces.append(EchelonAccumulator.of(alg.field, alg.dim, ws).subspace())
-    return replace(report, axis=alg._dense(b), eigenspaces=tuple(spaces))
+    return replace(report, axis=alg._dense(b), eigenspaces=tuple(spaces)), tau
 
 
 def _outcome(check, *args):
-    """What a check returns, or the name of the ConsistencyFailure it raises."""
+    """What a check returns, or the message of the ConsistencyFailure it raises."""
     try:
         return check(*args)
-    except ConsistencyFailure:
-        return "ConsistencyFailure"
+    except ConsistencyFailure as exc:
+        return str(exc)
 
 
 def _rescaled(alg):
@@ -639,7 +643,7 @@ class TestIntChecks:
 
     def test_matches_the_field_checks(self):
         # the sweep is not vacuous: it meets violations, passes, maps that are
-        # and are not automorphisms, and transports that fail
+        # and are not automorphisms, and transports that fail either check
         total = {}
         for name, alg, law in DIFFERENTIAL_CASES:
             found = self.sweep(name, alg, law)
@@ -648,15 +652,15 @@ class TestIntChecks:
                 total[key] = total.get(key, 0) + count
         assert total["violations"] and total["passed"]
         assert total["automorphisms"] and total["not automorphisms"]
-        assert total["transported"] and total["not transported"]
+        assert total["transported"] and total["not transported"] and total["not conjugated"]
 
     @staticmethod
     def sweep(name, alg, law):
         """Compare the checks on every designated axis of alg under law, and
-        the maps of the first three and the transports through them; returns
-        counts by outcome."""
+        the maps of the first three and the transports through them, each
+        conjugating a's own map and a wrong one; returns counts by outcome."""
         found = dict.fromkeys(["reports", "violations", "passed", "automorphisms", "not automorphisms",
-                               "transported", "not transported"], 0)
+                               "transported", "not transported", "not conjugated"], 0)
         reports = []
         for _, v in alg.axes:
             rep = check_axis(alg, v, law)
@@ -678,13 +682,15 @@ class TestIntChecks:
             found["automorphisms" if isinstance(tau, Matrix) else "not automorphisms"] += 1
             if isinstance(tau, Matrix):
                 maps.append((rep, tau))
-        for rep, _ in maps:  # b = tau'(a), transported through every tau
+        for rep, own in maps:  # b = tau'(a), transported through every tau
             for _, image in maps:
                 b = image._apply(sparse(rep.axis))
                 for _, tau in maps:
-                    got = _outcome(_transport, alg, rep, tau, b)
-                    assert got == _outcome(field_transport, alg, rep, tau, b), name
-                    found["transported" if isinstance(got, AxisReport) else "not transported"] += 1
+                    for tau_a in (own, image):
+                        got = _outcome(_transport, alg, rep, grading, tau, tau_a, b)
+                        assert got == _outcome(field_transport, alg, rep, grading, tau, tau_a, b), name
+                        found["transported" if isinstance(got, tuple) else
+                              "not conjugated" if got.startswith("conjugated") else "not transported"] += 1
         return found
 
     @pytest.mark.parametrize("spec", ["ns:3A", "rescaled:ns:3A", "matsuo:4:7", "matsuo:5:10007"])
@@ -705,11 +711,12 @@ class TestIntChecks:
         a, c = alg.axes[0][1], alg.axes[1][1]
         tau_a, tau_c = miyamoto(alg, a).matrix, miyamoto(alg, c).matrix
         rep, b = check_axis(alg, a, alg.law), sparse(tau_c.mul_vec(a))
+        grading = resolve_grading(alg.law)
         assert b != sparse(a)
         for check in (_transport, field_transport):
-            _same_report(check(alg, rep, tau_c, b), check_axis(alg, alg._dense(b), alg.law))
+            _same_report(check(alg, rep, grading, tau_c, tau_a, b)[0], check_axis(alg, alg._dense(b), alg.law))
             with pytest.raises(ConsistencyFailure):
-                check(alg, rep, tau_a, b)
+                check(alg, rep, grading, tau_a, tau_a, b)
 
     def test_checks_read_the_algebra_own_layout(self):
         # Matsuo S4 at eta = 1/4 and at eta = 1/2 share field, basis and axes,

@@ -369,6 +369,27 @@ class TestHighwaterCommands:
         assert result.exit_code == 2
         assert "--bogus" in result.output
 
+    def test_tuple_with_a_negative_first_coefficient(self):
+        # real processes: -1,2,-1 is read as the CSV argument, not as an option
+        tup = run_process(["hw", "check-tuple", "--json", "-1,2,-1"], "")
+        assert (tup.returncode, json.loads(tup.stdout)["ok"]) == (0, True)
+        bad = run_process(["hw", "check-tuple", "-1,-1"], "")
+        assert (bad.returncode, bad.stdout) == (1, "NOT ideal type\n")
+        elem = json.dumps({"a": {"3": "-1", "4": "2", "5": "-1"}, "s": {}})
+        member = run_process(["hw", "member", "-1,2,-1", "-"], elem)
+        assert (member.returncode, member.stdout) == (0, "yes\n")
+
+    @pytest.mark.parametrize("args", [
+        ["hw", "check-tuple", "--jsn", "1,-2,1"],
+        ["hw", "check-tuple", "--jsn"],
+        ["hw", "member", "1,-2,1", "--windw", "5", "-"],
+        ["hw", "member", "--windw", "5", "-1,2,-1", "-"],
+    ])
+    def test_mistyped_option_exit_2(self, args):
+        proc = run_process(args, json.dumps({"a": {"0": "1"}}))
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stdout + proc.stderr
+
 
 class TestIntegerArguments:
     ELEMENT = json.dumps({"a": {"0": "1", "1": "-2", "2": "1"}, "s": {}})
@@ -428,6 +449,19 @@ class TestDocumentErrors:
         assert proc.returncode == 2
         assert "JSON integer" in proc.stderr
         assert "Traceback" not in proc.stdout + proc.stderr
+
+    @pytest.mark.parametrize("where,key", [
+        ("the top-level object", "field"), ("the top-level object", "dim"), ("the top-level object", "basis"),
+        ("a product entry", "i"), ("a product entry", "j"), ("a product entry", "v"),
+        ("an axis entry", "name"), ("an axis entry", "v"),
+    ])
+    def test_missing_key_is_named_exit_2(self, runner, where, key):
+        doc = json.loads(build(runner, "ns:2B"))
+        parts = {"the top-level object": doc, "a product entry": doc["products"][0], "an axis entry": doc["axes"][0]}
+        del parts[where][key]
+        result = runner.invoke(main, ["verify", "-"], input=json.dumps(doc))
+        assert result.exit_code == 2
+        assert result.output == f"error: bad algebra document: {where} has no key '{key}'\n"
 
     @pytest.mark.parametrize("key", ["0_1", " +1 ", "\u0661", "01", "-0"])
     def test_index_key_not_in_dumper_form_exit_2(self, runner, key):
