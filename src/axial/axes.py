@@ -20,7 +20,7 @@ from .errors import (
 )
 from .fusion import FusionLaw, Grading, unique_adequate_grading
 from .linalg import (
-    EchelonAccumulator, Matrix, Subspace, cleared, combine, dot, kernel, row_key, scaled, sparse,
+    EchelonAccumulator, Matrix, Subspace, cleared, combine, dot, kernel, on_basis, row_key, scaled, sparse,
 )
 from .perms import Perm, classes, group_order
 
@@ -211,19 +211,6 @@ def _designated_reports(alg: Algebra, law: FusionLaw) -> Tuple[Tuple[str, AxisRe
     return tuple((name, adm.offer(sparse(v))) for name, v in alg.axes)
 
 
-def _projection(alg: Algebra, spaces, keep) -> list:
-    """The columns P e_p (sparse rows) of the projection onto the spaces[t], t in
-    `keep`, along the others, which must span the algebra with them: the rows
-    [u | u] over the kept eigenbases and [u | 0] over the rest echelon to [I | P^T]."""
-    n = alg.dim
-    acc = EchelonAccumulator(alg.field, 2 * n)
-    for t, s in enumerate(spaces):
-        for u in s._basis:
-            acc.add_row({**u, **{c + n: x for c, x in u.items()}} if t in keep else u)
-    rows = acc.rows
-    return [{c - n: x for c, x in rows[p].items() if c >= n} for p in range(n)]
-
-
 def projection_functional(alg: Algebra, a, law: Optional[FusionLaw] = None) -> Tuple:
     """Row vector w with phi_a(v) = w . v for all v."""
     law = law if law is not None else alg.law
@@ -241,8 +228,9 @@ def _projection_functional(alg: Algebra, a, law: FusionLaw, spaces) -> dict:
     if spaces[law.one_index].dim != 1:
         raise NotPrimitive("1-eigenspace is not one-dimensional")
     # P_1 e_p = phi_a(e_p) a, read at a's first non-zero entry
-    k = min(a)
-    return {p: col[k] / a[k] for p, col in enumerate(_projection(alg, spaces, (law.one_index,))) if k in col}
+    one, k = law.one_index, min(a)
+    cols = on_basis(alg.field, alg.dim, ((u, u if t == one else {}) for t, s in enumerate(spaces) for u in s._basis))
+    return {p: col[k] / a[k] for p, col in enumerate(cols) if k in col}
 
 
 def projection(alg: Algebra, a, v, law: Optional[FusionLaw] = None):
@@ -302,13 +290,13 @@ def miyamoto(
 
 
 def _tau_from_report(alg: Algebra, report: AxisReport, grading: Grading) -> Matrix:
-    """The map +-1 on the eigenspaces of a passed report, built from scratch
-    and checked to be an automorphism.  It is I - 2 P_-, P_- the projection onto
-    the minus eigenspaces (`_projection`); P_-^2 = P_-, so it is an involution."""
+    """The map +-1 on the eigenspaces of a passed report, as the grading signs
+    them, built from scratch (`on_basis`) and checked to be an automorphism.
+    It is +-1 on a basis, so it is an involution."""
     if alg.field.characteristic == 2:
         raise Unsupported("no nontrivial C2 character in characteristic 2")
-    minus, one = _projection(alg, report.eigenspaces, grading.minus_indices), alg.field.one()
-    cols = [combine(((1, {p: one}.items()), (-2, col.items()))) for p, col in enumerate(minus)]
+    signed = ((u, scaled(sign, u)) for sign, s in zip(grading.signs, report.eigenspaces) for u in s._basis)
+    cols = on_basis(alg.field, alg.dim, signed)
     tau = Matrix._of(alg.field, alg.dim, cols).transpose()
     # with M tau as ints, both sides of tau(e_i e_j) = tau(e_i) tau(e_j) times M^2 D
     m, cols = cleared(alg.field, cols)

@@ -84,6 +84,18 @@ class _Integer(click.ParamType):
 _INT = _Integer()
 
 
+class _Signed(click.Command):
+    """A command whose arguments may start with a minus sign (PERIOD -5, CSV
+    -1,2,-1).  A first parse, with each token "-<digit>..." masked, lets click
+    refuse any other unknown option with its "No such option" error; the
+    real parse then reads those tokens as arguments."""
+
+    def parse_args(self, ctx, args):
+        self.make_parser(ctx).parse_args(["0" if a[:1] == "-" and a[1:2].isdigit() else a for a in args])
+        ctx.ignore_unknown_options = True
+        return super().parse_args(ctx, args)
+
+
 def _parse_law(field, text):
     head, _, rest = text.partition(":")
     kind = head.strip().upper()
@@ -392,7 +404,7 @@ def hw():
     """Infinite-basis arithmetic: periodic quotients, tuples, membership."""
 
 
-@hw.command(context_settings={"ignore_unknown_options": True})  # PERIOD may be -5
+@hw.command(cls=_Signed)
 @click.argument("period", type=_INT)
 @click.option("-o", "--out", type=click.File("w"), default="-",
               help="Destination file (default stdout).")
@@ -418,7 +430,7 @@ def _check_tuple_text(report):
             yield "note: passes only with epsilon = -1 (not a palindrome)"
 
 
-@hw.command("check-tuple", context_settings={"ignore_unknown_options": True})  # CSV may be -1,2,-1
+@hw.command("check-tuple", cls=_Signed)
 @click.argument("csv")
 @_reports(_check_tuple_text)
 def check_tuple(csv):
@@ -431,7 +443,7 @@ def check_tuple(csv):
     }, 0 if info.ok else 1
 
 
-@hw.command(context_settings={"ignore_unknown_options": True})  # CSV may be -1,2,-1
+@hw.command(cls=_Signed)
 @click.argument("csv")
 @click.argument("element", type=click.File("r"), default="-")
 @click.option("--window", type=_INT, default=None,

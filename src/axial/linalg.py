@@ -13,7 +13,7 @@ reduced row-echelon basis (pivot entries 1) and reduces each new row in one
 pass over the pivot columns it touches.  That form of a row space is unique,
 so results do not depend on row order and equal subspaces store equal rows.
 `kernel` eliminates the columns in reverse order, so its null space comes
-out reduced from that one elimination.
+out reduced from that one elimination; `on_basis` reads maps off [l | r].
 A column index, exact after each `add_row`, names for each non-pivot column
 the pivots whose rows hold it, and a new pivot is back-substituted into just
 those rows.  Given a prime modulus p, the accumulator works on plain ints:
@@ -252,7 +252,8 @@ class EchelonAccumulator:
     `rows` maps each pivot column to its row (see `_eliminate`); `order`
     lists the pivots in the order their rows arrived.  After any sequence of
     rows the basis is the reduced row-echelon form of their span.  `index`
-    maps each non-pivot column c to the pivots whose rows hold c, or to none.
+    maps each non-pivot column c to the pivots whose rows hold c; an empty
+    set is dropped, and a set that loses entries is copied to a fitting table.
     With a prime `modulus` p the rows are plain ints, any int on entry and
     in [1, p) once stored, and the basis is that of their span over F_p.
     `add_row` and `residue` take any column keys that sort among themselves
@@ -293,6 +294,7 @@ class EchelonAccumulator:
             if c != lead:
                 index[c].add(lead)
         tail = [(c, x) for c, x in v.items() if c != lead] if hits else ()
+        shrunk = set()
         for q in hits:
             other = rows[q]
             e = other.pop(lead)
@@ -306,6 +308,10 @@ class EchelonAccumulator:
                 else:
                     del other[c]
                     index[c].discard(q)
+                    shrunk.add(c)
+        for c in shrunk:  # a set keeps the table of its largest size: copy it
+            if live := index.pop(c):
+                index[c] = set(live)
         rows[lead] = v
         self.order.append(lead)
         return pv
@@ -459,13 +465,8 @@ class Subspace:
     def intersect(self, other: "Subspace") -> "Subspace":
         """Zassenhaus: echelon [[u|u],[v|0]]; rows pivoting in the right half span the meet."""
         self._check_ambient(other)
-        n = self.ambient
-        acc = EchelonAccumulator(self.field, 2 * n)
-        for u in self.rows.values():
-            acc.add_row({**u, **{c + n: x for c, x in u.items()}})
-        for v in other.rows.values():
-            acc.add_row(v)
-        return acc.subspace(n)
+        pairs = [*((u, u) for u in self.rows.values()), *((v, {}) for v in other.rows.values())]
+        return _augmented(self.field, self.ambient, pairs).subspace(self.ambient)
 
     def is_subspace_of(self, other: "Subspace") -> bool:
         self._check_ambient(other)
@@ -496,24 +497,33 @@ def kernel(m: Matrix) -> Subspace:
 def solve_linear(m: Matrix, b):
     """Solve m x = b.  Returns (particular | None, kernel(m)), the particular
     solution 0 at every free column of the echelon of [m | b]."""
-    b = as_vector(m.field, b, m.nrows)
-    n = m.ncols
-    aug = ({**row, n: x} if x else row for row, x in zip(m.rows, b))
-    rows = EchelonAccumulator.of(m.field, n + 1, aug).rows
+    b, n = as_vector(m.field, b, m.nrows), m.ncols
+    rows = _augmented(m.field, n, ((row, {0: x} if x else {}) for row, x in zip(m.rows, b))).rows
     sol = None if n in rows else dense(m.field, {p: row[n] for p, row in rows.items() if n in row}, n)
     return sol, kernel(m)
 
 
+def _augmented(field: FieldSpec, n: int, pairs) -> EchelonAccumulator:
+    """The echelon, on 2n columns, of the rows [l | r] for each pair (l, r) of
+    sparse rows, l on the columns 0..n-1 and r shifted past them."""
+    rows = ({**l, **{c + n: x for c, x in r.items()}} if r else l for l, r in pairs)
+    return EchelonAccumulator.of(field, 2 * n, rows)
+
+
+def on_basis(field: FieldSpec, n: int, pairs) -> list:
+    """The columns L e_p (sparse rows) of the linear map L with L l = r for each
+    pair (l, r) of sparse rows, where the l form a basis of F^n: every row
+    operation keeps [l | L l], so the echelon of the rows [l | r] is
+    [I | L^T].  Raises DimensionError unless the pairs fix one such L."""
+    rows = _augmented(field, n, pairs).rows
+    if sorted(rows) != [*range(n)]:
+        raise DimensionError("no unique linear map takes these values (matrix is singular)")
+    return [{c - n: x for c, x in rows[p].items() if c >= n} for p in range(n)]
+
+
 def invert(m: Matrix) -> Matrix:
-    """Echelon of [m | I]; m is invertible iff every left column pivots."""
+    """m^-1, whose rows are the columns of the map that sends row i of m to e_i."""
     if m.nrows != m.ncols:
         raise DimensionError("inverse of a non-square matrix")
-    n = m.nrows
-    one = m.field.one()
-    acc = EchelonAccumulator(m.field, 2 * n)
-    for i, row in enumerate(m.rows):
-        acc.add_row({**row, n + i: one})
-    if any(p not in acc.rows for p in range(n)):
-        raise DimensionError("matrix is singular")
-    rows = acc.rows
-    return Matrix._of(m.field, n, [{c - n: x for c, x in rows[p].items() if c >= n} for p in range(n)])
+    pairs = ((row, {i: m.field.one()}) for i, row in enumerate(m.rows))
+    return Matrix._of(m.field, m.nrows, on_basis(m.field, m.nrows, pairs))

@@ -76,12 +76,12 @@ def algebra_from_obj(obj) -> Algebra:
     try:
         field = FieldSpec.from_json(obj["field"])
         dim = obj["dim"]  # "dim", "i" and "j" take JSON integers only, never floats or booleans
-        basis = [str(b) for b in obj["basis"]]
+        basis = [str(b) for b in _array(obj["basis"], '"basis"')]
         if type(dim) is not int or len(basis) != dim:
             raise MalformedInput(f"dim {brief(dim)} is not a JSON integer equal to the basis size {len(basis)}")
         check_build_dim(dim, "the algebra document")
         products = {}
-        for entry in obj.get("products", ()):
+        for entry in _array(obj.get("products", []), '"products"', "a product entry"):
             where = "a product entry"
             i, j = entry["i"], entry["j"]
             if not (type(i) is type(j) is int and 0 <= i < dim and 0 <= j < dim):
@@ -92,7 +92,7 @@ def algebra_from_obj(obj) -> Algebra:
         where = "an axis entry"
         axes = [
             (str(e["name"]), dense(field, vec_from_obj(field, e["v"], dim), dim))
-            for e in obj.get("axes", ())
+            for e in _array(obj.get("axes", []), '"axes"', where)
         ]
         law = law_from_obj(field, obj["law"]) if "law" in obj else None
         form = None
@@ -108,6 +108,17 @@ def algebra_from_obj(obj) -> Algebra:
     except (TypeError, ValueError, OverflowError, InvalidField) as exc:
         raise MalformedInput(f"bad algebra document: {exc}") from exc
     return Algebra._of(field, basis, products, axes=axes, law=law, form=form)
+
+
+def _array(x, what, entries=None):
+    """x, if it is a JSON array whose entries are objects when `entries` names
+    them; else a MalformedInput naming what has the wrong type."""
+    if not isinstance(x, list):
+        raise MalformedInput(f"bad algebra document: {what} must be an array, not {brief(x)}")
+    for e in x if entries else ():
+        if not isinstance(e, dict):
+            raise MalformedInput(f"bad algebra document: {entries} must be an object, not {brief(e)}")
+    return x
 
 
 def dump_algebra(alg: Algebra) -> str:

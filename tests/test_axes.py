@@ -730,10 +730,10 @@ class TestIntChecks:
 
 
 class TestProjections:
-    """tau_a = I - 2 P_- and phi_a read off P_1, each from one elimination
-    (`_projection`), equal the maps built through the inverse eigenbasis
-    (`eigenbasis_tau`, `eigenbasis_functional`) on every axis of a closed
-    set, whether its report was checked in full or transported."""
+    """tau_a, +-1 on the eigenbasis, and phi_a read off P_1, each from one
+    elimination (`on_basis`), equal the maps built through the inverse
+    eigenbasis (`eigenbasis_tau`, `eigenbasis_functional`) on every axis of
+    a closed set, whether its report was checked in full or transported."""
 
     @pytest.mark.parametrize("spec", EIGENSPACE_CASES)
     def test_match_the_eigenbasis_inverse(self, spec):

@@ -236,6 +236,17 @@ class TestMiyamoto:
         assert "group order: 1" in result.output
 
 
+PEAK_RSS = """
+import os, subprocess, sys
+with open(sys.argv[2]) as stdin:
+    child = subprocess.Popen([sys.executable, "-c", "from axial.cli import main; main()", sys.argv[1], "-"],
+                             stdin=stdin, stdout=subprocess.DEVNULL)
+    _, status, usage = os.wait4(child.pid, 0)
+child.returncode = os.waitstatus_to_exitcode(status)
+print(child.returncode, usage.ru_maxrss)
+"""
+
+
 class TestFrobenius:
     def test_form_report(self, runner):
         doc = build(runner, "ns:3A")
@@ -266,6 +277,23 @@ class TestFrobenius:
         doc["axes"] = []
         result = runner.invoke(main, ["radical", "-"], input=json.dumps(doc))
         assert result.exit_code == 3
+
+    def test_solve_peaks_near_the_load_on_hw30(self, tmp_path):
+        # the elimination's column index gives back the tables it no longer
+        # needs, so the solve peaks near `verify`.  A child counts the peak
+        # RSS of the process it forks from, so each command runs under a small
+        # wrapper that reads its one child's ru_maxrss by os.wait4
+        doc = tmp_path / "hw30.json"
+        doc.write_text(dump_algebra(hw_periodic_quotient(30)))
+        src = str(Path(axial.__file__).resolve().parents[1])
+        peaks = {}
+        for command in ("verify", "frobenius"):
+            proc = subprocess.run(
+                [sys.executable, "-c", PEAK_RSS, command, str(doc)], capture_output=True, text=True,
+                env={**os.environ, "PYTHONPATH": src})
+            status, peaks[command] = map(int, proc.stdout.split())
+            assert status == 0, (command, proc.stderr)
+        assert peaks["frobenius"] <= 1.5 * peaks["verify"], peaks
 
 
 class TestStructureCommands:
@@ -384,11 +412,18 @@ class TestHighwaterCommands:
         ["hw", "check-tuple", "--jsn"],
         ["hw", "member", "1,-2,1", "--windw", "5", "-"],
         ["hw", "member", "--windw", "5", "-1,2,-1", "-"],
+        ["hw", "check-tuple", "--bogus", "1,2"],
+        ["hw", "quotient", "-5", "--ot", "q.json"],
     ])
     def test_mistyped_option_exit_2(self, args):
+        # click's own refusal, with its hint, while "-<digit>..." stays an argument
         proc = run_process(args, json.dumps({"a": {"0": "1"}}))
         assert proc.returncode == 2
         assert "Traceback" not in proc.stdout + proc.stderr
+        bad = next(a for a in args if a.startswith("--"))
+        assert f"Error: No such option '{bad}'." in proc.stderr
+        hint = {"--jsn": "--json", "--windw": "--window", "--ot": "--out"}.get(bad)
+        assert (f"Did you mean '{hint}'?" in proc.stderr) if hint else ("Did you mean" not in proc.stderr)
 
 
 class TestIntegerArguments:
@@ -462,6 +497,22 @@ class TestDocumentErrors:
         result = runner.invoke(main, ["verify", "-"], input=json.dumps(doc))
         assert result.exit_code == 2
         assert result.output == f"error: bad algebra document: {where} has no key '{key}'\n"
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("products", [5], "a product entry must be an object, not 5"),
+        ("products", 5, '"products" must be an array, not 5'),
+        ("products", {}, '"products" must be an array, not {}'),
+        ("axes", [[1]], "an axis entry must be an object, not [1]"),
+        ("axes", "a", '"axes" must be an array, not \'a\''),
+        ("basis", 5, '"basis" must be an array, not 5'),
+        ("basis", "ab", '"basis" must be an array, not \'ab\''),
+    ])
+    def test_wrongly_typed_entry_is_named_exit_2(self, runner, key, value, message):
+        doc = json.loads(build(runner, "ns:2B"))
+        doc[key] = value
+        result = runner.invoke(main, ["verify", "-"], input=json.dumps(doc))
+        assert result.exit_code == 2
+        assert result.output == f"error: bad algebra document: {message}\n"
 
     @pytest.mark.parametrize("key", ["0_1", " +1 ", "\u0661", "01", "-0"])
     def test_index_key_not_in_dumper_form_exit_2(self, runner, key):

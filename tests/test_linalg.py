@@ -1,11 +1,15 @@
 """Exact linear algebra: echelon forms, kernels, subspace lattice."""
 
+import sys
+
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from axial import GF, QQ, Algebra, close_axes, rational
 from axial.errors import DimensionError
+from axial.frobenius import _block
+from axial.highwater import hw_periodic_quotient
 from axial.linalg import (
     EchelonAccumulator,
     Matrix,
@@ -426,6 +430,25 @@ class TestColumnIndex:
             assert_index_exact(acc)
         want = plain_rref(QQ, rows, len(KEYS))[0]
         assert acc.rows == {KEYS[q]: {KEYS[c]: x for c, x in r.items()} for q, r in want.items()}
+
+    def test_index_tables_fit_their_entries(self):
+        # a set keeps the table of its largest size; in the hw D = 30 block feed
+        # (the solve feeds blocks 0 and 1) later pivots cancel most of what
+        # block 0 fills in, so a table must shrink with its set
+        alg = hw_periodic_quotient(30)
+        n, ad = alg.dim, alg._int_layout()[1]
+        acc = EchelonAccumulator(alg.field, n * n, modulus=2**61 - 1)
+        for j in range(4):
+            for row in _block(n, ad, j):
+                acc.add_row(row)
+            assert_index_exact(acc)
+            assert all(acc.index.values())
+            rebuilt = {}
+            for q, row in acc.rows.items():
+                for c in row.keys() - {q}:
+                    rebuilt.setdefault(c, set()).add(q)
+            table = sum(map(sys.getsizeof, acc.index.values()))
+            assert table <= 2 * sum(map(sys.getsizeof, rebuilt.values())), j
 
 
 def row_walk(m, v):

@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 from axial import GF, NORTON_SAKUMA_NAMES, QQ, frobenius_solution_space, matsuo, norton_sakuma
 from axial.catalog import ThreeTranspositionGroup
 from axial.errors import DimensionError
-from axial.linalg import EchelonAccumulator, Matrix, Subspace, det, invert, kernel, solve_linear
+from axial.linalg import (
+    EchelonAccumulator, Matrix, Subspace, combine, dense, det, invert, kernel, on_basis, solve_linear, sparse,
+)
 from vectors import rref
 
 sympy = pytest.importorskip("sympy")
@@ -175,6 +177,41 @@ def test_det_and_inverse(m):
             invert(m)
     else:
         assert invert(m).data == want
+
+
+@st.composite
+def values_on_a_basis(draw):
+    """(field, n, m, ls, rs): n vectors l of F^n, often a basis and sometimes
+    not, each with a value r in F^m, over QQ or GF(7)."""
+    field = draw(st.sampled_from((QQ, GF(7))))
+    n, m = draw(st.integers(0, 5)), draw(st.integers(1, 5))
+    ls = draw(entry_rows(field, n, n))
+    if n >= 2 and draw(st.integers(0, 3)) == 0:
+        ls[-1] = [a + b for a, b in zip(ls[0], ls[1])]
+    return field, n, m, ls, draw(entry_rows(field, n, m))
+
+
+@given(values_on_a_basis())
+def test_map_on_a_basis(case):
+    # on_basis returns the columns of L with L l = r, which is sympy's R B^-1
+    # for B and R with the l and the r as columns
+    field, n, m, ls, rs = case
+    pairs = [(sparse(l), sparse(r)) for l, r in zip(ls, rs)]
+    if n == 0:
+        assert on_basis(field, 0, pairs) == []
+        return
+    basis = to_oracle(field, ls, n).transpose()
+    if basis.rank() < n:
+        with pytest.raises(DimensionError):
+            on_basis(field, n, pairs)
+        return
+    cols = on_basis(field, n, pairs)
+    for l, r in pairs:
+        assert combine((x, cols[p].items()) for p, x in l.items()) == r
+    want = to_oracle(field, rs, m).transpose() * basis.inv()
+    assert tuple(dense(field, c, m) for c in cols) == oracle_rows(field, want.transpose())
+    with pytest.raises(DimensionError):  # one value short: the l no longer span
+        on_basis(field, n, pairs[:-1])
 
 
 @given(matrices(), st.data())
