@@ -12,7 +12,7 @@ go straight to the unchecked kernels.
 
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
-from .errors import AxialError, DimensionError, NotAnIdeal, brief
+from .errors import AxialError, DimensionError, InvalidField, NotAnIdeal, Unsupported, brief
 from .fields import FieldSpec
 from .fusion import FusionLaw
 from .linalg import (
@@ -61,6 +61,8 @@ class Algebra:
         self.field = field
         self.basis = tuple(str(b) for b in basis)
         self.dim = len(self.basis)
+        law = None if law is None else self._law(law, "an algebra")
+        form = None if form is None else self._gram(form)
         entries = (self._entry(ij, vec) for ij, vec in products.items())
         self._fill(entries, ((str(name), self.coerce_vector(v)) for name, v in axes), law, form)
 
@@ -85,6 +87,21 @@ class Algebra:
         self.products = {ij: pairs for ij, pairs in table.items() if pairs}
         self._ints = None
         self.axes, self.law, self.form = tuple(axes), law, form
+
+    def _law(self, law: Optional[FusionLaw], what: str) -> FusionLaw:
+        """law, or this algebra's own when it is None, checked to exist and to be over this field."""
+        law = law if law is not None else self.law
+        if law is None:
+            raise Unsupported(f"{what} needs a fusion law")
+        if law.field != self.field:
+            raise InvalidField(f"fusion law over {law.field} for an algebra over {self.field}")
+        return law
+
+    def _gram(self, form) -> Matrix:
+        """form, if it is an n x n Matrix over this algebra's field; DimensionError otherwise."""
+        if not (isinstance(form, Matrix) and form.field == self.field and form.nrows == form.ncols == self.dim):
+            raise DimensionError(f"Gram matrix must be a {self.dim} x {self.dim} Matrix over {self.field}")
+        return form
 
     def _entry(self, ij, vec) -> Tuple:
         """((i, j), sorted non-zero (k, c) pairs) of e_i e_j given as a dense

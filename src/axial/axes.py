@@ -9,13 +9,11 @@ from .errors import (
     ClosureCapExceeded,
     ConsistencyFailure,
     DegenerateParameters,
-    InvalidField,
     InvalidGrading,
     NotAnAxis,
     NotPrimitive,
     NotSemisimple,
     NotTwoGenerated,
-    Unsupported,
     brief,
 )
 from .fusion import FusionLaw, Grading, unique_adequate_grading
@@ -35,15 +33,14 @@ def eigenspace(alg: Algebra, a, lam) -> Subspace:
     return kernel(alg.adjoint(a).minus_scalar_diag(alg.field.coerce(lam)))
 
 
-def eigen_decomposition(alg: Algebra, a, law: FusionLaw):
+def eigen_decomposition(alg: Algebra, a, law: Optional[FusionLaw] = None):
     """Eigenspaces of ad_a at each law eigenvalue, in law element order."""
+    law = alg._law(law, "an eigen decomposition")
     return _eigen_decomposition(alg, alg._row(a), law)
 
 
 def _eigen_decomposition(alg: Algebra, a, law: FusionLaw, lams=None):
-    """(dims, spaces) of ad_a at each of lams, by default the law's elements."""
-    if law.field != alg.field:
-        raise InvalidField(f"fusion law over {law.field} for an algebra over {alg.field}")
+    """(dims, spaces) of ad_a at each of lams, by default the elements of the checked law."""
     ad = alg._adjoint(a)
     spaces = tuple(kernel(ad.minus_scalar_diag(lam)) for lam in (law.elements if lams is None else lams))
     return tuple(s.dim for s in spaces), spaces
@@ -78,11 +75,12 @@ def axis_line(law: FusionLaw, passed: bool, eigen_dims, primitive: bool) -> str:
     return f"{'axis' if passed else 'NOT an axis'} ({dims}){', primitive' if primitive else ''}"
 
 
-def check_axis(alg: Algebra, a, law: FusionLaw) -> AxisReport:
+def check_axis(alg: Algebra, a, law: Optional[FusionLaw] = None) -> AxisReport:
     """Full axis verification: idempotency, semisimple decomposition, fusion.
 
     Failures are recorded in the report, never raised.
     """
+    law = alg._law(law, "an axis check")
     return _check_axis(alg, alg._row(a), law)
 
 
@@ -185,9 +183,7 @@ def is_axial(alg: Algebra, law: Optional[FusionLaw] = None) -> AxialVerdict:
     axis does not by itself make the algebra axial; the generation leg is
     part of the definition and fails for some degenerate parameters.
     """
-    law = law if law is not None else alg.law
-    if law is None:
-        raise NotAnAxis("no fusion law given and none attached to the algebra")
+    law = alg._law(law, "an axial verdict")
     if not alg.axes:
         raise NotAnAxis("the algebra has no designated axes")
     reports = _designated_reports(alg, law)
@@ -213,16 +209,14 @@ def _designated_reports(alg: Algebra, law: FusionLaw) -> Tuple[Tuple[str, AxisRe
 
 def projection_functional(alg: Algebra, a, law: Optional[FusionLaw] = None) -> Tuple:
     """Row vector w with phi_a(v) = w . v for all v."""
-    law = law if law is not None else alg.law
-    if law is None:
-        raise Unsupported("projection functional needs a fusion law")
-    a = alg._row(a)
-    return alg._dense(_projection_functional(alg, a, law, _eigen_decomposition(alg, a, law)[1]))
+    law = alg._law(law, "a projection functional")
+    return alg._dense(_projection_functional(alg, alg._row(a), law))
 
 
-def _projection_functional(alg: Algebra, a, law: FusionLaw, spaces) -> dict:
+def _projection_functional(alg: Algebra, a, law: FusionLaw, spaces=None) -> dict:
     """The functional phi_a as a sparse row, for a sparse row a whose ad_a
-    has the eigenspaces `spaces` at the law's elements."""
+    has the eigenspaces `spaces` at the law's elements (found when None)."""
+    spaces = spaces or _eigen_decomposition(alg, a, law)[1]
     if sum(s.dim for s in spaces) != alg.dim:
         raise NotSemisimple("adjoint eigenspaces do not span the algebra")
     if spaces[law.one_index].dim != 1:
@@ -235,13 +229,11 @@ def _projection_functional(alg: Algebra, a, law: FusionLaw, spaces) -> dict:
 
 def projection(alg: Algebra, a, v, law: Optional[FusionLaw] = None):
     """Scalar phi with the A_1(a)-component of v equal to phi * a."""
-    law = law if law is not None else alg.law
-    if law is None:
-        raise Unsupported("projection needs a fusion law to enumerate eigenvalues")
+    law = alg._law(law, "a projection")
     a, v = alg._row(a), alg._row(v)
     if alg._mul(a, a) != a:
         raise NotAnAxis("projection base vector is not idempotent")
-    return dot(alg.field, _projection_functional(alg, a, law, _eigen_decomposition(alg, a, law)[1]), v)
+    return dot(alg.field, _projection_functional(alg, a, law), v)
 
 
 @dataclass(frozen=True)
@@ -272,12 +264,9 @@ def miyamoto(
     law: Optional[FusionLaw] = None,
 ) -> MiyamotoMap:
     """Involutive automorphism: +1 on the plus eigenspaces, -1 on the minus ones."""
-    law = law if law is not None else alg.law
-    if law is None:
-        raise Unsupported("miyamoto map needs a fusion law")
-    if alg.field.characteristic == 2:
-        raise Unsupported("no nontrivial C2 character in characteristic 2")
-    report = check_axis(alg, a, law)
+    law = alg._law(law, "a Miyamoto map")
+    alg.field._require_odd("a Miyamoto map")
+    report = _check_axis(alg, alg._row(a), law)
     if not report.passed:
         raise NotAnAxis(report.describe())
     grading = resolve_grading(law)
@@ -293,8 +282,6 @@ def _tau_from_report(alg: Algebra, report: AxisReport, grading: Grading) -> Matr
     """The map +-1 on the eigenspaces of a passed report, as the grading signs
     them, built from scratch (`on_basis`) and checked to be an automorphism.
     It is +-1 on a basis, so it is an involution."""
-    if alg.field.characteristic == 2:
-        raise Unsupported("no nontrivial C2 character in characteristic 2")
     signed = ((u, scaled(sign, u)) for sign, s in zip(grading.signs, report.eigenspaces) for u in s._basis)
     cols = on_basis(alg.field, alg.dim, signed)
     tau = Matrix._of(alg.field, alg.dim, cols).transpose()
@@ -423,9 +410,8 @@ def close_axes(
     limit = DEFAULT_AXIS_CAP if cap is None else cap
     if limit < 0:
         raise DegenerateParameters(f"cap {brief(limit)} is below 0")
-    law = law if law is not None else alg.law
-    if law is None:
-        raise Unsupported("axis closure needs a fusion law")
+    law = alg._law(law, "an axis closure")
+    alg.field._require_odd("an axis closure")
     grading = resolve_grading(law)
     adm = _Admission(alg, law, grading, maps=True)
 

@@ -108,8 +108,7 @@ class ThreeTranspositionGroup:
 def matsuo(group: ThreeTranspositionGroup, eta, field: FieldSpec = QQ) -> Algebra:
     """Matsuo algebra: basis D, a.a = a, a.b = 0 when a,b commute, else
     (eta/2)(a + b - a^b); Gram 1 / 0 / eta/2 on the same three cases."""
-    if field.characteristic == 2:
-        raise Unsupported("Matsuo algebras need characteristic != 2")
+    field._require_odd("a Matsuo algebra")
     eta = field.coerce(eta)
     law = law_J(field, eta)
     n = len(group.transpositions)
@@ -166,8 +165,7 @@ def _check_gram(field: FieldSpec, gram) -> Matrix:
 
 def spin_factor(gram, field: FieldSpec = QQ) -> SpinFactor:
     """S(b) = F1 + V with uv = b(u,v)/2 * 1 and identity 1."""
-    if field.characteristic == 2:
-        raise Unsupported("spin factors need characteristic != 2")
+    field._require_odd("a spin factor")
     g = _check_gram(field, gram)
     m = g.nrows
     half = field.one() / field.from_int(2)
@@ -226,8 +224,7 @@ class SplitSpinFactor:
 def split_spin_factor(gram, alpha, field: FieldSpec = QQ) -> SplitSpinFactor:
     """S(b, alpha) = Fz1 + Fz2 + E with z1 e = alpha e, z2 e = (1-alpha) e and
     ef = -b(e,f) z where z = (alpha-2) alpha z1 + (alpha-1)(alpha+1) z2."""
-    if field.characteristic == 2:
-        raise Unsupported("split spin factors need characteristic != 2")
+    field._require_odd("a split spin factor")
     alpha = field.coerce(alpha)
     one, zero = field.one(), field.zero()
     two = field.from_int(2)

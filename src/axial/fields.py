@@ -168,9 +168,16 @@ class FieldSpec:
         else:
             raise InvalidField(f"unknown field kind {brief(self.kind)}")
 
+    def __str__(self):
+        return "QQ" if self.kind == "rational" else f"GF({self.p})"
+
     @property
     def characteristic(self) -> int:
         return 0 if self.kind == "rational" else self.p
+
+    def _require_odd(self, what: str):
+        if self.characteristic == 2:
+            raise Unsupported(f"{what} needs 2 invertible; characteristic 2 is refused")
 
     def zero(self):
         return self.from_int(0)

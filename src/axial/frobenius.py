@@ -6,7 +6,7 @@ from math import gcd, isqrt
 from typing import List, Optional, Tuple
 
 from .algebra import Algebra, _form
-from .axes import Axet, _projection_functional, eigen_decomposition
+from .axes import Axet, _eigen_decomposition, _projection_functional
 from .errors import ConsistencyFailure, Unsupported
 from .fields import _is_prime, rational
 from .fusion import FusionLaw
@@ -247,9 +247,7 @@ def is_symmetric_form(form: Matrix) -> bool:
 
 def form_radical(alg: Algebra, form: Matrix) -> Subspace:
     """Null space of the Gram matrix."""
-    if form.nrows != alg.dim or form.ncols != alg.dim:
-        raise Unsupported("Gram matrix size does not match the algebra")
-    return kernel(form)
+    return kernel(alg._gram(form))
 
 
 def radical(alg: Algebra, solution: Optional[FrobeniusSolution] = None) -> Subspace:
@@ -274,10 +272,12 @@ def radical(alg: Algebra, solution: Optional[FrobeniusSolution] = None) -> Subsp
 
 
 def eigenspace_orthogonality_violations(
-    alg: Algebra, form: Matrix, a, law: FusionLaw
+    alg: Algebra, form: Matrix, a, law: Optional[FusionLaw] = None
 ) -> List[Tuple]:
     """Basis pairs from distinct eigenspaces of ad_a that are not orthogonal."""
-    _, spaces = eigen_decomposition(alg, a, law)
+    law = alg._law(law, "an orthogonality check")
+    form = alg._gram(form)
+    spaces = _eigen_decomposition(alg, alg._row(a), law)[1]
     bad = []
     for i in range(law.size):
         for j in range(i + 1, law.size):

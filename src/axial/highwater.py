@@ -104,11 +104,6 @@ def hw_s(j: int, field: FieldSpec = QQ) -> HighwaterElement:
     return HighwaterElement(field, s={j: 1})
 
 
-def _require_odd_char(field: FieldSpec, what: str):
-    if field.characteristic == 2:
-        raise Unsupported(f"{what} needs 2 invertible; characteristic 2 is refused")
-
-
 @cache
 def _product_rule(field: FieldSpec):
     """The product of two basis keys as (key, coefficient) terms, s_0 dropped:
@@ -142,9 +137,9 @@ def hw_mul(x: HighwaterElement, y: HighwaterElement) -> HighwaterElement:
     """Bilinear product: the basis rule (see `_product_rule`) on every pair of
     terms, summed by `combine`; a coefficient times 1 is not multiplied."""
     field = x.field
+    field._require_odd("the product")
     if field != y.field:
         raise InvalidField("mixed fields in product")
-    _require_odd_char(field, "the product")
     rule = _product_rule(field)
     terms = [(c if d == 1 else c * d, rule(p, q)) for p, c in x.row.items() for q, d in y.row.items()]
     return HighwaterElement._of(field, combine(terms))
@@ -213,9 +208,9 @@ def hw_periodic_quotient(D: int, field: FieldSpec = QQ) -> Algebra:
     s_{j+k}, each pair with equal coefficients, and the reduction agrees
     with every term.
     """
+    field._require_odd("the quotient")
     if D < 2:
         raise DegenerateParameters(f"period {brief(D)} is below 2")
-    _require_odd_char(field, "the quotient")
     ns = D // 2
     n = D + ns
     check_build_dim(n, f"the period-{brief(D)} quotient")

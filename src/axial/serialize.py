@@ -76,7 +76,7 @@ def algebra_from_obj(obj) -> Algebra:
     try:
         field = FieldSpec.from_json(obj["field"])
         dim = obj["dim"]  # "dim", "i" and "j" take JSON integers only, never floats or booleans
-        basis = [str(b) for b in _array(obj["basis"], '"basis"')]
+        basis = [_name(b, "a basis name") for b in _array(obj["basis"], '"basis"')]
         if type(dim) is not int or len(basis) != dim:
             raise MalformedInput(f"dim {brief(dim)} is not a JSON integer equal to the basis size {len(basis)}")
         check_build_dim(dim, "the algebra document")
@@ -91,7 +91,7 @@ def algebra_from_obj(obj) -> Algebra:
                 raise MalformedInput(f"conflicting products for pair ({i}, {j})")
         where = "an axis entry"
         axes = [
-            (str(e["name"]), dense(field, vec_from_obj(field, e["v"], dim), dim))
+            (_name(e["name"], "an axis name"), dense(field, vec_from_obj(field, e["v"], dim), dim))
             for e in _array(obj.get("axes", []), '"axes"', where)
         ]
         law = law_from_obj(field, obj["law"]) if "law" in obj else None
@@ -118,6 +118,13 @@ def _array(x, what, entries=None):
     for e in x if entries else ():
         if not isinstance(e, dict):
             raise MalformedInput(f"bad algebra document: {entries} must be an object, not {brief(e)}")
+    return x
+
+
+def _name(x, what) -> str:
+    """x, if it is a JSON string; else a MalformedInput naming what it is."""
+    if not isinstance(x, str):
+        raise MalformedInput(f"bad algebra document: {what} must be a string, not {brief(x)}")
     return x
 
 

@@ -27,9 +27,9 @@ class SeressCheck:
 
 def seress_lemma_check(alg: Algebra, a, law: Optional[FusionLaw] = None) -> SeressCheck:
     """a(xy) = (ax)y for all x and all y in A_1(a) + A_0(a)."""
-    law = law if law is not None else alg.law
-    if law is None or not is_seress(law):
-        raise Unsupported("Seress lemma needs a Seress fusion law")
+    law = alg._law(law, "the Seress lemma")
+    if not is_seress(law):
+        raise Unsupported("the Seress lemma needs a Seress fusion law")
     a = alg._row(a)
     one, zero = _eigen_decomposition(alg, a, law, (law.elements[law.one_index], law.elements[law.zero_index]))[1]
     # y outer, each basis x = e_j inner, on the int layout: with A a and Y y as

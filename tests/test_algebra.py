@@ -21,9 +21,9 @@ from axial import (
     rational,
 )
 from axial.catalog import ThreeTranspositionGroup
-from axial.errors import AxialError, DimensionError, MalformedInput, NotAnIdeal, brief
+from axial.errors import AxialError, DimensionError, InvalidField, MalformedInput, NotAnIdeal, brief
 from axial.fields import FieldSpec, parse_int
-from axial.fusion import law_from_obj
+from axial.fusion import law_from_obj, law_J
 from axial.linalg import Matrix, Subspace, cleared, sparse
 from axial.serialize import _scalar_rows, algebra_from_obj, vec_from_obj
 from vectors import is_zero_vec, vadd, vscale
@@ -246,6 +246,13 @@ class TestSubstructures:
         assert bare.products == three_a.products
         relabeled = three_a.with_axes([("x", three_a.axes[0][1])])
         assert relabeled.axes[0][0] == "x"
+
+    def test_law_over_another_field_is_refused(self, three_a):
+        # a dump of the algebra would not load: "3 mod 7" is no rational literal
+        sub = three_a.subalgebra_gen([three_a.axes[0][1]])
+        for attach in (lambda law: three_a.with_law(law), lambda law: three_a.restrict(sub, law=law)):
+            with pytest.raises(InvalidField, match=r"^fusion law over GF\(7\) for an algebra over QQ$"):
+                attach(law_J(GF(7), 3))
 
 
 class TestFormValue:

@@ -52,6 +52,7 @@ from axial.errors import (
     NotPrimitive,
     NotSemisimple,
     NotTwoGenerated,
+    Unsupported,
 )
 from axial.linalg import EchelonAccumulator, Matrix, invert, residue, scaled, sparse
 from vectors import vadd, vscale, vsub
@@ -880,5 +881,5 @@ class TestIsAxial:
 
     def test_requires_law(self):
         alg = norton_sakuma("3A").with_law(None)
-        with pytest.raises(NotAnAxis):
+        with pytest.raises(Unsupported):
             is_axial(alg)

@@ -6,20 +6,22 @@ import functools
 
 import pytest
 
-from axial import GF, QQ, matsuo, spin_factor, split_spin_factor
+from axial import GF, QQ, Algebra, matsuo, spin_factor, split_spin_factor
 from axial.axes import (
     check_axis,
     close_axes,
     eigen_decomposition,
     eigenspace,
+    is_axial,
     miyamoto,
     projection,
     projection_functional,
 )
 from axial.catalog import ThreeTranspositionGroup, double_axis
-from axial.errors import AxialError, DimensionError, InvalidField
+from axial.errors import AxialError, DimensionError, InvalidField, Unsupported
 from axial.fields import Fp
-from axial.fusion import law_J
+from axial.frobenius import eigenspace_orthogonality_violations, form_radical
+from axial.fusion import law_A, law_J
 from axial.linalg import Matrix, Subspace, solve_linear
 from axial.structure import (
     baric_map_check,
@@ -134,20 +136,71 @@ def test_ints_match_coerced_input(case, field):
     assert shown(got) == shown(want)
 
 
-@pytest.mark.parametrize(
-    "call",
-    [
-        lambda alg, law, a: check_axis(alg, a, law),
-        lambda alg, law, a: eigen_decomposition(alg, a, law),
-        lambda alg, law, a: projection_functional(alg, a, law),
-        lambda alg, law, a: seress_lemma_check(alg, a, law),
-        lambda alg, law, a: miyamoto(alg, a, law),
-        lambda alg, law, a: close_axes(alg, [a], law),
-    ],
-    ids=["check_axis", "eigen_decomposition", "projection_functional", "seress_lemma_check",
-         "miyamoto", "close_axes"],
-)
+# every public entry that takes a fusion law, None meaning the algebra's own
+LAW_CALLS = {
+    "check_axis": lambda alg, law, a: check_axis(alg, a, law),
+    "eigen_decomposition": lambda alg, law, a: eigen_decomposition(alg, a, law),
+    "projection_functional": lambda alg, law, a: projection_functional(alg, a, law),
+    "seress_lemma_check": lambda alg, law, a: seress_lemma_check(alg, a, law),
+    "miyamoto": lambda alg, law, a: miyamoto(alg, a, law),
+    "close_axes": lambda alg, law, a: close_axes(alg, [a], law),
+    "close_axes:no-seeds": lambda alg, law, a: close_axes(alg, [], law),
+    "is_axial": lambda alg, law, a: is_axial(alg, law),
+    "projection": lambda alg, law, a: projection(alg, a, a, law),
+    "eigenspace_orthogonality_violations":
+        lambda alg, law, a: eigenspace_orthogonality_violations(alg, alg.form, a, law),
+}
+# and every way to attach one
+ATTACH_CALLS = {
+    "Algebra": lambda alg, law, a: Algebra(alg.field, alg.basis, {}, law=law),
+    "with_law": lambda alg, law, a: alg.with_law(law),
+}
+
+
+@pytest.mark.parametrize("call", [*LAW_CALLS.values(), *ATTACH_CALLS.values()], ids=[*LAW_CALLS, *ATTACH_CALLS])
 def test_law_over_another_field_is_rejected(call):
     alg = context("GF")["alg"]
     with pytest.raises(InvalidField):
         call(alg, law_J(QQ, QQ.parse("1/4")), AXIS)
+
+
+@pytest.mark.parametrize("call", LAW_CALLS.values(), ids=LAW_CALLS)
+def test_no_law_at_all_is_unsupported(call):
+    alg = context("QQ")["alg"].with_law(None)
+    with pytest.raises(Unsupported, match="needs a fusion law"):
+        call(alg, None, AXIS)
+
+
+@pytest.mark.parametrize("seed", [(1, 0), (0, 1)], ids=["passing", "failing"])
+@pytest.mark.parametrize("call", [LAW_CALLS["miyamoto"], LAW_CALLS["close_axes"]], ids=["miyamoto", "close_axes"])
+def test_characteristic_two_is_refused_before_the_axis_check(call, seed):
+    # a is an axis of the associative law; b, with b b = 0, is not idempotent
+    f = GF(2)
+    alg = Algebra(f, ["a", "b"], {(0, 0): (1, 0)}, law=law_A(f))
+    with pytest.raises(Unsupported, match="characteristic 2 is refused"):
+        call(alg, None, seed)
+
+
+@pytest.mark.parametrize("form", [
+    Matrix(GF(7), [[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
+    Matrix(QQ, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
+    Matrix(GF(7), [[1, 0], [0, 1]]),
+    Matrix(QQ, [[1, 0]]),
+    [[1, 0], [0, 1]],
+], ids=["foreign-field-and-size", "wrong-size", "foreign-field", "not-square", "list"])
+def test_gram_matrix_is_checked_where_it_enters(form):
+    with pytest.raises(DimensionError, match="Gram matrix must be a 2 x 2 Matrix over QQ"):
+        Algebra(QQ, ["x", "y"], {(0, 0): {0: 1}}, form=form)
+
+
+@pytest.mark.parametrize("field", sorted(FIELDS))
+@pytest.mark.parametrize("call", [
+    lambda c, form: eigenspace_orthogonality_violations(c["alg"], form, AXIS),
+    lambda c, form: form_radical(c["alg"], form),
+], ids=["eigenspace_orthogonality_violations", "form_radical"])
+def test_gram_matrix_of_another_size_is_rejected(call, field):
+    c = context(field)
+    for n in (5, 7):
+        with pytest.raises(DimensionError):
+            call(c, Matrix.identity(c["field"], n))
+    assert call(c, Matrix.identity(c["field"], 6)) is not None

@@ -506,6 +506,10 @@ class TestDocumentErrors:
         ("axes", "a", '"axes" must be an array, not \'a\''),
         ("basis", 5, '"basis" must be an array, not 5'),
         ("basis", "ab", '"basis" must be an array, not \'ab\''),
+        ("basis", [None, [1]], "a basis name must be a string, not None"),
+        ("basis", ["a", [1]], "a basis name must be a string, not [1]"),
+        ("axes", [{"name": None, "v": {}}], "an axis name must be a string, not None"),
+        ("axes", [{"name": {"x": 1}, "v": {}}], "an axis name must be a string, not {'x': 1}"),
     ])
     def test_wrongly_typed_entry_is_named_exit_2(self, runner, key, value, message):
         doc = json.loads(build(runner, "ns:2B"))

@@ -166,6 +166,10 @@ class TestFieldSpec:
         assert QQ.characteristic == 0
         assert GF(5).characteristic == 5
 
+    def test_str_names_the_field_and_repr_stays(self):
+        assert (str(QQ), str(GF(7))) == ("QQ", "GF(7)")
+        assert repr(GF(7)) == "FieldSpec(kind='prime', p=7)"
+
     def test_from_int(self):
         assert QQ.from_int(-2) == rational(-2)
         assert GF(5).from_int(7) == Fp(2, 5)

@@ -190,7 +190,7 @@ def _same_as_oracle(oracle, build, field, *texts):
     return got
 
 
-@pytest.mark.parametrize("field", FIELDS, ids=str)
+@pytest.mark.parametrize("field", FIELDS, ids=repr)  # repr: str would rename every case to QQ, GF(7), ...
 class TestOneTable:
     def test_associative(self, field):
         assert _same_as_oracle(oracle_A, law_A, field) is not None
