@@ -318,7 +318,7 @@ class Algebra:
         return Algebra(self.field, self.basis, maps, axes=axes, law=law, form=self.form)
 
     def __repr__(self):
-        return f"Algebra(dim {self.dim} over {self.field.kind}, {len(self.axes)} axes)"
+        return f"Algebra(dim {self.dim} over {self.field}, {len(self.axes)} axes)"
 
 
 def form_value(gram: Matrix, u, v):

@@ -1,8 +1,7 @@
 """Axis verification, eigenspace decompositions, Miyamoto maps, axis-set
 closure, Miyamoto groups and 2-generated axet classification."""
 
-from dataclasses import dataclass, replace
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Tuple
 
 from .algebra import Algebra
 from .errors import (
@@ -46,8 +45,7 @@ def _eigen_decomposition(alg: Algebra, a, law: FusionLaw, lams=None):
     return tuple(s.dim for s in spaces), spaces
 
 
-@dataclass(frozen=True)
-class AxisReport:
+class AxisReport(NamedTuple):
     axis: Tuple
     law: FusionLaw
     is_idempotent: bool
@@ -141,8 +139,7 @@ def _in_span(w: dict, den: int, rows: dict, p: int) -> bool:
     return _agree(scaled(den, w), combine((x, rows[q]) for q, x in w.items() if q in rows), p)
 
 
-@dataclass(frozen=True)
-class AxialVerdict:
+class AxialVerdict(NamedTuple):
     """Outcome of verifying the defining property of an axial algebra:
     every designated axis obeys the fusion law, and together the axes
     generate the whole algebra.  Both legs are reported separately since
@@ -236,8 +233,7 @@ def projection(alg: Algebra, a, v, law: Optional[FusionLaw] = None):
     return dot(alg.field, _projection_functional(alg, a, law), v)
 
 
-@dataclass(frozen=True)
-class MiyamotoMap:
+class MiyamotoMap(NamedTuple):
     matrix: Matrix
     axis: Tuple
     law: FusionLaw
@@ -320,7 +316,7 @@ def _transport(alg: Algebra, report: AxisReport, grading: Grading, tau_c: Matrix
             if tau._apply(w) != scaled(sign, w):
                 raise ConsistencyFailure("conjugated Miyamoto map is not +-1 on the eigenspaces")
         spaces.append(Subspace._spanned(field, alg.dim, ws))
-    return replace(report, axis=alg._dense(b), eigenspaces=tuple(spaces)), tau
+    return report._replace(axis=alg._dense(b), eigenspaces=tuple(spaces)), tau
 
 
 class _Admission:
@@ -364,8 +360,7 @@ class _Admission:
         return rep
 
 
-@dataclass(frozen=True)
-class Axet:
+class Axet(NamedTuple):
     """A closed axis set with its Miyamoto data."""
 
     algebra: Algebra
@@ -443,8 +438,7 @@ def close_axes(
     )
 
 
-@dataclass(frozen=True)
-class GroupInfo:
+class GroupInfo(NamedTuple):
     order: int
     generators: Tuple[Perm, ...]
 
@@ -456,8 +450,7 @@ def miyamoto_group(axet: Axet) -> GroupInfo:
     return GroupInfo(order=group_order(axet.size, gens), generators=gens)
 
 
-@dataclass(frozen=True)
-class AxetShape:
+class AxetShape(NamedTuple):
     kind: str  # "X" or "X'"
     total: int
     k: Optional[int]

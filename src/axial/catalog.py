@@ -2,8 +2,7 @@
 spin factors, split spin factors, the eight Norton-Sakuma algebras, double
 axes and flip subalgebras."""
 
-from dataclasses import dataclass, replace
-from typing import Dict, List, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 from .algebra import Algebra, form_value
 from .errors import (
@@ -47,8 +46,7 @@ def check_build_dim(dim: int, what: str):
 # 3-transposition groups and Matsuo algebras
 
 
-@dataclass(frozen=True)
-class ThreeTranspositionGroup:
+class ThreeTranspositionGroup(NamedTuple):
     """A normal generating set D of involutions with |cd| <= 3 for c,d in D."""
 
     degree: int
@@ -138,8 +136,7 @@ def matsuo(group: ThreeTranspositionGroup, eta, field: FieldSpec = QQ) -> Algebr
 # Spin factors
 
 
-@dataclass(frozen=True)
-class SpinFactor:
+class SpinFactor(NamedTuple):
     field: FieldSpec
     gram: Matrix
     algebra: Algebra
@@ -185,15 +182,14 @@ def spin_factor(gram, field: FieldSpec = QQ) -> SpinFactor:
             axes.append((f"x+{k + 1}", sf.axis(unit)))
             axes.append((f"x-{k + 1}", sf.axis(tuple(-x for x in unit))))
     alg = Algebra(field, names, products, axes=axes, law=law_J(field, half))
-    return replace(sf, algebra=alg)
+    return sf._replace(algebra=alg)
 
 
 # ---------------------------------------------------------------------------
 # Split spin factors
 
 
-@dataclass(frozen=True)
-class SplitSpinFactor:
+class SplitSpinFactor(NamedTuple):
     field: FieldSpec
     gram: Matrix
     alpha: object
@@ -252,7 +248,7 @@ def split_spin_factor(gram, alpha, field: FieldSpec = QQ) -> SplitSpinFactor:
             axes.append((f"a:e{k + 1}", ssf.fam_a(unit)))
             if m == 1:
                 axes.append((f"a:-e{k + 1}", ssf.fam_a(tuple(-x for x in unit))))
-    return replace(ssf, algebra=Algebra(field, names, products, axes=axes, law=law))
+    return ssf._replace(algebra=Algebra(field, names, products, axes=axes, law=law))
 
 
 # ---------------------------------------------------------------------------
@@ -480,8 +476,7 @@ def double_axis(m: Algebra, a, b) -> Tuple:
     return m._dense(combine(((one, a.items()), (one, b.items()))))
 
 
-@dataclass(frozen=True)
-class FlipSubalgebra:
+class FlipSubalgebra(NamedTuple):
     algebra: Algebra
     ambient: Algebra
     embed: Matrix

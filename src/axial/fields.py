@@ -7,8 +7,7 @@ exist anywhere in this package.
 """
 
 import re
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import InvalidField, MalformedInput, Unsupported, brief
 
@@ -149,14 +148,18 @@ def parse_int(text: str, what: str = "integer") -> int:
     raise MalformedInput(f"{what} {brief(text)} is not a decimal integer")
 
 
-@dataclass(frozen=True)
-class FieldSpec:
-    """Descriptor for the scalar field: kind 'rational' or 'prime' (with p)."""
-
+class _FieldSpec(NamedTuple):
     kind: str
     p: Optional[int] = None
 
-    def __post_init__(self):
+
+class FieldSpec(_FieldSpec):
+    """Descriptor for the scalar field: kind 'rational' or 'prime' (with p)."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.kind == "rational":
             if self.p is not None:
                 raise InvalidField("rational field takes no modulus")
@@ -167,6 +170,11 @@ class FieldSpec:
                 raise InvalidField(f"modulus {brief(self.p)} is not prime")
         else:
             raise InvalidField(f"unknown field kind {brief(self.kind)}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace validates as the constructor does
+        return cls(*iterable)
 
     def __str__(self):
         return "QQ" if self.kind == "rational" else f"GF({self.p})"

@@ -1,9 +1,8 @@
 """Frobenius forms: associativity solver, canonical normalization, radicals,
 eigenspace orthogonality and projection graphs."""
 
-from dataclasses import dataclass
 from math import gcd, isqrt
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from .algebra import Algebra, _form
 from .axes import Axet, _eigen_decomposition, _projection_functional
@@ -187,8 +186,7 @@ def _gram_from_flat(alg: Algebra, flat) -> Matrix:
     return Matrix._of(alg.field, n, rows)
 
 
-@dataclass(frozen=True)
-class FrobeniusSolution:
+class FrobeniusSolution(NamedTuple):
     space: Subspace
     canonical: Optional[Matrix]
     ambiguous: bool
@@ -288,8 +286,7 @@ def eigenspace_orthogonality_violations(
     return bad
 
 
-@dataclass(frozen=True)
-class ProjectionGraph:
+class ProjectionGraph(NamedTuple):
     vertices: Tuple[int, ...]
     edges: Tuple[Tuple[int, int], ...]  # (a, b) means phi_a(b) != 0
 

@@ -10,9 +10,8 @@ restricted to the elements (1, 0), (1, 0, eta) and (1, 0, a, b):
     M(a,b)     adds b:   a*a={1,0}, a*b={b}, b*b={1,0,a}
 """
 
-from dataclasses import dataclass
 from itertools import product as iproduct
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from .errors import AxialError, DegenerateParameters, InvalidGrading, brief
 from .fields import FieldSpec
@@ -20,14 +19,18 @@ from .fields import FieldSpec
 Table = Tuple[Tuple[frozenset, ...], ...]
 
 
-@dataclass(frozen=True)
-class FusionLaw:
+class _FusionLaw(NamedTuple):
     field: FieldSpec
     elements: tuple
     table: Table
     name: str
 
-    def __post_init__(self):
+
+class FusionLaw(_FusionLaw):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if len(set(self.elements)) != len(self.elements):
             raise DegenerateParameters(f"law elements must be distinct: {self.name}")
         if self.field.one() not in self.elements:
@@ -35,6 +38,11 @@ class FusionLaw:
         n = len(self.elements)
         if any(self.table[i][j] != self.table[j][i] for i in range(n) for j in range(i)):
             raise AxialError(f"a fusion law table must be symmetric: {self.name}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace validates as the constructor does
+        return cls(*iterable)
 
     @property
     def size(self) -> int:
@@ -113,8 +121,7 @@ def is_seress(law: FusionLaw) -> bool:
     return all(law.table[z][k] <= {k} for k in range(law.size))
 
 
-@dataclass(frozen=True)
-class Grading:
+class Grading(NamedTuple):
     """C2 sign map on law elements: +1 to the plus part, -1 to the minus part."""
 
     signs: Tuple[int, ...]

@@ -10,9 +10,8 @@ out the surface; quotients by the translation ideals become ordinary Algebra
 instances with their axes and fusion law attached.
 """
 
-from dataclasses import dataclass
 from functools import cache
-from typing import Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 from .algebra import Algebra
 from .catalog import check_build_dim
@@ -160,8 +159,7 @@ def hw_baric(x: HighwaterElement):
     return sum((c for (kind, _), c in x.row.items() if kind == "a"), x.field.zero())
 
 
-@dataclass(frozen=True)
-class IdealTypeInfo:
+class IdealTypeInfo(NamedTuple):
     """Verdict on a coefficient tuple (alpha_0, ..., alpha_D).
 
     epsilons lists the signs e for which alpha_i = e * alpha_{D-i} holds

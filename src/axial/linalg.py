@@ -203,7 +203,7 @@ class Matrix:
         return hash((self.field, self.ncols, tuple(map(row_key, self.rows))))
 
     def __repr__(self):
-        return f"Matrix({self.nrows}x{self.ncols} over {self.field.kind})"
+        return f"Matrix({self.nrows}x{self.ncols} over {self.field})"
 
 
 def _eliminate(v, rows):

@@ -5,6 +5,7 @@ conjugation a^b = mul(mul(inverse(b), a), b).
 """
 
 from math import lcm, prod
+from operator import itemgetter
 from typing import Iterable, Tuple
 
 from .errors import InvalidGroup, MalformedInput, brief
@@ -19,7 +20,9 @@ def identity_perm(n: int) -> Perm:
 
 def mul(p: Perm, q: Perm) -> Perm:
     """x -> q(p(x))."""
-    return tuple(q[x] for x in p)
+    if len(p) < 2:  # itemgetter of one index returns an item, of none raises
+        return tuple(q[x] for x in p)
+    return itemgetter(*p)(q)
 
 
 def inverse(p: Perm) -> Perm:

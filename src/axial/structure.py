@@ -1,8 +1,7 @@
 """Structure analyses: Seress lemma checks, non-annihilating graphs, sum
 decompositions, spines and baric maps."""
 
-from dataclasses import dataclass
-from typing import Iterable, Optional, Tuple, Union
+from typing import Iterable, NamedTuple, Optional, Tuple, Union
 
 from .algebra import Algebra
 from .axes import Axet, _agree, _eigen_decomposition
@@ -19,8 +18,7 @@ def _axis_list(alg: Algebra, axes: Union[Axet, Iterable]) -> Tuple[dict, ...]:
     return tuple(map(alg._row, axes))
 
 
-@dataclass(frozen=True)
-class SeressCheck:
+class SeressCheck(NamedTuple):
     ok: bool
     witness: Optional[Tuple] = None  # (x, y) with a(xy) != (ax)y
 
@@ -45,8 +43,7 @@ def seress_lemma_check(alg: Algebra, a, law: Optional[FusionLaw] = None) -> Sere
     return SeressCheck(ok=True)
 
 
-@dataclass(frozen=True)
-class UndirectedGraph:
+class UndirectedGraph(NamedTuple):
     vertices: Tuple[int, ...]
     edges: Tuple[Tuple[int, int], ...]  # sorted pairs, no loops
 
@@ -65,8 +62,7 @@ def _graph(alg: Algebra, vecs) -> UndirectedGraph:
     return UndirectedGraph(vertices=tuple(range(n)), edges=edges)
 
 
-@dataclass(frozen=True)
-class SumDecomposition:
+class SumDecomposition(NamedTuple):
     components: Tuple[Tuple[int, ...], ...]
     subalgebras: Tuple[Subspace, ...]
     pairwise_zero: bool

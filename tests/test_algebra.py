@@ -58,6 +58,12 @@ def two_block():
     )
 
 
+def test_repr_names_the_field():
+    assert repr(matsuo(ThreeTranspositionGroup.symmetric(3), 3, GF(7))) == "Algebra(dim 3 over GF(7), 3 axes)"
+    assert repr(two_block()) == "Algebra(dim 2 over QQ, 2 axes)"
+    assert repr(Matrix.identity(GF(7), 2)) == "Matrix(2x2 over GF(7))"
+
+
 class TestProducts:
     @given(vectors(4), vectors(4))
     def test_mul_commutative(self, u, v):

@@ -1,7 +1,5 @@
 """Axis verification, Miyamoto maps, closures and axet classification."""
 
-from dataclasses import fields, replace
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -279,8 +277,8 @@ class TestClosureDifferential:
         for k, v in enumerate(axet.axes):
             assert axet.tau_mats[k] == miyamoto(alg, v).matrix, axet.names[k]
             fresh = check_axis(alg, v, alg.law)
-            for f in fields(fresh):
-                assert getattr(axet.reports[k], f.name) == getattr(fresh, f.name), f.name
+            for f in fresh._fields:
+                assert getattr(axet.reports[k], f) == getattr(fresh, f), f
             assert [axet.axes[j] for j in axet.tau_perms[k]] == [
                 axet.tau_mats[k].mul_vec(u) for u in axet.axes
             ]
@@ -386,8 +384,8 @@ def _counting(monkeypatch, name):
 
 
 def _same_report(got, fresh):
-    for f in fields(fresh):
-        assert getattr(got, f.name) == getattr(fresh, f.name), f.name
+    for f in fresh._fields:
+        assert getattr(got, f) == getattr(fresh, f), f
 
 
 class TestProjectionGraph:
@@ -493,7 +491,7 @@ class TestTransport:
         spaces, dims = list(rep.eigenspaces), list(rep.eigen_dims)
         spaces[2], spaces[3] = spaces[3], spaces[2]
         dims[2], dims[3] = dims[3], dims[2]
-        swapped = replace(rep, eigenspaces=tuple(spaces), eigen_dims=tuple(dims))
+        swapped = rep._replace(eigenspaces=tuple(spaces), eigen_dims=tuple(dims))
         with pytest.raises(ConsistencyFailure):
             _transport(alg, swapped, grading, tau_c, tau_a, sparse(b))  # the 1/4 and 1/32 labels swapped
 
@@ -581,7 +579,7 @@ def field_transport(alg, report, grading, tau_c, tau_a, b):
             if tau._apply(w) != scaled(sign, w):
                 raise ConsistencyFailure("conjugated Miyamoto map is not +-1 on the eigenspaces")
         spaces.append(EchelonAccumulator.of(alg.field, alg.dim, ws).subspace())
-    return replace(report, axis=alg._dense(b), eigenspaces=tuple(spaces)), tau
+    return report._replace(axis=alg._dense(b), eigenspaces=tuple(spaces)), tau
 
 
 def _outcome(check, *args):

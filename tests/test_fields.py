@@ -162,6 +162,13 @@ class TestFieldSpec:
         with pytest.raises(InvalidField):
             FieldSpec(kind="rational", p=5)
 
+    def test_replace_validates_as_the_constructor_does(self):
+        with pytest.raises(InvalidField):
+            GF(7)._replace(p=8)
+        with pytest.raises(InvalidField):
+            QQ._replace(p=5)
+        assert GF(7)._replace(p=11) == GF(11) and type(GF(7)._replace(p=11)) is FieldSpec
+
     def test_characteristic(self):
         assert QQ.characteristic == 0
         assert GF(5).characteristic == 5

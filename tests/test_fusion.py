@@ -1,7 +1,5 @@
 """Fusion laws: tables, symmetry, Seress property, C2 gradings."""
 
-from dataclasses import replace
-
 import pytest
 
 from axial import GF, QQ, dump_algebra, law_A, law_J, law_M, norton_sakuma
@@ -74,6 +72,13 @@ def test_degenerate_parameters_rejected():
     # char 3 folds 2 onto 1/2
     with pytest.raises(DegenerateParameters):
         law_M(GF(3), GF(3).from_int(2), GF(3).parse("1/2"))
+
+
+def test_replace_validates_as_the_constructor_does():
+    law = law_J(QQ, ETA)
+    with pytest.raises(DegenerateParameters):
+        law._replace(elements=(QQ.one(), QQ.zero(), QQ.one()))
+    assert law._replace(name="J") == FusionLaw(QQ, law.elements, law.table, "J")
 
 
 def test_symmetric_and_seress():
@@ -230,7 +235,7 @@ OTHER_CELLS = {(0, 0): {0}, (1, 1): {1}, (2, 2): {0, 1}, (3, 3): {0, 1, 2}}
 NOT_IN_CATALOG = {
     "other cells": _build(QQ, (QQ.one(), QQ.zero(), ALPHA, BETA), OTHER_CELLS, "M(1/4,1/32)"),
     "three named A": _build(QQ, (QQ.one(), QQ.zero(), ETA), {(0, 0): {0}, (1, 1): {1}}, "A"),
-    "renamed": replace(law_J(QQ, ETA), name="J(1/3)"),
+    "renamed": law_J(QQ, ETA)._replace(name="J(1/3)"),
     "0 first": _build(
         QQ,
         (QQ.zero(), QQ.one(), ETA),

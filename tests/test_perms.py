@@ -167,6 +167,12 @@ def test_perm_order_is_the_first_power_that_is_the_identity(p):
     assert perm_order(p) == k
 
 
+@pytest.mark.parametrize("p,q,pq", [((), (), ()), ((0,), (0,), (0,)), ((1, 0), (1, 0), (0, 1)), ((0, 1), (1, 0), (1, 0))])
+def test_mul_at_degrees_zero_one_and_two(p, q, pq):
+    # itemgetter of one index returns an item, not a tuple, and of none raises
+    assert mul(p, q) == pq and type(mul(p, q)) is tuple
+
+
 def test_symmetric_group_on_pairs_matches_sympy():
     # S_14 on the 91 pairs of 14 points, the Miyamoto group of Matsuo S14
     pairs = [(a, b) for a in range(14) for b in range(a + 1, 14)]
